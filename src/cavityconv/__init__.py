@@ -63,9 +63,7 @@ from .observables import (
     tmsv_tail_mass,
 )
 from .propagate import (
-    Method,
     PropagationError,
-    PropagatorOptions,
     Trajectory,
     evolve_static,
     evolve_td,

@@ -435,29 +435,6 @@ def gaussian_profile_factor(t: float, traversal: TraversalSpec) -> float:
     return math.exp(-((x / traversal.waist_w) ** 2))
 
 
-def _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, tol / 2.0, fa, flm, fm, left, depth - 1)
-            + _adaptive_simpson(f, m, b, tol / 2.0, fm, frm, fb, right, depth - 1))
-
-
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=48):
-    """Adaptive Simpson quadrature with absolute tolerance on the result."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, tol, fa, fm, fb, whole, max_depth)
-
-
 def profile_squeezing_factor(
     params: PhysicalParams,
     traversal: TraversalSpec | None = None,
@@ -474,12 +451,9 @@ def profile_squeezing_factor(
         if tau is None or tau <= 0.0:
             raise ValueError("flat profile needs an explicit positive tau")
         return 2.0 * xi_abs * tau
-    integral = adaptive_simpson(
-        lambda t: gaussian_profile_factor(t, traversal) ** 2,
-        0.0,
-        traversal.tau,
-        tol=1e-10 / max(2.0 * xi_abs, 1.0),
-    )
+    # integral_0^tau exp(-2 alpha^2 (t/tau - 1/2)^2) dt in closed form
+    alpha = traversal.alpha
+    integral = traversal.tau * math.sqrt(math.pi / 2.0) * math.erf(alpha / math.sqrt(2.0)) / alpha
     return 2.0 * xi_abs * integral
 
 

@@ -1,57 +1,33 @@
 """Norm-preserving time evolution under static and oscillating Hamiltonians.
 
-Static generators are exponentiated by matrix-exponential action; oscillating
-ones by piecewise-constant exponentials on midpoint-sampled substeps whose
-local error is controlled by step doubling (each accepted step is a product
-of unitaries, so norms never drift by construction).  An adaptive Runge-Kutta
-path is kept as an independent cross-check integrator.
+Static generators are exponentiated by matrix-exponential action.  Every
+oscillating Hamiltonian built here becomes static in a diagonal rotating
+frame D = omega_level + nu_a n_a + nu_b n_b: with phi = e^{iDt} psi the
+generator is H(0) - D at all times, so each grid interval is one exact
+exponential action (no substeps, no step-size control).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
 from .hilbert import Operator, StateVector
 
-# Substeps never exceed this fraction of the fastest oscillation period.
-PHASE_RESOLUTION = 0.1
+# Largest norm change evolve_static accepts from one exponential action.
+STATIC_NORM_DRIFT_LIMIT = 1e-9
 
-# Below this step size the controller gives up: the problem is stiffer than
-# the configuration allows.
-DT_UNDERFLOW = 1e-18
+# Largest frame-equation residual, relative to max(max|nu|, 1), for which the
+# solved diagonal frame is accepted as making H(t) static.
+FRAME_RTOL = 1e-9
 
 
 class PropagationError(RuntimeError):
-    """Evolution failed to meet its tolerance or step-size contract."""
-
-
-class Method(str, Enum):
-    EXPM_ACTION = "EXPM_ACTION"
-    PIECEWISE_EXPM = "PIECEWISE_EXPM"
-    ADAPTIVE_RK = "ADAPTIVE_RK"
-
-
-@dataclass(frozen=True)
-class PropagatorOptions:
-    method: Method = Method.PIECEWISE_EXPM
-    dt_max: float = math.inf
-    rel_tol: float = 1e-9
-    record_stride: int = 1
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.dt_max <= 0.0:
-            raise ValueError("dt_max must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        object.__setattr__(self, "method", Method(self.method))
+    """Evolution failed to meet its norm contract or has no exact frame."""
 
 
 @dataclass
@@ -77,28 +53,18 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
-def _exp_apply(h: Operator, dt: float, amps: np.ndarray) -> np.ndarray:
-    return expm_multiply((-1j * dt) * h.matrix.tocsc(), amps)
-
-
-def evolve_static(
-    H: Operator,
-    psi0: StateVector,
-    t: float,
-    opts: PropagatorOptions | None = None,
-) -> StateVector:
+def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t)|psi0> by matrix-exponential action."""
-    opts = opts or PropagatorOptions(method=Method.EXPM_ACTION)
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     if not H.is_hermitian():
         raise ValueError("evolve_static requires a Hermitian generator")
     if t == 0.0:
         return psi0
-    amps = _exp_apply(H, t, psi0.amplitudes)
+    amps = expm_multiply((-1j * t) * H.matrix.tocsc(), psi0.amplitudes)
     out = StateVector(psi0.space, amps, copy=False)
     drift = abs(out.norm() - psi0.norm())
-    if drift > max(opts.rel_tol, 1e-12):
+    if drift > STATIC_NORM_DRIFT_LIMIT:
         raise PropagationError(
             f"matrix-exponential action drifted the norm by {drift:.3e}"
         )
@@ -120,106 +86,53 @@ def frame_transform(
     return StateVector(state.space, phases * state.amplitudes, copy=False)
 
 
-def _split_parts(H: TimeDependentOperator):
-    """Raw csc matrices with zero-frequency parts folded into the static one."""
-    static = H.static_part.matrix.tocsc()
-    parts = []
-    for op, nu in H.oscillating_parts:
-        mat = op.matrix.tocsc()
-        if nu == 0:
-            static = static + mat + mat.conj().T
-        else:
-            parts.append((mat, mat.conj().T.tocsc(), complex(nu)))
-    return static, parts
+def _rotating_frame(H: TimeDependentOperator) -> np.ndarray:
+    """Diagonal d_k = omega_level + nu_a n_a + nu_b n_b with
+    e^{iDt} H(t) e^{-iDt} = H(0) for all t.
 
-
-def _integrate_interval_expm(
-    static,
-    parts,
-    amps: np.ndarray,
-    t0: float,
-    t1: float,
-    base_dt: float,
-    rel_tol: float,
-) -> np.ndarray:
-    def midpoint_step(vec, t, dt):
-        m = static
-        for mat, mat_dag, nu in parts:
-            phase = np.exp(1j * nu * (t + 0.5 * dt))
-            m = m + phase * mat + np.conj(phase) * mat_dag
-        return expm_multiply((-1j * dt) * m, vec)
-
-    t = t0
-    dt = min(base_dt, t1 - t0)
-    while t < t1 - 1e-15 * max(abs(t1), 1.0):
-        dt = min(dt, t1 - t)
-        while True:
-            one = midpoint_step(amps, t, dt)
-            half = midpoint_step(amps, t, 0.5 * dt)
-            two = midpoint_step(half, t + 0.5 * dt, 0.5 * dt)
-            err = float(np.linalg.norm(one - two))
-            if err <= rel_tol:
-                break
-            dt *= 0.5
-            if dt < DT_UNDERFLOW:
-                raise PropagationError(
-                    "step underflow below 1e-18 s: stiffness misconfiguration"
-                )
-        amps = two
-        t += dt
-        if err < rel_tol / 16.0:
-            dt = min(2.0 * dt, base_dt)
-    return amps
-
-
-def _integrate_interval_rk(
-    static,
-    parts,
-    amps: np.ndarray,
-    t0: float,
-    t1: float,
-    base_dt: float,
-    rel_tol: float,
-) -> np.ndarray:
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        hy = static @ y
-        for mat, mat_dag, nu in parts:
-            phase = np.exp(1j * nu * t)
-            hy = hy + phase * (mat @ y) + np.conj(phase) * (mat_dag @ y)
-        return -1j * hy
-
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        amps,
-        method="RK45",
-        rtol=rel_tol,
-        atol=rel_tol * 1e-3,
-        max_step=base_dt,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise PropagationError(f"adaptive RK failed: {sol.message}")
-    return sol.y[:, -1]
+    Every nonzero element (m, n) of a part oscillating at nu (or of the
+    static part, nu = 0) needs d_m - d_n = -nu.  The unknowns (one energy per
+    atomic level, nu_a, nu_b) are solved by least squares over the distinct
+    (level, n_a, n_b) changes of those elements; a residual above
+    FRAME_RTOL * max(max|nu|, 1) means no static frame exists.
+    """
+    space = H.space
+    n_a, n_b = space.fock_numbers()
+    level = np.repeat(np.arange(space.atom_levels), space.field_dim)
+    coords = np.column_stack([np.eye(space.atom_levels)[level], n_a, n_b])
+    equations = []
+    for op, nu in [(H.static_part, 0.0), *H.oscillating_parts]:
+        m, n = op.matrix.nonzero()
+        equations.append(
+            np.column_stack([coords[m] - coords[n], np.full(m.size, -np.real(nu))])
+        )
+    system = np.unique(np.vstack(equations), axis=0)
+    a_mat, b_vec = system[:, :-1], system[:, -1]
+    if not b_vec.any():
+        return np.zeros(space.total_dim)
+    x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+    residual = float(np.max(np.abs(a_mat @ x - b_vec)))
+    if residual > FRAME_RTOL * max(H.max_frequency(), 1.0):
+        raise PropagationError(
+            f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
+        )
+    return coords @ x
 
 
 def evolve_td(
     H: TimeDependentOperator,
     psi0: StateVector,
     t_grid,
-    opts: PropagatorOptions | None = None,
     observables: dict[str, Operator] | None = None,
 ) -> Trajectory:
     """Propagate an oscillating Hamiltonian along a strictly increasing grid.
 
-    The state is recorded (with its norm and any requested observable
-    expectations) every ``record_stride`` grid points, always including the
-    first and last.  Substeps are capped at one tenth of the fastest
-    oscillation period.
+    H(t) is moved into its static rotating frame (see ``_rotating_frame``);
+    each grid interval is then one exponential action of -i dt (H(0) - D) on
+    phi = e^{iDt} psi, which is exact for any interval length.  The state,
+    its norm and any requested observable expectations are recorded at every
+    grid point.  Raises PropagationError when H(t) has no static frame.
     """
-    opts = opts or PropagatorOptions()
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -232,45 +145,28 @@ def evolve_td(
         if op.space != psi0.space:
             raise ValueError("observable lives on a different space")
 
-    static, parts = _split_parts(H)
-    nu_max = max((abs(nu) for _, _, nu in parts), default=0.0)
-    cap = PHASE_RESOLUTION / nu_max if nu_max > 0.0 else math.inf
-    base_dt = min(opts.dt_max, cap)
+    d = _rotating_frame(H)
+    generator = (H.at(0.0).matrix - sp.diags(d)).tocsc()
 
-    rec_times: list[float] = []
     rec_states: list[StateVector] = []
-    rec_norms: list[float] = []
     rec_expect: dict[str, list[complex]] = {name: [] for name in observables}
 
-    def record(t: float, amps: np.ndarray) -> None:
-        state = StateVector(psi0.space, amps)
-        rec_times.append(t)
-        rec_states.append(state)
-        rec_norms.append(state.norm())
+    phi = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
+    for k, t in enumerate(t_grid):
+        if k:
+            phi = expm_multiply((-1j * (t - t_grid[k - 1])) * generator, phi)
+        amps = np.exp(-1j * d * t) * phi
+        rec_states.append(StateVector(psi0.space, amps, copy=False))
         for name, op in observables.items():
             rec_expect[name].append(complex(np.vdot(amps, op.matrix @ amps)))
 
-    amps = np.array(psi0.amplitudes, copy=True)
-    record(float(t_grid[0]), amps)
-    for k in range(1, t_grid.size):
-        t0, t1 = float(t_grid[k - 1]), float(t_grid[k])
-        if not parts:
-            # constant in time: a single exponential per interval is exact
-            amps = expm_multiply((-1j * (t1 - t0)) * static, amps)
-        elif opts.method is Method.ADAPTIVE_RK:
-            amps = _integrate_interval_rk(static, parts, amps, t0, t1, base_dt, opts.rel_tol)
-        else:
-            amps = _integrate_interval_expm(static, parts, amps, t0, t1, base_dt, opts.rel_tol)
-        if k % opts.record_stride == 0 or k == t_grid.size - 1:
-            record(t1, amps)
-
     traj = Trajectory(
-        times=np.array(rec_times),
+        times=t_grid.copy(),
         states=rec_states,
-        norms=np.array(rec_norms),
+        norms=np.array([s.norm() for s in rec_states]),
         expectations={name: np.array(vals) for name, vals in rec_expect.items()},
     )
-    drift = np.max(np.abs(traj.norms - traj.norms[0])) if traj.norms.size else 0.0
+    drift = np.max(np.abs(traj.norms - traj.norms[0]))
     if drift > NORM_DRIFT_LIMIT:
         traj.ok = False
         traj.failure = f"norm drifted by {drift:.3e} (limit {NORM_DRIFT_LIMIT})"

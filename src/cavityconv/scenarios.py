@@ -14,6 +14,7 @@ must move by less than 1e-6.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -306,9 +307,9 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
 
     # standardizing single-mode phase rotation exp(i phase_b n_b)
     if kind == "BS":
-        phase_b = math.pi / 2.0 - cmath_phase(coupling)
+        phase_b = math.pi / 2.0 - cmath.phase(coupling)
     else:
-        phase_b = math.pi / 2.0 + cmath_phase(coupling)
+        phase_b = math.pi / 2.0 + cmath.phase(coupling)
     _, n_b = post.space.fock_numbers()
     mapped = StateVector(post.space, np.exp(1j * phase_b * n_b) * post.amplitudes, copy=False)
     fid = obs.bell_state_fidelity(mapped, target)
@@ -333,10 +334,6 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
     return mapped, transcript
 
 
-def cmath_phase(c: complex) -> float:
-    return math.atan2(c.imag, c.real)
-
-
 # --- scenario implementations ---------------------------------------------------
 
 def _reduced_generator_and_xi(cfg: ResolvedConfig):
@@ -345,9 +342,20 @@ def _reduced_generator_and_xi(cfg: ResolvedConfig):
     return space, gen, abs(effective_xi(cfg.params))
 
 
+def _xi_time_scale(params: PhysicalParams) -> float:
+    """|xi| for scenarios whose time axis is measured in units of 1/|xi|."""
+    xi_abs = abs(effective_xi(params))
+    if xi_abs == 0.0:
+        raise ConfigError(
+            "params.omega_cl, params.lambda_a, params.lambda_b: the effective "
+            "coupling xi is 0, so the scenario has no conversion time scale"
+        )
+    return xi_abs
+
+
 def _scenario_puc_swap(cfg: ResolvedConfig):
     space, gen, xi_abs = _reduced_generator_and_xi(cfg)
-    t_swap = (math.pi / 2.0) / xi_abs
+    t_swap = (math.pi / 2.0) / _xi_time_scale(cfg.params)
     psi0 = fock_state(space, 1, 0)
     final = evolve_static(gen, psi0, t_swap)
     p_swapped = abs(fock_state(space, 0, 1).inner(final)) ** 2
@@ -388,7 +396,7 @@ def _scenario_pdc_epr(cfg: ResolvedConfig):
     tau = cfg.times[-1] if cfg.times else DEFAULT_TAU
     space, state, xi_abs = _pair_state(cfg, tau)
     r = xi_abs * tau
-    spec = obs.TmsvSpec(squeeze_param=r, phase=cmath_phase(effective_xi(cfg.params)))
+    spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
     analytic = obs.tmsv_analytic(spec, space)
     metrics_obj = obs.epr_metrics(state)
     metrics = {
@@ -415,7 +423,7 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
     rows = []
     for tau in times:
         r = xi_abs * tau
-        spec = obs.TmsvSpec(squeeze_param=r, phase=cmath_phase(effective_xi(cfg.params)))
+        spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
         numeric = obs.epr_metrics(obs.tmsv_analytic(spec, space)).quality
         rows.append([
             tau,
@@ -467,7 +475,7 @@ def _scenario_epr_variances(cfg: ResolvedConfig):
 
 def _scenario_full_vs_effective(cfg: ResolvedConfig):
     params = cfg.params
-    xi_abs = abs(effective_xi(params))
+    xi_abs = _xi_time_scale(params)
     eps_sq = (max(abs(params.lambda_a), abs(params.lambda_b)) / abs(params.delta_big)) ** 2
     n_points = int(cfg.options.get("grid_points", 101))
     t_end = (math.pi / 2.0) / xi_abs

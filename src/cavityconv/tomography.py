@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .hilbert import HilbertSpace, Operator, StateVector, annihilation
-from .propagate import _exp_apply
 
 # Displaced probability allowed in the top Fock level of either mode before
 # the truncated displacement is declared unfaithful.
@@ -119,9 +119,8 @@ def displace(state: StateVector, eta_a: complex, eta_b: complex) -> StateVector:
         displaced_modes.append(mode)
         low = annihilation(space, mode)
         generator = eta.conjugate() * low - eta * low.dag()
-        # anti-Hermitian generator: exp is unitary; reuse the expm action
-        # with the i factored out
-        amps = _exp_apply(Operator(space, 1j * generator.matrix), 1.0, amps)
+        # anti-Hermitian generator: its exponential is unitary
+        amps = expm_multiply(generator.matrix.tocsc(), amps)
     out = StateVector(space, amps, copy=False)
     tail = _top_level_mass(out, displaced_modes)
     if tail > TAIL_LIMIT:

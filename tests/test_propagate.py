@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -29,9 +30,7 @@ from cavityconv.hilbert import (
 )
 from cavityconv.observables import fidelity
 from cavityconv.propagate import (
-    Method,
     PropagationError,
-    PropagatorOptions,
     evolve_static,
     evolve_td,
     frame_transform,
@@ -133,6 +132,20 @@ def test_time_reversal_returns_initial_state():
     assert np.linalg.norm(back.amplitudes - psi0.amplitudes) < 1e-7
 
 
+def pdc_frame_oracle(h_td, psi0, times, delta):
+    # effective PDC is static in the frame D = -delta n_b - delta sig_ee,
+    # solved by hand: psi(t) = e^{-iDt} expm(-i t (H(0) - D)) psi0 on dense
+    # matrices
+    space = h_td.space
+    _, n_b = space.fock_numbers()
+    level = np.repeat(np.arange(space.atom_levels), space.field_dim)
+    d_diag = -delta * n_b + np.where(level == space.level_index("e"), -delta, 0.0)
+    generator = h_td.at(0.0).to_dense() - np.diag(d_diag)
+    return [np.exp(-1j * d_diag * t)
+            * (scipy.linalg.expm(-1j * t * generator) @ psi0.amplitudes)
+            for t in times]
+
+
 def test_oscillating_evolution_norm_and_cross_method_agreement():
     # drive detuning off resonance so the oscillating parts really oscillate
     space = make_space(3, 3, 3)
@@ -141,16 +154,12 @@ def test_oscillating_evolution_norm_and_cross_method_agreement():
     assert h.max_frequency() > 0
     psi0 = embed_atom(vacuum_state(field_space(3, 3)), space, "i")
     grid = np.linspace(0.0, 1e-4, 5)
-    expm_traj = evolve_td(h, psi0, grid)
-    assert expm_traj.ok
-    assert np.all(np.abs(expm_traj.norms - 1.0) < 1e-7)
-    rk_traj = evolve_td(
-        h, psi0, grid, PropagatorOptions(method=Method.ADAPTIVE_RK, rel_tol=1e-10)
-    )
-    dist = np.linalg.norm(
-        expm_traj.final_state().amplitudes - rk_traj.final_state().amplitudes
-    )
-    assert dist < 1e-6
+    traj = evolve_td(h, psi0, grid)
+    assert traj.ok
+    assert np.all(np.abs(traj.norms - 1.0) < 1e-7)
+    exact = pdc_frame_oracle(h, psi0, grid, params.delta_small)
+    for state, oracle in zip(traj.states, exact):
+        assert np.linalg.norm(state.amplitudes - oracle) < 1e-6
 
 
 def test_energy_conserved_for_static_hamiltonian():
@@ -285,30 +294,27 @@ def test_effective_ge_sector_tracks_full_ladder_model():
     assert fidelity(full, eff) > 1.0 - 6.0 * eps_sq
 
 
-def test_step_controller_resolves_fast_phases():
-    # one coarse interval across many drive periods still lands on the RK answer
+def test_single_interval_spans_many_drive_periods():
+    # the frame makes one interval exact however many periods it spans
     space = make_space(3, 2, 2)
     params = pdc(delta_small=2e5)
     h = effective_pdc_hamiltonian(space, params)
     psi0 = embed_atom(vacuum_state(field_space(2, 2)), space, "i")
     t_end = 2e-4  # 40 periods of the 2e5 rad/s drive phase
     coarse = evolve_td(h, psi0, np.array([0.0, t_end]))
-    fine = evolve_td(
-        h, psi0, np.array([0.0, t_end]),
-        PropagatorOptions(method=Method.ADAPTIVE_RK, rel_tol=1e-11),
-    )
-    dist = np.linalg.norm(coarse.final_state().amplitudes - fine.final_state().amplitudes)
-    assert dist < 1e-6
+    exact = pdc_frame_oracle(h, psi0, [t_end], params.delta_small)[0]
+    assert np.linalg.norm(coarse.final_state().amplitudes - exact) < 1e-6
 
 
-def test_step_underflow_raises():
-    space = make_space(3, 1, 1)
-    params = pdc(delta_small=5e4)
-    h = effective_pdc_hamiltonian(space, params)
-    psi0 = embed_atom(vacuum_state(field_space(1, 1)), space, "i")
-    opts = PropagatorOptions(rel_tol=1e-300)
-    with pytest.raises(PropagationError):
-        evolve_td(h, psi0, np.array([0.0, 1e-5]), opts)
+def test_element_oscillating_at_two_frequencies_has_no_frame():
+    space = field_space(1, 1)
+    a = annihilation(space, "a")
+    b = annihilation(space, "b")
+    exchange = 1e4 * (a @ b.dag())
+    h = TimeDependentOperator(0.0 * identity_operator(space),
+                              [(exchange, 1e5), (exchange, 2e5)])
+    with pytest.raises(PropagationError, match="no static rotating frame"):
+        evolve_td(h, fock_state(space, 1, 0), np.array([0.0, 1e-5]))
 
 
 def test_time_grid_must_increase():
@@ -342,7 +348,7 @@ def test_frame_transform_preserves_norm():
         assert abs(out.norm() - 1.0) < 1e-12
 
 
-def test_record_stride_and_observables():
+def test_records_every_grid_point_with_observables():
     space = field_space(3, 3)
     gen = reduced_bilinear_generator(space, puc())
     h = TimeDependentOperator(gen)
@@ -350,11 +356,10 @@ def test_record_stride_and_observables():
     traj = evolve_td(
         h,
         fock_state(space, 1, 0),
-        np.linspace(0.0, 4e-4, 11),
-        PropagatorOptions(record_stride=2),
+        np.linspace(0.0, 4e-4, 6),
         observables={"n_a": n_a},
     )
-    assert traj.times.size == 6  # t0 + every 2nd point incl. the last
+    assert traj.times.size == 6
     assert traj.expectations["n_a"].shape == (6,)
     xi_abs = abs(effective_xi(puc()))
     expected = np.cos(xi_abs * traj.times) ** 2

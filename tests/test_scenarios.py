@@ -392,6 +392,15 @@ def test_cli_maps_truncation_overflow_to_validation_exit(tmp_path, capsys):
     assert "truncation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["puc_swap", "full_vs_effective"])
+def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, scenario):
+    cfg = write_config(tmp_path, {"scenario": scenario, "params": {"omega_cl": 0}})
+    assert cli_main(["run", cfg, "--no-converge-check"]) == 2
+    err = capsys.readouterr().err
+    assert "params.omega_cl" in err
+    assert "Traceback" not in err
+
+
 def test_cli_list_scenarios(capsys):
     assert cli_main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
