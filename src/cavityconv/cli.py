@@ -163,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_list(args)
         return cmd_sweep(args)
     except (ConfigError, TruncationError, PropagationError) as exc:
-        # truncation/step failures mean the configured discretization cannot
-        # represent the requested computation
+        # truncation and propagation failures mean the configured truncation
+        # cannot represent the requested computation
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except ConvergenceGateError as exc:

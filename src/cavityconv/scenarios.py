@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,11 @@ from .hamiltonians import (
     two_photon_hamiltonian,
 )
 from .hilbert import (
+    Operator,
     StateVector,
     basis_state,
     embed_atom,
+    expectation,
     field_space,
     fock_state,
     make_space,
@@ -52,7 +55,6 @@ from .propagate import evolve_static, frame_transform
 DEFAULT_COUPLING = 7e5   # s^-1
 DEFAULT_DETUNING = 1e7   # s^-1
 DEFAULT_TAU = 2e-4       # s
-DEFAULT_WAIST_CM = 0.6
 
 # Regression constant for the full-vs-effective fidelity bound
 # 1 - C (lambda/Delta)^2, frozen after the initial convergence study
@@ -87,12 +89,10 @@ class ConvergenceGateError(RuntimeError):
         )
 
 
-# --- config parsing -----------------------------------------------------------
-
-_TOP_KEYS = {"scenario", "params", "traversal", "truncation", "times", "outputs", "seed", "options"}
-_PARAM_KEYS = {"lambda_a", "lambda_b", "omega_cl", "delta_big", "delta_small", "process"}
-_TRAVERSAL_KEYS = {"waist_w", "alpha", "tau"}
-
+# --- config schema --------------------------------------------------------------
+# A scenario's registry ``defaults`` alone states which keys its config and its
+# sections accept and what each field defaults to (when absent or null).
+# ``_FIELDS`` maps each field path to (parse, echo); other paths are sections.
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -100,65 +100,168 @@ class ResolvedConfig:
     params: PhysicalParams
     truncation: tuple[int, int]
     times: tuple[float, ...] | None
-    traversal: dict | None
     outputs: tuple[str, ...]
-    seed: int
-    options: dict
+    traversal: dict | None = None
+    options: dict = field(default_factory=dict)
 
 
-def _parse_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def _number(value, above: float = -math.inf) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not above < value < math.inf):
+        raise ValueError(f"expected a number in ({above}, inf), got {value!r}")
+    return float(value)
+
+
+_positive = partial(_number, above=0.0)
+
+
+def _count(value, minimum: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _complex(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where}: expected a number or [re, im], got {value!r}")
+        return complex(_number(value[0]), _number(value[1]))
+    return complex(_number(value))
 
 
 def _echo_complex(c: complex):
     return c.real if c.imag == 0.0 else [c.real, c.imag]
 
 
-def _merge(defaults: dict, override: dict) -> dict:
-    out = dict(defaults)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _detuning(value) -> float:
+    if _number(value) ** 2 == 0.0:  # couplings divide by delta_big^2
+        raise ValueError(f"expected a detuning whose square is nonzero, got {value!r}")
+    return float(value)
 
 
-def _parse_times(value) -> tuple[float, ...] | None:
+def _truncation(value) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"expected [n_max_a, n_max_b], got {value!r}")
+    n_max = (_count(value[0]), _count(value[1]))
+    make_space(3, *n_max)  # the largest space any scenario builds must fit the dimension cap
+    return n_max
+
+
+def _times(value) -> tuple[float, ...] | None:
     if value is None:
         return None
     if isinstance(value, dict):
-        extra = set(value) - {"start", "stop", "num"}
-        if extra:
-            raise ConfigError(f"times: unknown keys {sorted(extra)}")
-        try:
-            num = int(value["num"])
-            if num < 1:
-                raise ConfigError("times: num must be at least 1")
-            grid = np.linspace(float(value["start"]), float(value["stop"]), num)
-        except KeyError as exc:
-            raise ConfigError(f"times range needs start/stop/num (missing {exc})") from None
+        if set(value) != {"start", "stop", "num"}:
+            raise ValueError(f"a range needs exactly start, stop and num, got {sorted(value)}")
+        grid = np.linspace(_number(value["start"]), _number(value["stop"]), _count(value["num"], 1))
         times = tuple(float(t) for t in grid)
-    elif isinstance(value, (list, tuple)):
-        try:
-            times = tuple(float(t) for t in value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"times must hold numbers, got {value!r}") from None
+    elif isinstance(value, (list, tuple)) and value:
+        times = tuple(_number(t) for t in value)
     else:
-        raise ConfigError(f"times: expected list, range object or null, got {value!r}")
-    if any(not math.isfinite(t) for t in times):
-        raise ConfigError("times must be finite")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ConfigError("times must be strictly increasing")
+        raise ValueError(f"expected a non-empty list or a start/stop/num range, got {value!r}")
+    if times[0] < 0.0 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise ValueError(f"expected non-negative, strictly increasing times, got {value!r}")
     return times
 
 
+def _outputs(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or any(not isinstance(o, str) for o in value):
+        raise ValueError(f"expected a list of metric names, got {value!r}")
+    return tuple(value)
+
+
+def _wigner_state(value) -> str:
+    if value not in ("vacuum", "one_photon", "tmsv"):
+        raise ValueError(f"expected vacuum, one_photon or tmsv, got {value!r}")
+    return value
+
+
+def _sweep_target(value) -> str:
+    entry = SCENARIOS.get(value) if isinstance(value, str) else None
+    if entry is None or entry.gate_metric is None:
+        raise ValueError(f"{value!r} is no scenario with a truncation-dependent metric")
+    return value
+
+
+def _n_max_list(value) -> list[int]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of truncations, got {value!r}")
+    n_max_list = [_count(n) for n in value]
+    if len(n_max_list) < 2 or any(n2 <= n1 for n1, n2 in zip(n_max_list, n_max_list[1:])):
+        raise ValueError(f"expected at least two strictly increasing truncations, got {value!r}")
+    return n_max_list
+
+
+def _target_config(value) -> dict:
+    if not isinstance(value, dict) or {"scenario", "truncation"} & set(value):
+        raise ValueError(f"expected an object without scenario or truncation, got {value!r}")
+    return dict(value)
+
+
+def _same(value):
+    return value
+
+
+_FIELDS: dict[str, tuple[Callable, Callable]] = {
+    "truncation": (_truncation, list),
+    "times": (_times, lambda times: None if times is None else list(times)),
+    "outputs": (_outputs, list),
+    "params.lambda_a": (_complex, _echo_complex),
+    "params.lambda_b": (_complex, _echo_complex),
+    "params.omega_cl": (_complex, _echo_complex),
+    "params.delta_big": (_detuning, _same),
+    "params.delta_small": (lambda d: d if d == "resonance" else _number(d), _same),
+    "params.process": (ProcessKind, lambda process: process.value),
+    "traversal.waist_w": (_positive, _same),
+    "traversal.alpha": (lambda alpha: None if alpha is None else _positive(alpha), _same),
+    "options.grid_points": (lambda n: _count(n, 1), _same),
+    "options.grid_extent": (_number, _same),
+    "options.state": (_wigner_state, _same),
+    "options.fit_tau": (_positive, _same),
+    "options.fit_target_r": (_positive, _same),
+    "options.target": (_sweep_target, _same),
+    "options.n_max_list": (_n_max_list, list),
+    "options.target_config": (_target_config, dict),
+}
+
+
+def _parse(path: str, parse: Callable, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
+    where = prefix[:-1] or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    unknown = set(raw) - set(defaults)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(defaults)})")
+    values = {}
+    for key, default in defaults.items():
+        path = prefix + key
+        if path in _FIELDS:
+            value = raw.get(key)
+            values[key] = _parse(path, _FIELDS[path][0], default if value is None else value)
+        else:
+            values[key] = _resolve(default, raw.get(key, {}), path + ".")
+    return values
+
+
+def _echo(defaults: dict, resolved: dict, prefix: str = "") -> dict:
+    echo = {}
+    for key, default in defaults.items():
+        path, value = prefix + key, resolved[key]
+        if path in _FIELDS:
+            echo[key] = _FIELDS[path][1](value)
+        else:  # params is a PhysicalParams, traversal and options are dicts
+            section = value if isinstance(value, dict) else vars(value)
+            echo[key] = _echo(default, section, path + ".")
+    return echo
+
+
 def resolve_config(raw: dict) -> ResolvedConfig:
-    """Validate a raw config dict against its scenario defaults."""
+    """Validate a raw config dict against its scenario's registry defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     name = raw.get("scenario")
@@ -166,98 +269,24 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         raise ConfigError(
             f"unknown scenario {name!r}; registered: {', '.join(sorted(SCENARIOS))}"
         )
-    extra = set(raw) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"unknown config keys {sorted(extra)}")
-    merged = _merge(SCENARIOS[name].defaults, raw)
-
-    pdict = merged.get("params", {})
-    extra = set(pdict) - _PARAM_KEYS
-    if extra:
-        raise ConfigError(f"params: unknown keys {sorted(extra)}")
+    defaults = SCENARIOS[name].defaults
+    values = _resolve(defaults, {k: v for k, v in raw.items() if k != "scenario"})
+    fields = values.pop("params")
+    process, modelled = fields["process"].value, defaults["params"]["process"]
+    if process != modelled:
+        raise ConfigError(f"params.process: {name} models {modelled} only, not {process}")
     try:
-        process = ProcessKind(pdict.get("process", "PUC"))
-    except ValueError:
-        raise ConfigError(f"params.process: unknown process {pdict.get('process')!r}") from None
-    delta_big = float(pdict.get("delta_big", DEFAULT_DETUNING))
-    kwargs = dict(
-        lambda_a=_parse_complex(pdict.get("lambda_a", DEFAULT_COUPLING), "params.lambda_a"),
-        lambda_b=_parse_complex(pdict.get("lambda_b", DEFAULT_COUPLING), "params.lambda_b"),
-        omega_cl=_parse_complex(pdict.get("omega_cl", DEFAULT_COUPLING), "params.omega_cl"),
-        delta_big=delta_big,
-        process=process,
-    )
-    delta_small = pdict.get("delta_small", 0.0)
-    try:
-        if delta_small == "resonance":
-            delta_small = resonance_delta(PhysicalParams(delta_small=0.0, **kwargs))
-        params = PhysicalParams(delta_small=float(delta_small), **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from None
-
-    truncation = merged.get("truncation")
-    if (not isinstance(truncation, (list, tuple)) or len(truncation) != 2
-            or any(isinstance(n, bool) or not isinstance(n, int) or n < 0
-                   for n in truncation)):
-        raise ConfigError(f"truncation must be [n_max_a, n_max_b], got {truncation!r}")
-
-    traversal = merged.get("traversal")
-    if traversal is not None:
-        extra = set(traversal) - _TRAVERSAL_KEYS
-        if extra:
-            raise ConfigError(f"traversal: unknown keys {sorted(extra)}")
-        traversal = dict(traversal)
-
-    outputs = merged.get("outputs", [])
-    if not isinstance(outputs, (list, tuple)) or any(not isinstance(o, str) for o in outputs):
-        raise ConfigError("outputs must be a list of metric names")
-
-    seed = merged.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-
-    options = merged.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("options must be an object")
-    allowed = SCENARIOS[name].option_keys
-    extra = set(options) - allowed
-    if extra:
-        raise ConfigError(f"options: unknown keys {sorted(extra)} (allowed: {sorted(allowed)})")
-
-    return ResolvedConfig(
-        scenario=name,
-        params=params,
-        truncation=(int(truncation[0]), int(truncation[1])),
-        times=_parse_times(merged.get("times")),
-        traversal=traversal,
-        outputs=tuple(outputs),
-        seed=seed,
-        options=options,
-    )
+        if fields["delta_small"] == "resonance":
+            off = PhysicalParams(**{**fields, "delta_small": 0.0})
+            fields["delta_small"] = resonance_delta(off)
+        params = PhysicalParams(**fields)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"params.delta_small: {exc}") from None
+    return ResolvedConfig(scenario=name, params=params, **values)
 
 
 def _echo_config(cfg: ResolvedConfig) -> dict:
-    p = cfg.params
-    doc = {
-        "scenario": cfg.scenario,
-        "params": {
-            "lambda_a": _echo_complex(p.lambda_a),
-            "lambda_b": _echo_complex(p.lambda_b),
-            "omega_cl": _echo_complex(p.omega_cl),
-            "delta_big": p.delta_big,
-            "delta_small": p.delta_small,
-            "process": p.process.value,
-        },
-        "truncation": list(cfg.truncation),
-        "times": None if cfg.times is None else list(cfg.times),
-        "outputs": list(cfg.outputs),
-        "seed": cfg.seed,
-    }
-    if cfg.traversal is not None:
-        doc["traversal"] = dict(cfg.traversal)
-    if cfg.options:
-        doc["options"] = dict(cfg.options)
-    return doc
+    return {"scenario": cfg.scenario, **_echo(SCENARIOS[cfg.scenario].defaults, vars(cfg))}
 
 
 # --- bell preparation ---------------------------------------------------------
@@ -280,8 +309,9 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
         raise ValueError("prepare_bell needs two-photon process params")
     kind = "BS" if target.startswith("psi") else "TMS"
     coupling = two_photon_coupling(params, kind)
-    if coupling == 0.0:
-        raise ValueError("two-photon coupling vanishes for these parameters")
+    t_quarter = (math.pi / 4.0) / abs(coupling) if coupling else math.inf
+    if math.isinf(t_quarter):
+        raise ValueError(f"two-photon coupling {coupling!r} gives no finite interaction time")
 
     space = make_space(3, *n_max)
     hamiltonian = two_photon_hamiltonian(space, params, kind)
@@ -291,7 +321,6 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
     else:
         initial = basis_state(space, "e", 0, 0)
         initial_label = "|e;0,0>"
-    t_quarter = (math.pi / 4.0) / abs(coupling)
     evolved = evolve_static(hamiltonian, initial, t_quarter)
 
     sign = +1.0 if target.endswith("+") else -1.0
@@ -336,26 +365,36 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
 
 # --- scenario implementations ---------------------------------------------------
 
-def _reduced_generator_and_xi(cfg: ResolvedConfig):
-    space = field_space(*cfg.truncation)
-    gen = reduced_bilinear_generator(space, cfg.params)
-    return space, gen, abs(effective_xi(cfg.params))
-
-
 def _xi_time_scale(params: PhysicalParams) -> float:
     """|xi| for scenarios whose time axis is measured in units of 1/|xi|."""
     xi_abs = abs(effective_xi(params))
-    if xi_abs == 0.0:
+    if xi_abs == 0.0 or math.isinf((math.pi / 2.0) / xi_abs):
         raise ConfigError(
             "params.omega_cl, params.lambda_a, params.lambda_b: the effective "
-            "coupling xi is 0, so the scenario has no conversion time scale"
+            f"coupling |xi| = {xi_abs!r} gives no finite conversion time scale"
         )
     return xi_abs
 
 
+def _generator(cfg: ResolvedConfig, space) -> Operator:
+    """The reduced bilinear generator, which needs the drive on resonance."""
+    try:
+        return reduced_bilinear_generator(space, cfg.params)
+    except ValueError as exc:
+        raise ConfigError(f"params.delta_small: {exc}") from None
+
+
+def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
+    """The vacuum evolved under the reduced generator for the last configured time."""
+    space = field_space(*cfg.truncation)
+    return evolve_static(_generator(cfg, space), vacuum_state(space), cfg.times[-1])
+
+
 def _scenario_puc_swap(cfg: ResolvedConfig):
-    space, gen, xi_abs = _reduced_generator_and_xi(cfg)
-    t_swap = (math.pi / 2.0) / _xi_time_scale(cfg.params)
+    xi_abs = _xi_time_scale(cfg.params)
+    space = field_space(*cfg.truncation)
+    gen = _generator(cfg, space)
+    t_swap = (math.pi / 2.0) / xi_abs
     psi0 = fock_state(space, 1, 0)
     final = evolve_static(gen, psi0, t_swap)
     p_swapped = abs(fock_state(space, 0, 1).inner(final)) ** 2
@@ -386,18 +425,14 @@ def _scenario_puc_swap(cfg: ResolvedConfig):
     return metrics, tables, {}
 
 
-def _pair_state(cfg: ResolvedConfig, tau: float):
-    space, gen, xi_abs = _reduced_generator_and_xi(cfg)
-    state = evolve_static(gen, vacuum_state(space), tau)
-    return space, state, xi_abs
-
-
 def _scenario_pdc_epr(cfg: ResolvedConfig):
-    tau = cfg.times[-1] if cfg.times else DEFAULT_TAU
-    space, state, xi_abs = _pair_state(cfg, tau)
+    tau = cfg.times[-1]
+    state = _evolved_vacuum(cfg)
+    xi = effective_xi(cfg.params)
+    xi_abs = abs(xi)
     r = xi_abs * tau
-    spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
-    analytic = obs.tmsv_analytic(spec, space)
+    spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(xi))
+    analytic = obs.tmsv_analytic(spec, state.space)
     metrics_obj = obs.epr_metrics(state)
     metrics = {
         "xi_abs": xi_abs,
@@ -419,9 +454,8 @@ def _scenario_pdc_epr(cfg: ResolvedConfig):
 def _scenario_epr_quality(cfg: ResolvedConfig):
     xi_abs = abs(effective_xi(cfg.params))
     space = field_space(*cfg.truncation)
-    times = cfg.times or (DEFAULT_TAU,)
     rows = []
-    for tau in times:
+    for tau in cfg.times:
         r = xi_abs * tau
         spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
         numeric = obs.epr_metrics(obs.tmsv_analytic(spec, space)).quality
@@ -453,8 +487,9 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
 
 
 def _scenario_epr_variances(cfg: ResolvedConfig):
-    tau = cfg.times[-1] if cfg.times else DEFAULT_TAU
-    space, state, xi_abs = _pair_state(cfg, tau)
+    tau = cfg.times[-1]
+    state = _evolved_vacuum(cfg)
+    xi_abs = abs(effective_xi(cfg.params))
     r = xi_abs * tau
     expected = math.exp(-2.0 * r) / 2.0
     m = obs.epr_metrics(state)
@@ -477,26 +512,24 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     params = cfg.params
     xi_abs = _xi_time_scale(params)
     eps_sq = (max(abs(params.lambda_a), abs(params.lambda_b)) / abs(params.delta_big)) ** 2
-    n_points = int(cfg.options.get("grid_points", 101))
     t_end = (math.pi / 2.0) / xi_abs
+    n_points = cfg.options["grid_points"]
     times = np.array(cfg.times) if cfg.times else np.linspace(0.0, t_end, n_points)
 
     atom_space = make_space(3, *cfg.truncation)
     fld_space = field_space(*cfg.truncation)
+    gen = _generator(cfg, fld_space)
     h_full = full_puc_hamiltonian(atom_space, params)
     psi0_field = fock_state(fld_space, 1, 0)
     psi0 = embed_atom(psi0_field, atom_space, "i")
-    gen = reduced_bilinear_generator(fld_space, params)
     chi_a = abs(params.lambda_a) ** 2 / params.delta_big
     chi_b = abs(params.lambda_b) ** 2 / params.delta_big
 
     # the full model is diagonalized once: exact samples at arbitrary times
-    h_dense = h_full.at(0.0).to_dense() if h_full.max_frequency() == 0.0 else None
-    if h_dense is None:
-        raise ConfigError(
-            "full_vs_effective requires symmetric couplings (static full model)"
-        )
-    energies, basis = np.linalg.eigh(h_dense)
+    if h_full.max_frequency() != 0.0:
+        raise ConfigError("params.lambda_a, params.lambda_b: full_vs_effective requires "
+                          "symmetric couplings (static full model)")
+    energies, basis = np.linalg.eigh(h_full.at(0.0).to_dense())
     coeffs = basis.conj().T @ psi0.amplitudes
 
     def full_state_at(t: float) -> StateVector:
@@ -550,18 +583,18 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
 
 def _scenario_gaussian_profile(cfg: ResolvedConfig):
     params = cfg.params
-    trav = cfg.traversal or {}
-    waist = float(trav.get("waist_w", DEFAULT_WAIST_CM))
-    fit_tau = float(cfg.options.get("fit_tau", DEFAULT_TAU))
-    fit_target = float(cfg.options.get("fit_target_r", 0.51))
-    alpha = trav.get("alpha")
+    waist, alpha = cfg.traversal["waist_w"], cfg.traversal["alpha"]
+    fit_tau = cfg.options["fit_tau"]
+    if cfg.times[0] <= 0.0:
+        raise ConfigError("times: a crossing takes a positive time")
     fitted = alpha is None
     if fitted:
-        alpha = fit_traversal_alpha(params, waist, fit_tau, fit_target)
-    alpha = float(alpha)
-    times = cfg.times or (5.32e-4,)
+        try:
+            alpha = fit_traversal_alpha(params, waist, fit_tau, cfg.options["fit_target_r"])
+        except ValueError as exc:
+            raise ConfigError(f"options.fit_target_r: {exc}") from None
     rows = []
-    for tau in times:
+    for tau in cfg.times:
         spec = TraversalSpec(waist_w=waist, alpha=alpha, tau=tau)
         rows.append([
             tau,
@@ -592,17 +625,13 @@ def _scenario_gaussian_profile(cfg: ResolvedConfig):
 
 def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
     params = cfg.params
-    tau = cfg.times[-1] if cfg.times else DEFAULT_TAU
+    tau = cfg.times[-1]
     xi_abs = abs(effective_xi(params))
     r = 2.0 * xi_abs * tau
 
-    space = field_space(*cfg.truncation)
-    gen = reduced_bilinear_generator(space, params)
-    state = evolve_static(gen, vacuum_state(space), tau)
-    x_op = obs.quadrature_operator(space, "a", "x")
-    p_op = obs.quadrature_operator(space, "a", "p")
-    from .hilbert import expectation
-
+    state = _evolved_vacuum(cfg)
+    x_op = obs.quadrature_operator(state.space, "a", "x")
+    p_op = obs.quadrature_operator(state.space, "a", "p")
     var_x = expectation(x_op @ x_op, state).real
     var_p = expectation(p_op @ p_op, state).real
     numeric = min(var_x, var_p)
@@ -624,7 +653,10 @@ def _scenario_bell_prep(cfg: ResolvedConfig):
     transcripts = {}
     slug = {"psi+": "psi_plus", "psi-": "psi_minus", "phi+": "phi_plus", "phi-": "phi_minus"}
     for target in _BELL_TARGETS:
-        state, transcript = prepare_bell(target, cfg.params, cfg.truncation)
+        try:
+            _, transcript = prepare_bell(target, cfg.params, cfg.truncation)
+        except ValueError as exc:
+            raise ConfigError(f"params.lambda_a, params.lambda_b: {exc}") from None
         metrics[f"fidelity_{slug[target]}"] = transcript["bell_fidelity"]
         metrics[f"success_prob_{slug[target]}"] = transcript["success_probability"]
         transcripts[target] = transcript
@@ -634,24 +666,14 @@ def _scenario_bell_prep(cfg: ResolvedConfig):
     return metrics, {}, {"transcripts": transcripts}
 
 
-def _wigner_input_state(cfg: ResolvedConfig, space):
-    choice = cfg.options.get("state", "tmsv")
-    if choice == "vacuum":
-        return vacuum_state(space)
-    if choice == "one_photon":
-        return fock_state(space, 1, 0)
-    if choice == "tmsv":
-        tau = cfg.times[-1] if cfg.times else DEFAULT_TAU
-        gen = reduced_bilinear_generator(space, cfg.params)
-        return evolve_static(gen, vacuum_state(space), tau)
-    raise ConfigError(f"options.state: unknown state {choice!r}")
-
-
 def _scenario_wigner_scan(cfg: ResolvedConfig):
-    space = field_space(*cfg.truncation)
-    state = _wigner_input_state(cfg, space)
-    n_points = int(cfg.options.get("grid_points", 5))
-    extent = float(cfg.options.get("grid_extent", 1.0))
+    choice, space = cfg.options["state"], field_space(*cfg.truncation)
+    if choice == "tmsv":
+        state = _evolved_vacuum(cfg)
+    else:
+        state = vacuum_state(space) if choice == "vacuum" else fock_state(space, 1, 0)
+    n_points = cfg.options["grid_points"]
+    extent = cfg.options["grid_extent"]
     axis = np.linspace(-extent, extent, n_points)
     grid = tomo.PhaseSpaceGrid.two_mode_real(axis, axis)
     w_direct = tomo.wigner_direct(state, grid)
@@ -679,18 +701,10 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
 
 
 def _scenario_convergence(cfg: ResolvedConfig):
-    target = cfg.options.get("target", "pdc_epr")
-    n_max_list = cfg.options.get("n_max_list", [8, 16, 24])
-    if target not in SCENARIOS or target == "convergence":
-        raise ConfigError(f"options.target: cannot sweep scenario {target!r}")
-    target_config = cfg.options.get("target_config", {})
-    if not isinstance(target_config, dict):
-        raise ConfigError("options.target_config must be an object")
-    if "scenario" in target_config or "truncation" in target_config:
-        raise ConfigError(
-            "options.target_config must not set scenario or truncation"
-        )
-    sweep = convergence_sweep({"scenario": target, **target_config}, n_max_list)
+    target = cfg.options["target"]
+    sweep = convergence_sweep(
+        {"scenario": target, **cfg.options["target_config"]}, cfg.options["n_max_list"]
+    )
     metrics = {
         "final_value": sweep["rows"][-1][1],
         "last_increment": sweep["last_increment"],
@@ -713,7 +727,6 @@ class ScenarioDef:
     defaults: dict
     gate_metric: str | None
     description: str
-    option_keys: frozenset = frozenset()
 
 
 _RYDBERG_PUC = {
@@ -728,102 +741,85 @@ _RYDBERG_PUC = {
 # lambda_a carries a -pi/2 phase so the pair coupling xi is -i|xi|: the
 # propagated pair state then has real positive |n,n> coefficients and the
 # squeezed combinations are x_a - x_b and p_a + p_b.
-_RYDBERG_PDC = {
-    "lambda_a": [0.0, -DEFAULT_COUPLING],
-    "lambda_b": DEFAULT_COUPLING,
-    "omega_cl": DEFAULT_COUPLING,
-    "delta_big": DEFAULT_DETUNING,
-    "delta_small": "resonance",
-    "process": "PDC",
-}
+_RYDBERG_PDC = {**_RYDBERG_PUC, "lambda_a": [0.0, -DEFAULT_COUPLING], "process": "PDC"}
+_RYDBERG_DEGENERATE = {**_RYDBERG_PDC, "process": "DEGENERATE_PDC"}
+_TWO_PHOTON = {**_RYDBERG_PUC, "omega_cl": 0.0, "delta_small": 0.0, "process": "TWO_PHOTON_BS"}
 
-_RYDBERG_DEGENERATE = {
-    "lambda_a": [0.0, -DEFAULT_COUPLING],
-    "lambda_b": DEFAULT_COUPLING,
-    "omega_cl": DEFAULT_COUPLING,
-    "delta_big": DEFAULT_DETUNING,
-    "delta_small": "resonance",
-    "process": "DEGENERATE_PDC",
-}
 
-_TWO_PHOTON = {
-    "lambda_a": DEFAULT_COUPLING,
-    "lambda_b": DEFAULT_COUPLING,
-    "omega_cl": 0.0,
-    "delta_big": DEFAULT_DETUNING,
-    "delta_small": 0.0,
-    "process": "TWO_PHOTON_BS",
-}
+def _defaults(params: dict, truncation: list, times: list | None, **sections) -> dict:
+    return {"params": params, "truncation": truncation, "times": times, "outputs": [], **sections}
+
 
 SCENARIOS: dict[str, ScenarioDef] = {
     "puc_swap": ScenarioDef(
         _scenario_puc_swap,
-        {"params": _RYDBERG_PUC, "truncation": [4, 4], "times": None},
+        _defaults(_RYDBERG_PUC, [4, 4], None),
         gate_metric="p_swapped",
         description="Beam-splitter swap |1,0> -> |0,1> at xi*t = pi/2",
     ),
     "pdc_epr": ScenarioDef(
         _scenario_pdc_epr,
-        {"params": _RYDBERG_PDC, "truncation": [40, 40], "times": [DEFAULT_TAU]},
+        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
         gate_metric="fidelity_vs_analytic",
         description="Pair state from vacuum under the down-conversion generator",
     ),
     "epr_quality": ScenarioDef(
         _scenario_epr_quality,
-        {"params": _RYDBERG_PDC, "truncation": [40, 40], "times": [DEFAULT_TAU]},
+        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
         gate_metric="quality_analytic",
         description="Pair-state quality 1 - e^{-2 xi tau}, closed form and variance-based",
     ),
     "epr_variances": ScenarioDef(
         _scenario_epr_variances,
-        {"params": _RYDBERG_PDC, "truncation": [40, 40], "times": [DEFAULT_TAU]},
+        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
         gate_metric="var_x_minus",
         description="Correlated-quadrature variances of the evolved pair state",
     ),
     "full_vs_effective": ScenarioDef(
         _scenario_full_vs_effective,
-        {"params": _RYDBERG_PUC, "truncation": [6, 6], "times": None},
+        _defaults(_RYDBERG_PUC, [6, 6], None, options={"grid_points": 101}),
         gate_metric="fidelity_end",
         description="Three-level model vs reduced beam-splitter generator",
-        option_keys=frozenset({"grid_points"}),
     ),
     "gaussian_profile": ScenarioDef(
         _scenario_gaussian_profile,
-        {
-            "params": _RYDBERG_DEGENERATE,
-            "truncation": [0, 0],
-            "times": [5.32e-4],
-            "traversal": {"waist_w": DEFAULT_WAIST_CM, "alpha": None, "tau": DEFAULT_TAU},
-        },
+        _defaults(
+            _RYDBERG_DEGENERATE, [0, 0], [5.32e-4],
+            traversal={"waist_w": 0.6, "alpha": None},  # waist in cm
+            options={"fit_tau": DEFAULT_TAU, "fit_target_r": 0.51},
+        ),
         gate_metric=None,
         description="Squeezing factor with the transverse Gaussian mode profile",
-        option_keys=frozenset({"fit_tau", "fit_target_r"}),
     ),
     "degenerate_squeeze": ScenarioDef(
         _scenario_degenerate_squeeze,
-        {"params": _RYDBERG_DEGENERATE, "truncation": [140, 0], "times": [DEFAULT_TAU]},
+        _defaults(_RYDBERG_DEGENERATE, [140, 0], [DEFAULT_TAU]),
         gate_metric="variance_numeric",
         description="Single-mode squeezer: r = 2 xi tau and the squeezed variance",
     ),
     "bell_prep": ScenarioDef(
         _scenario_bell_prep,
-        {"params": _TWO_PHOTON, "truncation": [2, 2], "times": None},
+        _defaults(_TWO_PHOTON, [2, 2], None),
         gate_metric="min_fidelity",
         description="Single-atom preparation of the four photonic Bell states",
     ),
     "wigner_scan": ScenarioDef(
         _scenario_wigner_scan,
-        {"params": _RYDBERG_PDC, "truncation": [30, 30], "times": [DEFAULT_TAU]},
+        _defaults(
+            _RYDBERG_PDC, [30, 30], [DEFAULT_TAU],
+            options={"state": "tmsv", "grid_points": 5, "grid_extent": 1.0},
+        ),
         gate_metric="w_origin",
         description="Dispersive-probe phase-space scan vs direct displaced parity",
-        option_keys=frozenset({"state", "grid_points", "grid_extent"}),
     ),
     "convergence": ScenarioDef(
         _scenario_convergence,
-        {"params": _RYDBERG_PDC, "truncation": [8, 8], "times": None},
+        _defaults(
+            _RYDBERG_PDC, [8, 8], None,
+            options={"target": "pdc_epr", "n_max_list": [8, 16, 24], "target_config": {}},
+        ),
         gate_metric=None,
         description="Truncation sweep of another scenario's headline metric",
-        option_keys=frozenset({"target", "n_max_list", "target_config"}),
     ),
 }
 
@@ -889,11 +885,7 @@ def convergence_sweep(config: dict, n_max_list) -> dict:
     pinned at 0 in the base config stays at 0).  Reports the increments and
     flags non-convergence when the last one exceeds 1e-6.
     """
-    n_max_list = [int(n) for n in n_max_list]
-    if len(n_max_list) < 2:
-        raise ConfigError("convergence sweep needs at least two truncations")
-    if any(n2 <= n1 for n1, n2 in zip(n_max_list, n_max_list[1:])):
-        raise ConfigError("n_max list must be strictly increasing")
+    n_max_list = _parse("n_max_list", _n_max_list, list(n_max_list))
     cfg = resolve_config(config)
     metric = SCENARIOS[cfg.scenario].gate_metric
     if metric is None:
@@ -903,7 +895,7 @@ def convergence_sweep(config: dict, n_max_list) -> dict:
     keep_b = cfg.truncation[1] == 0
     rows = []
     for n in n_max_list:
-        trunc = (n, 0 if keep_b else n)
+        trunc = _parse("n_max_list", _truncation, [n, 0 if keep_b else n])
         value = _full_metrics(replace(cfg, truncation=trunc))[metric]
         rows.append([n, value])
     last_increment = abs(rows[-1][1] - rows[-2][1])

@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityconv.cli import main as cli_main
 from cavityconv.hamiltonians import PhysicalParams, ProcessKind
@@ -10,6 +13,7 @@ from cavityconv.scenarios import (
     SCENARIOS,
     ConfigError,
     ConvergenceGateError,
+    _echo_config,
     convergence_sweep,
     list_scenarios,
     prepare_bell,
@@ -69,6 +73,47 @@ def test_bad_field_values_rejected():
         resolve_config({"scenario": "puc_swap", "params": {"lambda_a": "big"}})
     with pytest.raises(ConfigError):
         resolve_config({"scenario": "puc_swap", "params": {"process": "NOPE"}})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def config_paths(defaults):
+    """Every top-level key of a default config and every key of its sections."""
+    for key, value in defaults.items():
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, sub) for sub in value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_field_value_resolves_or_raises_config_error(data):
+    for name in sorted(SCENARIOS):
+        config = {"scenario": name, **copy.deepcopy(SCENARIOS[name].defaults)}
+        path = data.draw(st.sampled_from(sorted(config_paths(config))))
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            resolve_config(config)
+        except ConfigError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(REGISTERED))
+def test_config_echo_resolves_to_itself(name):
+    echo = run_scenario({"scenario": name}, check_convergence=False)["config"]
+    assert set(echo) == {"scenario", *SCENARIOS[name].defaults}
+    if "options" in echo:
+        assert echo["options"] == SCENARIOS[name].defaults["options"]
+    assert _echo_config(resolve_config(echo)) == echo
 
 
 def test_complex_and_resonance_parsing():
@@ -392,12 +437,65 @@ def test_cli_maps_truncation_overflow_to_validation_exit(tmp_path, capsys):
     assert "truncation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["puc_swap", "full_vs_effective"])
-def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, scenario):
-    cfg = write_config(tmp_path, {"scenario": scenario, "params": {"omega_cl": 0}})
+def bad_config(test_id, field_path, scenario, **fields):
+    return pytest.param({"scenario": scenario, **fields}, field_path, id=test_id)
+
+
+# (config, the field path its error must name)
+VALIDATION_CASES = [
+    # a coupling xi without a finite conversion time scale
+    bad_config("puc_swap", "params.omega_cl", "puc_swap", params={"omega_cl": 0}),
+    bad_config("full_vs_effective", "params.omega_cl", "full_vs_effective",
+               params={"omega_cl": 0}),
+    bad_config("puc_swap-subnormal", "params.omega_cl", "puc_swap", params={"omega_cl": 1e-320}),
+    bad_config("full_vs_effective-subnormal", "params.omega_cl", "full_vs_effective",
+               params={"omega_cl": 1e-320}),
+    # a scenario accepts only the process it models
+    bad_config("pdc_epr-process", "params.process", "pdc_epr", params={"process": "PUC"}),
+    bad_config("puc_swap-process", "params.process", "puc_swap", params={"process": "PDC"}),
+    bad_config("full_vs_effective-process", "params.process", "full_vs_effective",
+               params={"process": "PDC"}),
+    # preconditions of the scenario bodies
+    bad_config("fit_target_r", "options.fit_target_r", "gaussian_profile",
+               options={"fit_target_r": 5}),
+    bad_config("alpha", "traversal.alpha", "gaussian_profile", traversal={"alpha": -1}),
+    bad_config("wigner_scan-grid_points", "options.grid_points", "wigner_scan",
+               options={"grid_points": 0}),
+    bad_config("full_vs_effective-grid_points", "options.grid_points", "full_vs_effective",
+               options={"grid_points": 0}),
+    bad_config("n_max_list", "options.n_max_list", "convergence",
+               options={"n_max_list": ["a", "b"]}),
+    bad_config("bell_prep-lambda_a", "params.lambda_a", "bell_prep", params={"lambda_a": 0}),
+    bad_config("bell_prep-subnormal", "params.lambda_a", "bell_prep",
+               params={"lambda_a": 1e-320}),
+    bad_config("truncation-cap", "truncation", "puc_swap", truncation=[2000, 2000]),
+    bad_config("off_resonance", "params.delta_small", "puc_swap", params={"delta_small": 5}),
+    bad_config("delta_big", "params.delta_big", "puc_swap",
+               params={"delta_big": 0, "delta_small": 0}),
+    bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
+    bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
+    bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
+    # shapes
+    bad_config("params-null", "params", "puc_swap", params=None),
+    bad_config("traversal-number", "traversal", "gaussian_profile", traversal=5),
+    bad_config("delta_big-string", "params.delta_big", "puc_swap", params={"delta_big": "abc"}),
+    bad_config("lambda_a-pair", "params.lambda_a", "puc_swap", params={"lambda_a": [1, "x"]}),
+    bad_config("grid_points-string", "options.grid_points", "wigner_scan",
+               options={"grid_points": "x"}),
+    bad_config("times-stop", "times", "puc_swap", times={"start": 0.0, "stop": "x", "num": 3}),
+    # knobs that no scenario reads
+    bad_config("seed", "seed", "puc_swap", seed=5),
+    bad_config("traversal-outside-profile", "traversal", "puc_swap", traversal={"waist_w": 1}),
+    bad_config("traversal-tau", "tau", "gaussian_profile", traversal={"tau": 2e-4}),
+]
+
+
+@pytest.mark.parametrize("config, field_path", VALIDATION_CASES)
+def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, config, field_path):
+    cfg = write_config(tmp_path, config)
     assert cli_main(["run", cfg, "--no-converge-check"]) == 2
     err = capsys.readouterr().err
-    assert "params.omega_cl" in err
+    assert field_path in err
     assert "Traceback" not in err
 
 
