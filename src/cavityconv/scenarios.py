@@ -458,6 +458,13 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
     for tau in cfg.times:
         r = xi_abs * tau
         spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
+        if math.tanh(r) == 1.0:
+            raise ConfigError(
+                f"times, params: the squeeze parameter r = |xi| t = {r:.6g} at t = {tau!r} "
+                f"(|xi| = {xi_abs:.6g}) has tanh r = 1 in double precision, so the "
+                "truncated pair state holds none of its probability; shorten times or "
+                "reduce the effective coupling"
+            )
         numeric = obs.epr_metrics(obs.tmsv_analytic(spec, space)).quality
         rows.append([
             tau,

@@ -20,14 +20,16 @@ sign fixed by the Ramsey phase choice above.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import expm
 
-from .hilbert import HilbertSpace, Operator, StateVector, annihilation
+from .hilbert import HilbertSpace, Operator, StateVector
 
 # Displaced probability allowed in the top Fock level of either mode before
 # the truncated displacement is declared unfaithful.
@@ -86,16 +88,52 @@ class PhaseSpaceGrid:
         return cls(tuple(pts), single_mode=True)
 
 
-def _top_level_mass(state: StateVector, modes) -> float:
+def _displaced(
+    state: StateVector, points: Iterable[tuple[complex, complex]]
+) -> Iterator[StateVector]:
+    """Yield exp(-eta_a a^dag + eta_a^* a) exp(-eta_b b^dag + eta_b^* b) |state>
+    for each point (eta_a, eta_b).
+
+    Each mode's truncated displacement is one dense (n_max+1)^2 exponential of
+    its own generator, built once per distinct eta and contracted on that
+    mode's axis of the (atom_levels, dim_a, dim_b) amplitudes: exact for the
+    truncated generator, and 2n exponentials for an n x n Cartesian grid.
+    """
     space = state.space
-    probs = np.abs(state.amplitudes) ** 2
-    shaped = probs.reshape(space.atom_levels, space.dim_a, space.dim_b)
-    mass = 0.0
-    if "a" in modes:
-        mass += shaped[:, space.n_max_a, :].sum()
-    if "b" in modes:
-        mass += shaped[:, :, space.n_max_b].sum()
-    return float(mass)
+    shaped = state.amplitudes.reshape(space.atom_levels, space.dim_a, space.dim_b)
+
+    @functools.cache  # lives for this call only
+    def matrix(mode: str, eta: complex) -> np.ndarray:
+        n_max = space.n_max_a if mode == "a" else space.n_max_b
+        if n_max == 0:
+            raise TruncationError(
+                f"mode {mode} holds a single Fock level; it cannot be displaced"
+            )
+        low = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        # anti-Hermitian generator: its exponential is unitary
+        return expm(eta.conjugate() * low - eta * low.T)
+
+    for eta_a, eta_b in points:
+        eta_a, eta_b = complex(eta_a), complex(eta_b)
+        if eta_a == 0.0 and eta_b == 0.0:
+            yield state
+            continue
+        amps, tail = shaped, 0.0
+        if eta_a != 0.0:
+            amps = matrix("a", eta_a) @ amps
+        if eta_b != 0.0:
+            amps = amps @ matrix("b", eta_b).T
+        probs = np.abs(amps) ** 2
+        if eta_a != 0.0:
+            tail += probs[:, space.n_max_a, :].sum()
+        if eta_b != 0.0:
+            tail += probs[:, :, space.n_max_b].sum()
+        if tail > TAIL_LIMIT:
+            raise TruncationError(
+                f"displacement left {tail:.3e} probability at the truncation edge "
+                f"(limit {TAIL_LIMIT}); enlarge n_max or shrink |eta|"
+            )
+        yield StateVector(space, amps, copy=False)
 
 
 def displace(state: StateVector, eta_a: complex, eta_b: complex) -> StateVector:
@@ -104,31 +142,7 @@ def displace(state: StateVector, eta_a: complex, eta_b: complex) -> StateVector:
     Raises TruncationError when the displaced state leaves more than 1e-8
     probability in the top Fock level of a displaced mode.
     """
-    space = state.space
-    if eta_a == 0.0 and eta_b == 0.0:
-        return state
-    amps = state.amplitudes
-    displaced_modes = []
-    for mode, eta in (("a", complex(eta_a)), ("b", complex(eta_b))):
-        if eta == 0.0:
-            continue
-        if (space.n_max_a if mode == "a" else space.n_max_b) == 0:
-            raise TruncationError(
-                f"mode {mode} holds a single Fock level; it cannot be displaced"
-            )
-        displaced_modes.append(mode)
-        low = annihilation(space, mode)
-        generator = eta.conjugate() * low - eta * low.dag()
-        # anti-Hermitian generator: its exponential is unitary
-        amps = expm_multiply(generator.matrix.tocsc(), amps)
-    out = StateVector(space, amps, copy=False)
-    tail = _top_level_mass(out, displaced_modes)
-    if tail > TAIL_LIMIT:
-        raise TruncationError(
-            f"displacement left {tail:.3e} probability at the truncation edge "
-            f"(limit {TAIL_LIMIT}); enlarge n_max or shrink |eta|"
-        )
-    return out
+    return next(_displaced(state, ((eta_a, eta_b),)))
 
 
 def parity_operator(space: HilbertSpace) -> Operator:
@@ -179,15 +193,12 @@ def parity_pulse_time(coupling_abs: float, delta_big: float) -> float:
 
 def wigner_direct(state: StateVector, grid: PhaseSpaceGrid) -> np.ndarray:
     """Displaced-parity Wigner values, one per grid point."""
-    values = np.empty(len(grid.points))
-    for k, (eta_a, eta_b) in enumerate(grid.points):
-        displaced = displace(state, eta_a, eta_b)
-        n_a, n_b = state.space.fock_numbers()
-        parity = ((-1.0) ** (n_a + n_b))
-        values[k] = grid.normalization * float(
-            np.vdot(displaced.amplitudes, parity * displaced.amplitudes).real
-        )
-    return values
+    n_a, n_b = state.space.fock_numbers()
+    parity = (-1.0) ** (n_a + n_b)
+    return np.array([
+        grid.normalization * float(np.vdot(d.amplitudes, parity * d.amplitudes).real)
+        for d in _displaced(state, grid.points)
+    ])
 
 
 def wigner_via_protocol(
@@ -202,8 +213,7 @@ def wigner_via_protocol(
     """
     w = np.empty(len(grid.points))
     signal = np.empty(len(grid.points))
-    for k, (eta_a, eta_b) in enumerate(grid.points):
-        displaced = displace(state, eta_a, eta_b)
+    for k, displaced in enumerate(_displaced(state, grid.points)):
         outcome = probe_protocol(displaced, phi)
         signal[k] = outcome.signal
         w[k] = -grid.normalization * outcome.signal

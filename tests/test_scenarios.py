@@ -475,6 +475,10 @@ VALIDATION_CASES = [
     bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
     bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
+    # a pair state squeezed past what the closed form can represent
+    bad_config("epr_quality-long_time", "times", "epr_quality", times=[0.0, 1.0]),
+    bad_config("epr_quality-strong_coupling", "params", "epr_quality",
+               params={"omega_cl": -1, "delta_big": 2}),
     # shapes
     bad_config("params-null", "params", "puc_swap", params=None),
     bad_config("traversal-number", "traversal", "gaussian_profile", traversal=5),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -12,9 +13,11 @@ from cavityconv.hamiltonians import (
 )
 from cavityconv.hilbert import (
     StateVector,
+    annihilation,
     expectation,
     field_space,
     fock_state,
+    make_space,
     vacuum_state,
 )
 from cavityconv.observables import (
@@ -98,6 +101,48 @@ def test_displacement_truncation_overflow():
     space = field_space(6, 6)
     with pytest.raises(TruncationError):
         displace(vacuum_state(space), 3.0, 0.0)
+
+
+def damped_random_state(space, seed):
+    # random amplitudes damped by 0.02^(n_a + n_b) on every atomic level, so
+    # small displacements leave less than TAIL_LIMIT at the truncation edge
+    rng = np.random.default_rng(seed)
+    n_a, n_b = space.fock_numbers()
+    amps = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+    amps *= 0.02 ** (n_a + n_b)
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+def full_space_displacement(space, eta_a, eta_b):
+    # independent oracle: dense exponential of the full-space generator
+    generator = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for mode, eta in (("a", eta_a), ("b", eta_b)):
+        low = annihilation(space, mode).to_dense()
+        generator += np.conj(eta) * low - eta * low.conj().T
+    return scipy.linalg.expm(generator)
+
+
+@pytest.mark.parametrize("space", [field_space(6, 5), make_space(3, 4, 3)],
+                         ids=["field", "three_level"])
+@pytest.mark.parametrize("eta_a, eta_b", [
+    (0.05 - 0.03j, 0.0),
+    (0.0, -0.024 + 0.018j),
+    (0.04 + 0.02j, 0.018 - 0.024j),
+])
+def test_displace_matches_dense_full_space_oracle(space, eta_a, eta_b):
+    psi = damped_random_state(space, 3)
+    expected = full_space_displacement(space, eta_a, eta_b) @ psi.amplitudes
+    out = displace(psi, eta_a, eta_b)
+    assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+
+def test_displacing_single_level_mode_rejected_with_atom():
+    space = make_space(3, 4, 0)
+    psi = damped_random_state(space, 5)
+    with pytest.raises(TruncationError, match="single Fock level"):
+        displace(psi, 0.0, 0.1)
+    # the other mode of the same space still displaces
+    displace(psi, 0.1, 0.0)
 
 
 # --- probe sequence -----------------------------------------------------------------
@@ -196,6 +241,41 @@ def test_protocol_equals_direct_on_grid():
         w_proto, signal = wigner_via_protocol(psi, grid)
         assert np.max(np.abs(w_proto - w_direct)) < 1e-9
         assert np.allclose(signal, -w_direct / TWO_MODE_NORM, atol=1e-9)
+
+
+def per_point_wigner(state, grid):
+    # reference: one displace call and one parity expectation per point
+    parity = parity_operator(state.space)
+    return np.array([
+        grid.normalization * expectation(parity, displace(state, eta_a, eta_b)).real
+        for eta_a, eta_b in grid.points
+    ])
+
+
+def test_grid_with_repeated_and_zero_etas_matches_per_point_displacement():
+    space = field_space(12, 10)
+    psi = damped_random_state(space, 11)
+    eta_a = (0.2 - 0.1j, 0.0, -0.15 + 0.2j)
+    eta_b = (0.0, 0.1 + 0.1j, -0.2j)
+    points = [(pa, pb) for pa in eta_a for pb in eta_b]
+    # repeated points, and one eta shared by both modes of different dims
+    points += [(0.2 - 0.1j, -0.2j), (0.0, 0.0), (0.2 - 0.1j, 0.0), (0.1 + 0.1j, 0.1 + 0.1j)]
+    grid = PhaseSpaceGrid(tuple(points))
+    expected = per_point_wigner(psi, grid)
+    w_direct = wigner_direct(psi, grid)
+    w_proto, signal = wigner_via_protocol(psi, grid)
+    assert np.max(np.abs(w_direct - expected)) < 1e-12
+    assert np.max(np.abs(w_proto - expected)) < 1e-12
+    assert np.allclose(signal, -expected / TWO_MODE_NORM, atol=1e-12)
+
+
+def test_grid_point_past_truncation_edge_raises():
+    space = field_space(6, 6)
+    grid = PhaseSpaceGrid(((0.1, 0.0), (0.1, 3.0)))
+    with pytest.raises(TruncationError):
+        wigner_direct(vacuum_state(space), grid)
+    with pytest.raises(TruncationError):
+        wigner_via_protocol(vacuum_state(space), grid)
 
 
 def test_displacement_covariance():
