@@ -22,6 +22,9 @@ DIM_CAP = 2_000_000
 # Matrix entries below this magnitude are dropped as structural noise.
 PRUNE_TOL = 1e-15
 
+# An operator is Hermitian when ||M - M^dag||_F <= HERMITIAN_RTOL * max(||M||_F, 1).
+HERMITIAN_RTOL = 1e-12
+
 _LEVELS_3 = ("g", "e", "i")
 _LEVELS_4 = ("g", "e", "i", "f")
 
@@ -145,11 +148,11 @@ def _prune(matrix: sp.spmatrix) -> sp.csr_matrix:
 class Operator:
     """Sparse complex matrix tagged with its HilbertSpace.
 
-    Immutable after construction; arithmetic raises SpaceMismatchError when
-    the operand spaces differ.
+    Immutable after construction, so the Hermiticity check runs at most once;
+    arithmetic raises SpaceMismatchError when the operand spaces differ.
     """
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "matrix", "_hermitian")
 
     def __init__(self, space: HilbertSpace, matrix):
         matrix = _prune(matrix)
@@ -161,6 +164,7 @@ class Operator:
             matrix = matrix.astype(np.complex128)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_hermitian", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
@@ -203,11 +207,13 @@ class Operator:
     def frobenius_norm(self) -> float:
         return float(_sparse_norm(self.matrix)) if self.matrix.nnz else 0.0
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
-        diff = self.matrix - self.matrix.conj().T
-        scale = self.frobenius_norm()
-        dev = float(_sparse_norm(diff)) if diff.nnz else 0.0
-        return dev <= rtol * max(scale, 1.0)
+    def is_hermitian(self) -> bool:
+        if self._hermitian is None:
+            diff = self.matrix - self.matrix.conj().T
+            scale = self.frobenius_norm()
+            dev = float(_sparse_norm(diff)) if diff.nnz else 0.0
+            object.__setattr__(self, "_hermitian", dev <= HERMITIAN_RTOL * max(scale, 1.0))
+        return self._hermitian
 
     def __repr__(self) -> str:
         return (f"Operator(dim={self.space.total_dim}, nnz={self.matrix.nnz})")

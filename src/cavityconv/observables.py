@@ -89,7 +89,8 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
 
     Propagating vacuum with exp(-i t (xi ab + xi^* a^dag b^dag)) yields
     c_n = (e^{-i (arg xi + pi/2)} tanh r)^n / cosh r;  the default phase
-    arg xi = -pi/2 makes every coefficient real positive.  Use
+    arg xi = -pi/2 makes every coefficient real positive.  The 1/cosh r
+    factor is left to the renormalization, so any finite r is accepted.  Use
     :func:`tmsv_tail_mass` for the discarded probability.
     """
     if space.atom_levels != 1:
@@ -104,7 +105,7 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     r = spec.squeeze_param
     n = np.arange(n_cut + 1)
     unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
-    coeffs = (unit * math.tanh(r)) ** n / math.cosh(r)
+    coeffs = (unit * math.tanh(r)) ** n
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     for k in n:
         amps[space.flatten(0, k, k)] = coeffs[k]

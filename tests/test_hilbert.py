@@ -209,6 +209,22 @@ def test_space_mismatch_rejected():
         expectation(annihilation(s1, "a"), vacuum_state(s2))
 
 
+def test_hermiticity_computed_once_per_operator(monkeypatch):
+    from cavityconv import hilbert
+
+    norms = []
+    real_norm = hilbert._sparse_norm
+    monkeypatch.setattr(hilbert, "_sparse_norm", lambda m: norms.append(m) or real_norm(m))
+    a = annihilation(field_space(3, 3), "a")
+    for op, expected in ((a + a.dag(), True), (a, False)):
+        assert op.is_hermitian() is expected
+        computed = len(norms)
+        assert computed > 0
+        assert op.is_hermitian() is expected
+        assert len(norms) == computed
+        norms.clear()
+
+
 def test_operator_and_state_immutable():
     space = field_space(2, 2)
     op = annihilation(space, "a")

@@ -133,6 +133,17 @@ def test_tmsv_is_diagonal_in_pair_basis():
                 assert amp == 0.0
 
 
+def test_tmsv_large_squeezing_stays_finite():
+    # cosh r overflows a float near r = 710; the renormalization sets the scale
+    space = field_space(6, 6)
+    state = tmsv_analytic(TmsvSpec(squeeze_param=800.0), space)
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    diag = np.array([state.amplitudes[space.flatten(0, n, n)] for n in range(7)])
+    assert np.all(diag.imag == 0.0)
+    assert np.all(diag.real >= 0.0)
+    assert np.all(np.diff(diag.real) <= 0.0)
+
+
 def test_tmsv_tail_mass_closed_form():
     spec = TmsvSpec(squeeze_param=0.68, n_max=20)
     assert tmsv_tail_mass(spec) == pytest.approx(math.tanh(0.68) ** 42)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -16,6 +17,7 @@ from cavityconv.hamiltonians import (
     resonance_delta,
 )
 from cavityconv.hilbert import (
+    Operator,
     StateVector,
     annihilation,
     embed_atom,
@@ -107,6 +109,44 @@ def test_evolve_static_rejects_non_hermitian():
     space = field_space(2, 2)
     with pytest.raises(ValueError):
         evolve_static(annihilation(space, "a"), vacuum_state(space), 1.0)
+
+
+def test_static_evolution_acts_only_on_reached_sectors():
+    # the beam splitter conserves n_a + n_b and the pair generator n_a - n_b;
+    # restricting the action to the components psi0 occupies is exact
+    rng = np.random.default_rng(3)
+    puc_space, pdc_space = field_space(4, 3), field_space(6, 6)
+    two_sectors = StateVector(puc_space, (fock_state(puc_space, 1, 0).amplitudes
+                                          + fock_state(puc_space, 2, 2).amplitudes) / math.sqrt(2))
+    full_support = [1.0, 1j] @ rng.normal(size=(2, pdc_space.total_dim))
+    full_support = StateVector(pdc_space, full_support / np.linalg.norm(full_support))
+    assert effective_xi(pdc()).real == 0.0
+    cases = [
+        (puc(), two_sectors, lambda n_a, n_b: np.isin(n_a + n_b, (1, 4))),
+        (pdc(), vacuum_state(pdc_space), lambda n_a, n_b: n_a == n_b),
+        (pdc(), full_support, lambda n_a, n_b: np.ones_like(n_a, dtype=bool)),
+    ]
+    for params, psi0, sector in cases:
+        gen = reduced_bilinear_generator(psi0.space, params)
+        t = 0.7 / abs(effective_xi(params))
+        out = evolve_static(gen, psi0, t).amplitudes
+        dense = scipy.linalg.expm(-1j * t * gen.to_dense()) @ psi0.amplitudes
+        assert np.max(np.abs(out - dense)) < 1e-12
+        reached = sector(*psi0.space.fock_numbers())
+        assert np.all(out[~reached] == 0.0)
+        assert np.count_nonzero(out) == np.count_nonzero(reached)
+    zero = StateVector(pdc_space, np.zeros(pdc_space.total_dim))
+    assert not evolve_static(gen, zero, 1e-4).amplitudes.any()
+
+
+def test_hermiticity_is_checked_outside_the_reached_sector():
+    space = field_space(4, 3)
+    gen = reduced_bilinear_generator(space, puc())
+    # one-sided element inside n_a + n_b = 4; psi0 lives in n_a + n_b = 1
+    stray = sp.csr_matrix(([1e3], ([space.flatten(0, 2, 2)], [space.flatten(0, 3, 1)])),
+                          shape=(space.total_dim, space.total_dim))
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve_static(gen + Operator(space, stray), fock_state(space, 1, 0), 1e-4)
 
 
 def test_constant_td_reproduces_static():
