@@ -11,7 +11,6 @@ config-driven scenarios (see `cavityconv.cli`).
 """
 
 from .hamiltonians import (
-    FrameSpec,
     PhysicalParams,
     ProcessKind,
     TimeDependentOperator,

@@ -3,7 +3,10 @@
     cavityconv run <config.json> [--out PATH] [--format json|csv]
                                  [--no-converge-check]
     cavityconv list-scenarios
-    cavityconv sweep <config.json> --nmax 8,16,24 [--out PATH] [--format ...]
+
+A truncation sweep is the ``convergence`` scenario:
+
+    {"scenario": "convergence", "options": {"target": "pdc_epr", "n_max_list": [8, 16, 24]}}
 
 Exit codes: 0 success, 2 validation error, 3 convergence-gate failure.
 """
@@ -19,7 +22,6 @@ from .propagate import PropagationError
 from .scenarios import (
     ConfigError,
     ConvergenceGateError,
-    convergence_sweep,
     list_scenarios,
     run_scenario,
 )
@@ -97,32 +99,6 @@ def cmd_list(_args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    try:
-        n_max_list = [int(v) for v in args.nmax.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"--nmax expects comma-separated integers, got {args.nmax!r}")
-    sweep = convergence_sweep(raw, n_max_list)
-    if args.format == "json":
-        doc = {
-            "scenario": sweep["scenario"],
-            "metric": sweep["metric"],
-            "rows": sweep["rows"],
-            "last_increment": sweep["last_increment"],
-            "converged": sweep["converged"],
-        }
-        _emit(result_to_json(doc), args.out)
-    else:
-        _emit(table_to_csv(["n_max", sweep["metric"]], sweep["rows"]), args.out)
-    if not sweep["converged"]:
-        sys.stderr.write(
-            f"warning: metric still moving by {sweep['last_increment']:.3e} "
-            "at the largest truncation\n"
-        )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityconv",
@@ -141,12 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("list-scenarios", help="list registered scenarios")
-
-    sweep_p = sub.add_parser("sweep", help="sweep a scenario's metric over truncations")
-    sweep_p.add_argument("config", help="path to the scenario config (JSON)")
-    sweep_p.add_argument("--nmax", required=True, help="comma-separated n_max values")
-    sweep_p.add_argument("--out", help="write the result here instead of stdout")
-    sweep_p.add_argument("--format", choices=["json", "csv"], default="json")
     return parser
 
 
@@ -159,9 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "list-scenarios":
-            return cmd_list(args)
-        return cmd_sweep(args)
+        return cmd_list(args)
     except (ConfigError, TruncationError, PropagationError) as exc:
         # truncation and propagation failures mean the configured truncation
         # cannot represent the requested computation

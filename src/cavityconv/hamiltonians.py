@@ -87,29 +87,6 @@ class PhysicalParams:
         return abs(self.delta_big) >= 10.0 * strongest
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """Cavity-mode frequency shifts chi_m = |lambda_m|^2 / Delta and the
-    rotating-frame sign (+1 up-conversion, -1 down-conversion)."""
-
-    chi_a: float
-    chi_b: float
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams) -> "FrameSpec":
-        if params.delta_big == 0.0:
-            raise ValueError("frame shifts require delta_big != 0")
-        chi_a = abs(params.lambda_a) ** 2 / params.delta_big
-        chi_b = abs(params.lambda_b) ** 2 / params.delta_big
-        sign = +1 if params.process is ProcessKind.PUC else -1
-        return cls(chi_a, chi_b, sign)
-
-
 # time (in units of the fastest period, or seconds if static) used for the
 # construction-time Hermiticity spot check
 _HERMITICITY_CHECK_T = 0.437823
@@ -145,9 +122,6 @@ class TimeDependentOperator:
         if not self.oscillating_parts:
             return 0.0
         return max(abs(nu) for _, nu in self.oscillating_parts)
-
-    def is_static(self) -> bool:
-        return not self.oscillating_parts
 
 
 def _require(params: PhysicalParams, *kinds: ProcessKind) -> None:

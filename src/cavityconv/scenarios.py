@@ -9,7 +9,8 @@ output text.
 
 Unless disabled, every run passes a convergence gate: the scenario's
 headline metric is recomputed with both Fock truncations raised by 4 and
-must move by less than 1e-6.
+must move by less than 1e-6, and a reported ``tail_bound`` (the pair-state
+probability beyond the truncation) must not exceed ``tomography.TAIL_LIMIT``.
 """
 
 from __future__ import annotations
@@ -76,31 +77,30 @@ class ConfigError(ValueError):
 
 
 class ConvergenceGateError(RuntimeError):
-    """Headline metric still moving when the truncation is raised."""
+    """The configured truncation does not resolve the scenario's result:
+    the headline metric still moves when the truncation is raised, or a
+    reported tail bound exceeds its limit (``value_plus`` is then None)."""
 
-    def __init__(self, metric: str, value: float, value_plus: float):
+    def __init__(self, reason: str, metric: str, value: float, value_plus: float | None = None):
         self.metric = metric
         self.value = value
         self.value_plus = value_plus
-        super().__init__(
-            f"convergence gate failed: {metric} = {value!r} at the configured "
-            f"truncation but {value_plus!r} with both n_max raised by "
-            f"{GATE_STEP} (|delta| = {abs(value_plus - value):.3e} > {GATE_TOLERANCE})"
-        )
+        super().__init__(f"convergence gate failed: {reason}")
 
 
 # --- config schema --------------------------------------------------------------
 # A scenario's registry ``defaults`` alone states which keys its config and its
-# sections accept and what each field defaults to (when absent or null).
+# sections accept and what each field defaults to (when absent or null); a
+# scenario lists only the fields its body or its gate reads.
 # ``_FIELDS`` maps each field path to (parse, echo); other paths are sections.
 
 @dataclass(frozen=True)
 class ResolvedConfig:
     scenario: str
-    params: PhysicalParams
-    truncation: tuple[int, int]
-    times: tuple[float, ...] | None
     outputs: tuple[str, ...]
+    params: PhysicalParams | None = None
+    truncation: tuple[int, int] | None = None
+    times: tuple[float, ...] | None = None
     traversal: dict | None = None
     options: dict = field(default_factory=dict)
 
@@ -123,7 +123,10 @@ def _count(value, minimum: int = 0) -> int:
 
 def _complex(value) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_number(value[0]), _number(value[1]))
+        re, im = _number(value[0]), _number(value[1])
+        if math.isinf(math.hypot(re, im)):
+            raise ValueError(f"expected a complex number of finite modulus, got {value!r}")
+        return complex(re, im)
     return complex(_number(value))
 
 
@@ -234,9 +237,9 @@ def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
     where = prefix[:-1] or "config"
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {raw!r}")
-    unknown = set(raw) - set(defaults)
+    unknown = sorted(f"{prefix}{key}" for key in set(raw) - set(defaults))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(defaults)})")
+        raise ConfigError(f"{', '.join(unknown)}: unknown in {where} (allowed: {sorted(defaults)})")
     values = {}
     for key, default in defaults.items():
         path = prefix + key
@@ -271,18 +274,31 @@ def resolve_config(raw: dict) -> ResolvedConfig:
         )
     defaults = SCENARIOS[name].defaults
     values = _resolve(defaults, {k: v for k, v in raw.items() if k != "scenario"})
-    fields = values.pop("params")
-    process, modelled = fields["process"].value, defaults["params"]["process"]
-    if process != modelled:
-        raise ConfigError(f"params.process: {name} models {modelled} only, not {process}")
+    if "params" in values:
+        process, modelled = values["params"]["process"].value, defaults["params"]["process"]
+        if process != modelled:
+            raise ConfigError(f"params.process: {name} models {modelled} only, not {process}")
+        values["params"] = _physical_params(values["params"])
+    return ResolvedConfig(scenario=name, **values)
+
+
+def _physical_params(fields: dict) -> PhysicalParams:
+    # a field the scenario does not list plays no part in it and is fixed at 0
+    fields = {"omega_cl": 0.0, "delta_small": 0.0, **fields}
+    off = PhysicalParams(**{**fields, "delta_small": 0.0})
+    if not off.dispersive:
+        strongest = max(abs(off.lambda_a), abs(off.lambda_b), abs(off.omega_cl))
+        raise ConfigError(
+            "params.lambda_a, params.lambda_b, params.omega_cl, params.delta_big: every "
+            "model here assumes the dispersive regime |delta_big| >= 10x every coupling, "
+            f"got |delta_big| = {abs(off.delta_big):.6g} and a coupling of {strongest:.6g}"
+        )
     try:
         if fields["delta_small"] == "resonance":
-            off = PhysicalParams(**{**fields, "delta_small": 0.0})
             fields["delta_small"] = resonance_delta(off)
-        params = PhysicalParams(**fields)
+        return PhysicalParams(**fields)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"params.delta_small: {exc}") from None
-    return ResolvedConfig(scenario=name, params=params, **values)
 
 
 def _echo_config(cfg: ResolvedConfig) -> dict:
@@ -750,48 +766,57 @@ _RYDBERG_PUC = {
 # squeezed combinations are x_a - x_b and p_a + p_b.
 _RYDBERG_PDC = {**_RYDBERG_PUC, "lambda_a": [0.0, -DEFAULT_COUPLING], "process": "PDC"}
 _RYDBERG_DEGENERATE = {**_RYDBERG_PDC, "process": "DEGENERATE_PDC"}
-_TWO_PHOTON = {**_RYDBERG_PUC, "omega_cl": 0.0, "delta_small": 0.0, "process": "TWO_PHOTON_BS"}
+# the drive off: only the two-photon couplings lambda lambda / Delta act
+_TWO_PHOTON = {"lambda_a": DEFAULT_COUPLING, "lambda_b": DEFAULT_COUPLING,
+               "delta_big": DEFAULT_DETUNING, "process": "TWO_PHOTON_BS"}
 
 
-def _defaults(params: dict, truncation: list, times: list | None, **sections) -> dict:
-    return {"params": params, "truncation": truncation, "times": times, "outputs": [], **sections}
+def _closed_form(params: dict) -> dict:
+    """Params of a scenario that reads xi alone and never evolves under the
+    reduced generator, so the drive detuning plays no part."""
+    return {key: value for key, value in params.items() if key != "delta_small"}
+
+
+def _defaults(**fields) -> dict:
+    return {**fields, "outputs": []}
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
     "puc_swap": ScenarioDef(
         _scenario_puc_swap,
-        _defaults(_RYDBERG_PUC, [4, 4], None),
+        _defaults(params=_RYDBERG_PUC, truncation=[4, 4], times=None),
         gate_metric="p_swapped",
         description="Beam-splitter swap |1,0> -> |0,1> at xi*t = pi/2",
     ),
     "pdc_epr": ScenarioDef(
         _scenario_pdc_epr,
-        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
+        _defaults(params=_RYDBERG_PDC, truncation=[40, 40], times=[DEFAULT_TAU]),
         gate_metric="fidelity_vs_analytic",
         description="Pair state from vacuum under the down-conversion generator",
     ),
     "epr_quality": ScenarioDef(
         _scenario_epr_quality,
-        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
+        _defaults(params=_closed_form(_RYDBERG_PDC), truncation=[40, 40], times=[DEFAULT_TAU]),
         gate_metric="quality_analytic",
         description="Pair-state quality 1 - e^{-2 xi tau}, closed form and variance-based",
     ),
     "epr_variances": ScenarioDef(
         _scenario_epr_variances,
-        _defaults(_RYDBERG_PDC, [40, 40], [DEFAULT_TAU]),
+        _defaults(params=_RYDBERG_PDC, truncation=[40, 40], times=[DEFAULT_TAU]),
         gate_metric="var_x_minus",
         description="Correlated-quadrature variances of the evolved pair state",
     ),
     "full_vs_effective": ScenarioDef(
         _scenario_full_vs_effective,
-        _defaults(_RYDBERG_PUC, [6, 6], None, options={"grid_points": 101}),
+        _defaults(params=_RYDBERG_PUC, truncation=[6, 6], times=None,
+                  options={"grid_points": 101}),
         gate_metric="fidelity_end",
         description="Three-level model vs reduced beam-splitter generator",
     ),
     "gaussian_profile": ScenarioDef(
         _scenario_gaussian_profile,
         _defaults(
-            _RYDBERG_DEGENERATE, [0, 0], [5.32e-4],
+            params=_closed_form(_RYDBERG_DEGENERATE), times=[5.32e-4],
             traversal={"waist_w": 0.6, "alpha": None},  # waist in cm
             options={"fit_tau": DEFAULT_TAU, "fit_target_r": 0.51},
         ),
@@ -800,20 +825,20 @@ SCENARIOS: dict[str, ScenarioDef] = {
     ),
     "degenerate_squeeze": ScenarioDef(
         _scenario_degenerate_squeeze,
-        _defaults(_RYDBERG_DEGENERATE, [140, 0], [DEFAULT_TAU]),
+        _defaults(params=_RYDBERG_DEGENERATE, truncation=[140, 0], times=[DEFAULT_TAU]),
         gate_metric="variance_numeric",
         description="Single-mode squeezer: r = 2 xi tau and the squeezed variance",
     ),
     "bell_prep": ScenarioDef(
         _scenario_bell_prep,
-        _defaults(_TWO_PHOTON, [2, 2], None),
+        _defaults(params=_TWO_PHOTON, truncation=[2, 2]),
         gate_metric="min_fidelity",
         description="Single-atom preparation of the four photonic Bell states",
     ),
     "wigner_scan": ScenarioDef(
         _scenario_wigner_scan,
         _defaults(
-            _RYDBERG_PDC, [30, 30], [DEFAULT_TAU],
+            params=_RYDBERG_PDC, truncation=[30, 30], times=[DEFAULT_TAU],
             options={"state": "tmsv", "grid_points": 5, "grid_extent": 1.0},
         ),
         gate_metric="w_origin",
@@ -821,10 +846,8 @@ SCENARIOS: dict[str, ScenarioDef] = {
     ),
     "convergence": ScenarioDef(
         _scenario_convergence,
-        _defaults(
-            _RYDBERG_PDC, [8, 8], None,
-            options={"target": "pdc_epr", "n_max_list": [8, 16, 24], "target_config": {}},
-        ),
+        # the target runs from its own defaults plus options.target_config
+        _defaults(options={"target": "pdc_epr", "n_max_list": [8, 16, 24], "target_config": {}}),
         gate_metric=None,
         description="Truncation sweep of another scenario's headline metric",
     ),
@@ -875,7 +898,21 @@ def run_scenario(config: dict, check_convergence: bool = True) -> dict:
             "increment": abs(value_plus - value),
         }
         if abs(value_plus - value) > GATE_TOLERANCE:
-            raise ConvergenceGateError(gate_metric, value, value_plus)
+            raise ConvergenceGateError(
+                f"{gate_metric} = {value!r} at the configured truncation but {value_plus!r} "
+                f"with both n_max raised by {GATE_STEP} (|delta| = {abs(value_plus - value):.3e} "
+                f"> {GATE_TOLERANCE})",
+                gate_metric, value, value_plus,
+            )
+        # a metric that does not depend on the truncation cannot show what it
+        # fails to hold; the reported tail bound can
+        tail = metrics.get("tail_bound")
+        if tail is not None and tail > tomo.TAIL_LIMIT:
+            raise ConvergenceGateError(
+                f"tail_bound = {tail!r} exceeds the truncation tail limit {tomo.TAIL_LIMIT}: "
+                "the truncation holds too little of the state; raise truncation",
+                "tail_bound", tail,
+            )
     doc["convergence_gate"] = gate
     return doc
 

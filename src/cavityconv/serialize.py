@@ -1,23 +1,16 @@
-"""Deterministic result and state serialization.
+"""Deterministic serialization of result documents.
 
 Result documents are JSON with keys sorted and every float rounded to 12
 significant digits, so identical configs produce byte-identical text on one
 platform.  Tables (time series, phase-space grids) serialize to CSV with a
-header row and %.12g fields.  State vectors serialize losslessly: interleaved
-re/im little-endian float64 in binary mode, 17-significant-digit decimal
-strings in text mode.
+header row and %.12g fields.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
-
-from .hilbert import HilbertSpace, StateVector
-
-_STATE_MAGIC = b"CCSV\x01"
 
 
 def round_sig(x: float, digits: int = 12) -> float:
@@ -72,78 +65,3 @@ def table_to_csv(columns: list[str], rows) -> str:
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-# --- state vectors -----------------------------------------------------------
-
-def state_to_bytes(state: StateVector) -> bytes:
-    """Binary encoding: magic, three uint32 space fields, then interleaved
-    re/im little-endian float64 amplitudes."""
-    space = state.space
-    header = _STATE_MAGIC + np.array(
-        [space.atom_levels, space.n_max_a, space.n_max_b], dtype="<u4"
-    ).tobytes()
-    interleaved = np.empty(2 * space.total_dim, dtype="<f8")
-    interleaved[0::2] = state.amplitudes.real
-    interleaved[1::2] = state.amplitudes.imag
-    return header + interleaved.tobytes()
-
-
-def state_from_bytes(blob: bytes) -> StateVector:
-    if blob[: len(_STATE_MAGIC)] != _STATE_MAGIC:
-        raise ValueError("not a serialized state (bad magic)")
-    offset = len(_STATE_MAGIC)
-    atom_levels, n_max_a, n_max_b = np.frombuffer(blob, dtype="<u4", count=3, offset=offset)
-    space = HilbertSpace(int(atom_levels), int(n_max_a), int(n_max_b))
-    offset += 12
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-    if flat.size != 2 * space.total_dim:
-        raise ValueError(
-            f"payload holds {flat.size // 2} amplitudes, expected {space.total_dim}"
-        )
-    amps = flat[0::2] + 1j * flat[1::2]
-    return StateVector(space, amps)
-
-
-def state_to_text(state: StateVector) -> str:
-    """Text encoding: header line with the space dims, then one 're im' pair
-    per line with 17 significant digits (float64 round-trips exactly)."""
-    space = state.space
-    lines = [f"{space.atom_levels} {space.n_max_a} {space.n_max_b}"]
-    for amp in state.amplitudes:
-        lines.append(f"{amp.real:.17g} {amp.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def state_from_text(text: str) -> StateVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    atom_levels, n_max_a, n_max_b = (int(v) for v in lines[0].split())
-    space = HilbertSpace(atom_levels, n_max_a, n_max_b)
-    if len(lines) - 1 != space.total_dim:
-        raise ValueError(
-            f"file holds {len(lines) - 1} amplitudes, expected {space.total_dim}"
-        )
-    amps = np.empty(space.total_dim, dtype=np.complex128)
-    for k, line in enumerate(lines[1:]):
-        re, im = (float(v) for v in line.split())
-        amps[k] = re + 1j * im
-    return StateVector(space, amps, copy=False)
-
-
-def write_state(path: str | Path, state: StateVector, mode: str = "binary") -> None:
-    path = Path(path)
-    if mode == "binary":
-        path.write_bytes(state_to_bytes(state))
-    elif mode == "text":
-        path.write_text(state_to_text(state))
-    else:
-        raise ValueError(f"mode must be 'binary' or 'text', got {mode!r}")
-
-
-def read_state(path: str | Path, mode: str = "binary") -> StateVector:
-    path = Path(path)
-    if mode == "binary":
-        return state_from_bytes(path.read_bytes())
-    if mode == "text":
-        return state_from_text(path.read_text())
-    raise ValueError(f"mode must be 'binary' or 'text', got {mode!r}")

@@ -44,7 +44,11 @@ def test_criterion_02_epr_quality(epr_quality_doc):
     assert short["quality_analytic"] == pytest.approx(0.746, abs=0.01)
     assert short["quality_deviation"] <= short["tail_bound"] + 1e-6
 
-    long = run_scenario({"scenario": "epr_quality", "times": [6e-4]})["metrics"]
+    # at r = 2.058 the pair-state tail tanh^{2(n+1)} r falls below the gate's
+    # 1e-8 limit only from n_max = 283 on
+    long = run_scenario(
+        {"scenario": "epr_quality", "times": [6e-4], "truncation": [300, 300]}
+    )["metrics"]
     assert long["squeeze_param"] == pytest.approx(2.058, abs=1e-12)
     assert long["quality_analytic"] == pytest.approx(0.984, abs=0.01)
     assert long["quality_deviation"] <= long["tail_bound"] + 1e-6

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import erf
 
 from cavityconv.hamiltonians import (
-    FrameSpec,
     PhysicalParams,
     ProcessKind,
     TimeDependentOperator,
@@ -61,14 +60,6 @@ def test_dispersive_flag():
     assert puc_params().dispersive                       # 14.3x
     assert not puc_params(delta_big=6e6).dispersive      # 8.6x
     assert puc_params(omega_cl=2e6, delta_big=2e7).dispersive
-
-
-def test_frame_spec_shift_factors():
-    frame = FrameSpec.from_params(puc_params(lambda_a=3e5, lambda_b=4e5))
-    assert abs(frame.chi_a - 9e10 / DELTA) <= 1e-12 * abs(frame.chi_a)
-    assert abs(frame.chi_b - 1.6e11 / DELTA) <= 1e-12 * abs(frame.chi_b)
-    assert frame.sign == +1
-    assert FrameSpec.from_params(pdc_params()).sign == -1
 
 
 def test_params_require_finite():

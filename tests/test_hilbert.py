@@ -20,12 +20,6 @@ from cavityconv.hilbert import (
     project_atom,
     vacuum_state,
 )
-from cavityconv.serialize import (
-    state_from_bytes,
-    state_from_text,
-    state_to_bytes,
-    state_to_text,
-)
 
 
 def random_state(space, seed):
@@ -235,24 +229,3 @@ def test_operator_and_state_immutable():
         psi.amplitudes = None
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 2.0
-
-
-def test_state_serialization_roundtrip():
-    space = make_space(3, 3, 2)
-    psi = random_state(space, 42)
-    back = state_from_bytes(state_to_bytes(psi))
-    assert back.space == space
-    assert np.array_equal(back.amplitudes, psi.amplitudes)
-    back_text = state_from_text(state_to_text(psi))
-    assert back_text.space == space
-    assert np.array_equal(back_text.amplitudes, psi.amplitudes)
-
-
-def test_state_binary_layout_is_interleaved_little_endian():
-    space = field_space(1, 0)
-    from cavityconv.hilbert import StateVector
-
-    psi = StateVector(space, [0.5 + 0.25j, -0.75 - 1.0j])
-    blob = state_to_bytes(psi)
-    payload = np.frombuffer(blob[-32:], dtype="<f8")
-    assert payload.tolist() == [0.5, 0.25, -0.75, -1.0]

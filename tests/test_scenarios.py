@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cavityconv.cli import main as cli_main
 from cavityconv.hamiltonians import PhysicalParams, ProcessKind
 from cavityconv.scenarios import (
+    _FIELDS,
     SCENARIOS,
     ConfigError,
     ConvergenceGateError,
@@ -21,6 +22,7 @@ from cavityconv.scenarios import (
     run_scenario,
 )
 from cavityconv.serialize import result_to_json, round_sig, table_to_csv
+from cavityconv.tomography import TAIL_LIMIT
 
 REGISTERED = {
     "puc_swap", "pdc_epr", "epr_quality", "epr_variances", "full_vs_effective",
@@ -107,6 +109,23 @@ def test_any_field_value_resolves_or_raises_config_error(data):
             pass
 
 
+def schema_leaves(defaults, prefix=""):
+    """Field paths of a registry ``defaults``, walked the way the resolver walks it."""
+    for key, value in defaults.items():
+        path = prefix + key
+        if path in _FIELDS:
+            yield path
+        else:
+            assert isinstance(value, dict) and value, f"{path} is neither a field nor a section"
+            yield from schema_leaves(value, path + ".")
+
+
+def test_schema_fields_are_exactly_the_registry_leaves():
+    # a field no scenario lists is a knob nothing reads
+    leaves = {path for entry in SCENARIOS.values() for path in schema_leaves(entry.defaults)}
+    assert leaves == set(_FIELDS)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTERED))
 def test_config_echo_resolves_to_itself(name):
     echo = run_scenario({"scenario": name}, check_convergence=False)["config"]
@@ -163,6 +182,17 @@ def test_gate_failure_raises_with_both_values():
     assert err.value.value != err.value.value_plus
     doc = run_scenario(config, check_convergence=False)
     assert doc["convergence_gate"] == {"checked": False}
+
+
+def test_gate_refuses_a_truncation_that_drops_the_pair_state(tmp_path, capsys):
+    # r = 5.1: [40, 40] holds under 1 % of the pair state, while the gate
+    # metric quality_analytic does not depend on the truncation
+    cfg = write_config(tmp_path, {"scenario": "epr_quality", "times": [0.0015]})
+    assert cli_main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "tail_bound" in err and str(TAIL_LIMIT) in err
+    assert cli_main(["run", cfg, "--no-converge-check"]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"]["tail_bound"] > 0.99
 
 
 def test_convergence_sweep_rows_and_flag():
@@ -441,6 +471,8 @@ def bad_config(test_id, field_path, scenario, **fields):
     return pytest.param({"scenario": scenario, **fields}, field_path, id=test_id)
 
 
+DISPERSIVE_FIELDS = "params.lambda_a, params.lambda_b, params.omega_cl, params.delta_big"
+
 # (config, the field path its error must name)
 VALIDATION_CASES = [
     # a coupling xi without a finite conversion time scale
@@ -484,6 +516,8 @@ VALIDATION_CASES = [
     bad_config("traversal-number", "traversal", "gaussian_profile", traversal=5),
     bad_config("delta_big-string", "params.delta_big", "puc_swap", params={"delta_big": "abc"}),
     bad_config("lambda_a-pair", "params.lambda_a", "puc_swap", params={"lambda_a": [1, "x"]}),
+    bad_config("lambda_a-modulus", "params.lambda_a", "pdc_epr",
+               params={"lambda_a": [1.5e308, 1.5e308]}),
     bad_config("grid_points-string", "options.grid_points", "wigner_scan",
                options={"grid_points": "x"}),
     bad_config("times-stop", "times", "puc_swap", times={"start": 0.0, "stop": "x", "num": 3}),
@@ -491,6 +525,23 @@ VALIDATION_CASES = [
     bad_config("seed", "seed", "puc_swap", seed=5),
     bad_config("traversal-outside-profile", "traversal", "puc_swap", traversal={"waist_w": 1}),
     bad_config("traversal-tau", "tau", "gaussian_profile", traversal={"tau": 2e-4}),
+    bad_config("convergence-params", "params", "convergence", params={"lambda_a": 1e5}),
+    bad_config("convergence-truncation", "truncation", "convergence", truncation=[8, 8]),
+    bad_config("convergence-times", "times", "convergence", times=[2e-4]),
+    bad_config("bell_prep-times", "times", "bell_prep", times=[2e-4]),
+    bad_config("bell_prep-omega_cl", "params.omega_cl", "bell_prep", params={"omega_cl": 0}),
+    bad_config("bell_prep-delta_small", "params.delta_small", "bell_prep",
+               params={"delta_small": 0}),
+    bad_config("gaussian_profile-truncation", "truncation", "gaussian_profile",
+               truncation=[0, 0]),
+    bad_config("gaussian_profile-delta_small", "params.delta_small", "gaussian_profile",
+               params={"delta_small": "resonance"}),
+    bad_config("epr_quality-delta_small", "params.delta_small", "epr_quality",
+               params={"delta_small": "resonance"}),
+    # outside the dispersive regime that every model assumes
+    bad_config("dispersive", DISPERSIVE_FIELDS, "pdc_epr", params={"lambda_a": [0, -5e6]}),
+    bad_config("dispersive-strong_coupling", DISPERSIVE_FIELDS, "epr_variances",
+               params={"lambda_a": 1e12}),
 ]
 
 
@@ -510,11 +561,18 @@ def test_cli_list_scenarios(capsys):
         assert name in out
 
 
-def test_cli_sweep(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"scenario": "pdc_epr"})
-    assert cli_main(["sweep", cfg, "--nmax", "12,16,20", "--format", "csv"]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
+def test_cli_convergence_sweep_csv(tmp_path, capsys):
+    config = {"scenario": "convergence",
+              "options": {"target": "pdc_epr", "n_max_list": [12, 16, 20]}}
+    cfg = write_config(tmp_path, config)
+    assert cli_main(["run", cfg, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n_max,fidelity_vs_analytic"
     assert len(lines) == 4
-    assert cli_main(["sweep", cfg, "--nmax", "12"]) == 2  # needs two truncations
+    config["options"]["n_max_list"] = [12]  # needs two truncations
+    assert cli_main(["run", write_config(tmp_path, config, "one.json")]) == 2
+    assert "options.n_max_list" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["sweep", cfg, "--nmax", "12,16,20"])
+    assert exited.value.code == 2
+    assert "sweep" in capsys.readouterr().err
