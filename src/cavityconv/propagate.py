@@ -1,12 +1,13 @@
 """Norm-preserving time evolution under static and oscillating Hamiltonians.
 
-Static generators are exponentiated by matrix-exponential action on the
-connected components of their sparsity graph that the initial state reaches;
-no element couples those components to the rest, so this is exact.  Every
-oscillating Hamiltonian built here becomes static in a diagonal rotating
-frame D = omega_level + nu_a n_a + nu_b n_b: with phi = e^{iDt} psi the
-generator is H(0) - D at all times, so each grid interval is one exact
-exponential action (no substeps, no step-size control).
+A static generator is evolved only on the connected components of its
+sparsity graph that the initial state reaches (nothing couples them to the
+rest).  A component of at most DENSE_SECTOR_LIMIT states is diagonalized
+once, G = V E V^dag, so every requested time is one product
+V (e^{-iEt} * V^dag psi0) whatever |G| t; a larger one takes one
+matrix-exponential action per time.  Every oscillating Hamiltonian built here
+is static in a diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
+phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
-from .hilbert import Operator, StateVector
+from .hilbert import Operator, StateVector, expectation
 
-# Largest norm change evolve_static accepts from one exponential action.
+# Largest norm change a static evolution accepts in any returned state.
 STATIC_NORM_DRIFT_LIMIT = 1e-9
+
+# Largest component diagonalized by one dense eigh; a larger one takes one
+# expm_multiply per time (single-time crossover: ~300 states, see CHANGES.md).
+DENSE_SECTOR_LIMIT = 300
 
 # Largest frame-equation residual, relative to max(max|nu|, 1), for which the
 # solved diagonal frame is accepted as making H(t) static.
@@ -56,32 +61,50 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
-def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
-    """exp(-i H t)|psi0> by matrix-exponential action.
+def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, states): the sorted indices of the components of G's sparsity
+    graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
+    every other amplitude is exactly 0 and a time of 0 returns amps[keep].
+    Raises ValueError for a non-Hermitian G, PropagationError on norm drift.
+    """
+    if not G.is_hermitian():
+        raise ValueError("static evolution requires a Hermitian generator")
+    times = np.asarray(times, dtype=float)
+    # graph from the pattern: csgraph would drop the imaginary part of G
+    _, component = connected_components(G.matrix != 0, directed=False)
+    keep = np.flatnonzero(np.isin(component, component[amps != 0]))
+    labels = component[keep]
+    order = np.argsort(labels, kind="stable")
+    psi = amps[keep]
+    states = np.empty((times.size, keep.size), dtype=np.complex128)
+    for pos in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        sub = G.matrix[keep[pos]][:, keep[pos]]
+        if pos.size <= DENSE_SECTOR_LIMIT:
+            energies, basis = np.linalg.eigh(sub.toarray())
+            phases = np.exp(np.outer(times, -1j * energies))
+            phases *= basis.conj().T @ psi[pos]
+            states[:, pos] = phases @ basis.T
+        else:
+            for k, t in enumerate(times):
+                states[k, pos] = expm_multiply((-1j * t) * sub, psi[pos]) if t else psi[pos]
+    states[times == 0.0] = psi
+    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
+    if drift > STATIC_NORM_DRIFT_LIMIT:
+        raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
+    return keep, states
 
-    The action runs only on the components of H's sparsity graph that meet
-    the support of psi0 (for the bilinear generators, the conserved
+
+def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
+    """exp(-i H t)|psi0>, evolved only on the components of H's sparsity graph
+    that meet the support of psi0 (for the bilinear generators, the conserved
     photon-number sectors it occupies); every other amplitude stays exactly 0.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
-    if not H.is_hermitian():
-        raise ValueError("evolve_static requires a Hermitian generator")
-    if t == 0.0 or not psi0.amplitudes.any():
-        return psi0
-    # graph from the pattern: csgraph would drop the imaginary part of H
-    _, component = connected_components(H.matrix != 0, directed=False)
-    keep = np.flatnonzero(np.isin(component, component[psi0.amplitudes != 0]))
-    block = H.matrix[keep][:, keep]
+    keep, states = _evolve_sectors(H, psi0.amplitudes, [t])
     amps = np.zeros_like(psi0.amplitudes)
-    amps[keep] = expm_multiply((-1j * t) * block.tocsc(), psi0.amplitudes[keep])
-    out = StateVector(psi0.space, amps, copy=False)
-    drift = abs(out.norm() - psi0.norm())
-    if drift > STATIC_NORM_DRIFT_LIMIT:
-        raise PropagationError(
-            f"matrix-exponential action drifted the norm by {drift:.3e}"
-        )
-    return out
+    amps[keep] = states[0]
+    return StateVector(psi0.space, amps, copy=False)
 
 
 def frame_transform(
@@ -140,11 +163,11 @@ def evolve_td(
 ) -> Trajectory:
     """Propagate an oscillating Hamiltonian along a strictly increasing grid.
 
-    H(t) is moved into its static rotating frame (see ``_rotating_frame``);
-    each grid interval is then one exponential action of -i dt (H(0) - D) on
-    phi = e^{iDt} psi, which is exact for any interval length.  The state,
-    its norm and any requested observable expectations are recorded at every
-    grid point.  Raises PropagationError when H(t) has no static frame.
+    H(t) is moved into its static rotating frame (see ``_rotating_frame``),
+    where phi = e^{iDt} psi evolves under the static H(0) - D: every grid
+    point is exact, however far apart.  The state, its norm and any requested
+    observable expectations are recorded at every grid point.  Raises
+    PropagationError when H(t) has no static frame.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
@@ -153,31 +176,23 @@ def evolve_td(
         raise ValueError("t_grid must be a non-empty 1-d array of times")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    observables = observables or {}
-    for op in observables.values():
-        if op.space != psi0.space:
-            raise ValueError("observable lives on a different space")
+    observables = observables or {}  # hilbert.expectation checks their spaces
 
     d = _rotating_frame(H)
-    generator = (H.at(0.0).matrix - sp.diags(d)).tocsc()
-
-    rec_states: list[StateVector] = []
-    rec_expect: dict[str, list[complex]] = {name: [] for name in observables}
-
-    phi = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
-    for k, t in enumerate(t_grid):
-        if k:
-            phi = expm_multiply((-1j * (t - t_grid[k - 1])) * generator, phi)
-        amps = np.exp(-1j * d * t) * phi
-        rec_states.append(StateVector(psi0.space, amps, copy=False))
-        for name, op in observables.items():
-            rec_expect[name].append(complex(np.vdot(amps, op.matrix @ amps)))
-
+    generator = Operator(H.space, H.at(0.0).matrix - sp.diags(d))
+    phi0 = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
+    keep, phi = _evolve_sectors(generator, phi0, t_grid - t_grid[0])
+    states = []
+    for t, phi_t in zip(t_grid, phi):
+        amps = np.zeros_like(phi0)
+        amps[keep] = np.exp(-1j * d[keep] * t) * phi_t
+        states.append(StateVector(psi0.space, amps, copy=False))
     traj = Trajectory(
         times=t_grid.copy(),
-        states=rec_states,
-        norms=np.array([s.norm() for s in rec_states]),
-        expectations={name: np.array(vals) for name, vals in rec_expect.items()},
+        states=states,
+        norms=np.array([s.norm() for s in states]),
+        expectations={name: np.array([expectation(op, s) for s in states])
+                      for name, op in observables.items()},
     )
     drift = np.max(np.abs(traj.norms - traj.norms[0]))
     if drift > NORM_DRIFT_LIMIT:

@@ -50,7 +50,7 @@ from .hilbert import (
     project_atom,
     vacuum_state,
 )
-from .propagate import evolve_static, frame_transform
+from .propagate import _evolve_sectors, evolve_static
 
 # Typical microwave-cavity Rydberg numbers used as scenario defaults.
 DEFAULT_COUPLING = 7e5   # s^-1
@@ -135,8 +135,8 @@ def _echo_complex(c: complex):
 
 
 def _detuning(value) -> float:
-    if _number(value) ** 2 == 0.0:  # couplings divide by delta_big^2
-        raise ValueError(f"expected a detuning whose square is nonzero, got {value!r}")
+    if not 0.0 < _number(value) * value < math.inf:  # couplings divide by delta_big^2
+        raise ValueError(f"expected a detuning whose square is finite and nonzero, got {value!r}")
     return float(value)
 
 
@@ -381,15 +381,18 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
 
 # --- scenario implementations ---------------------------------------------------
 
-def _xi_time_scale(params: PhysicalParams) -> float:
-    """|xi| for scenarios whose time axis is measured in units of 1/|xi|."""
-    xi_abs = abs(effective_xi(params))
+def _swap_setup(cfg: ResolvedConfig):
+    """|xi| and the field space of the scenarios that start in |1,0>, watch
+    |0,1> and measure time in units of 1/|xi|."""
+    xi_abs = abs(effective_xi(cfg.params))
     if xi_abs == 0.0 or math.isinf((math.pi / 2.0) / xi_abs):
         raise ConfigError(
             "params.omega_cl, params.lambda_a, params.lambda_b: the effective "
             f"coupling |xi| = {xi_abs!r} gives no finite conversion time scale"
         )
-    return xi_abs
+    if min(cfg.truncation) < 1:
+        raise ConfigError("truncation: the swap |1,0> -> |0,1> needs n_max >= 1 in both modes")
+    return xi_abs, field_space(*cfg.truncation)
 
 
 def _generator(cfg: ResolvedConfig, space) -> Operator:
@@ -407,36 +410,30 @@ def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
 
 
 def _scenario_puc_swap(cfg: ResolvedConfig):
-    xi_abs = _xi_time_scale(cfg.params)
-    space = field_space(*cfg.truncation)
-    gen = _generator(cfg, space)
+    xi_abs, space = _swap_setup(cfg)
     t_swap = (math.pi / 2.0) / xi_abs
-    psi0 = fock_state(space, 1, 0)
-    final = evolve_static(gen, psi0, t_swap)
-    p_swapped = abs(fock_state(space, 0, 1).inner(final)) ** 2
-    p_residual = abs(psi0.inner(final)) ** 2
+    times = (t_swap, *(cfg.times or ()))
+    keep, states = _evolve_sectors(_generator(cfg, space), fock_state(space, 1, 0).amplitudes, times)
+    # xi != 0 couples |1,0> to |0,1>, so both lie in the reached sector
+    p_10, p_01 = (np.abs(states[:, np.searchsorted(keep, space.flatten(0, *n))]) ** 2
+                  for n in ((1, 0), (0, 1)))
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[keep] = states[0]
+    final = StateVector(space, amps, copy=False)
     photon_sum = obs.mean_photon_number(final, "a") + obs.mean_photon_number(final, "b")
     metrics = {
         "xi_abs": xi_abs,
         "swap_time": t_swap,
-        "p_swapped": p_swapped,
-        "p_residual": p_residual,
+        "p_swapped": float(p_01[0]),
+        "p_residual": float(p_10[0]),
         "photon_sum_drift": abs(photon_sum - 1.0),
     }
     tables = {}
     if cfg.times:
-        rows = []
-        for t in cfg.times:
-            state = evolve_static(gen, psi0, t)
-            rows.append([
-                t,
-                xi_abs * t,
-                abs(fock_state(space, 1, 0).inner(state)) ** 2,
-                abs(fock_state(space, 0, 1).inner(state)) ** 2,
-            ])
         tables["populations"] = {
             "columns": ["t", "xi_t", "p_10", "p_01"],
-            "rows": rows,
+            "rows": [[t, xi_abs * t, float(p_10[k]), float(p_01[k])]
+                     for k, t in enumerate(cfg.times, start=1)],
         }
     return metrics, tables, {}
 
@@ -533,66 +530,51 @@ def _scenario_epr_variances(cfg: ResolvedConfig):
 
 def _scenario_full_vs_effective(cfg: ResolvedConfig):
     params = cfg.params
-    xi_abs = _xi_time_scale(params)
+    xi_abs, fld_space = _swap_setup(cfg)
     eps_sq = (max(abs(params.lambda_a), abs(params.lambda_b)) / abs(params.delta_big)) ** 2
     t_end = (math.pi / 2.0) / xi_abs
     n_points = cfg.options["grid_points"]
     times = np.array(cfg.times) if cfg.times else np.linspace(0.0, t_end, n_points)
 
     atom_space = make_space(3, *cfg.truncation)
-    fld_space = field_space(*cfg.truncation)
-    gen = _generator(cfg, fld_space)
     h_full = full_puc_hamiltonian(atom_space, params)
-    psi0_field = fock_state(fld_space, 1, 0)
-    psi0 = embed_atom(psi0_field, atom_space, "i")
-    chi_a = abs(params.lambda_a) ** 2 / params.delta_big
-    chi_b = abs(params.lambda_b) ** 2 / params.delta_big
-
-    # the full model is diagonalized once: exact samples at arbitrary times
     if h_full.max_frequency() != 0.0:
         raise ConfigError("params.lambda_a, params.lambda_b: full_vs_effective requires "
                           "symmetric couplings (static full model)")
-    energies, basis = np.linalg.eigh(h_full.at(0.0).to_dense())
-    coeffs = basis.conj().T @ psi0.amplitudes
 
-    def full_state_at(t: float) -> StateVector:
-        return StateVector(atom_space, basis @ (np.exp(-1j * energies * t) * coeffs), copy=False)
-
-    rows = []
-    min_fid, max_leak = 1.0, 0.0
-    for t in times:
-        full = full_state_at(float(t))
-        conditioned = project_atom(full, "i")
-        population = conditioned.norm() ** 2
-        leak = 1.0 - population
-        reduced = evolve_static(gen, psi0_field, float(t))
-        reduced = frame_transform(reduced, chi_a, chi_b, float(t), sign=+1)
-        fid = obs.fidelity(conditioned.normalized(), reduced) if population > 0 else 0.0
-        rows.append([float(t), xi_abs * float(t), fid, leak])
-        if t > 0.0:
-            min_fid = min(min_fid, fid)
-        max_leak = max(max_leak, leak)
-
-    # dense diagnostic sweep: the continuous-time leakage envelope
+    # both models on their reached sectors, the full one also at the dense
+    # diagnostic sweep that gives the continuous-time leakage envelope
+    n_rows = times.size
     dense_ts = np.linspace(0.0, float(times[-1]), DENSE_SCAN_POINTS)[1:]
-    max_leak_dense = 0.0
+    psi0 = fock_state(fld_space, 1, 0)
+    keep, full = _evolve_sectors(h_full.at(0.0), embed_atom(psi0, atom_space, "i").amplitudes,
+                                 np.concatenate([times, dense_ts]))
+    keep_red, reduced = _evolve_sectors(_generator(cfg, fld_space), psi0.amplitudes, times)
+    n_a, n_b = fld_space.fock_numbers()
+    chi = (abs(params.lambda_a) ** 2 / params.delta_big * n_a
+           + abs(params.lambda_b) ** 2 / params.delta_big * n_b)
+    reduced *= np.exp(-1j * np.outer(times, chi[keep_red]))  # frame of the i-level Stark shifts
     lo = atom_space.level_index("i") * atom_space.field_dim
-    hi = lo + atom_space.field_dim
-    for t in dense_ts:
-        amp = basis @ (np.exp(-1j * energies * t) * coeffs)
-        block = amp[lo:hi]
-        max_leak_dense = max(max_leak_dense, 1.0 - float(np.vdot(block, block).real))
+    in_i = (keep >= lo) & (keep < lo + atom_space.field_dim)
+    conditioned = full[:, in_i]  # the i-level amplitudes at field indices keep[in_i] - lo
+    population = np.sum(np.abs(conditioned) ** 2, axis=1)
+    leak = 1.0 - population
+    _, pos_i, pos_red = np.intersect1d(keep[in_i] - lo, keep_red, return_indices=True)
+    overlap = np.sum(conditioned[:n_rows, pos_i].conj() * reduced[:, pos_red], axis=1)
+    fid = np.abs(overlap) ** 2 / np.where(population[:n_rows] > 0.0, population[:n_rows], 1.0)
+    rows = [[t, xi_abs * t, f, l]
+            for t, f, l in zip(times.tolist(), fid.tolist(), leak[:n_rows].tolist())]
 
     metrics = {
         "xi_abs": xi_abs,
         "lambda_over_delta_sq": eps_sq,
         "t_end": float(times[-1]),
         "fidelity_end": rows[-1][2],
-        "min_fidelity": min_fid,
+        "min_fidelity": float(np.min(fid[times > 0.0], initial=1.0)),
         "fidelity_bound": 1.0 - FULL_VS_EFFECTIVE_C * eps_sq,
         "regression_constant_c": FULL_VS_EFFECTIVE_C,
-        "max_leakage": max_leak,
-        "max_leakage_dense": max_leak_dense,
+        "max_leakage": float(np.max(leak[:n_rows], initial=0.0)),
+        "max_leakage_dense": float(np.max(leak[n_rows:], initial=0.0)),
         "leakage_bound": LEAKAGE_BOUND_FACTOR * eps_sq,
     }
     tables = {
@@ -725,9 +707,12 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
 
 def _scenario_convergence(cfg: ResolvedConfig):
     target = cfg.options["target"]
-    sweep = convergence_sweep(
-        {"scenario": target, **cfg.options["target_config"]}, cfg.options["n_max_list"]
-    )
+    config = {"scenario": target, **cfg.options["target_config"]}
+    try:  # name the field as this config spells it, before any sweep entry runs
+        resolve_config(config)
+    except ConfigError as exc:
+        raise ConfigError(f"options.target_config.{exc}") from None
+    sweep = convergence_sweep(config, cfg.options["n_max_list"])
     metrics = {
         "final_value": sweep["rows"][-1][1],
         "last_increment": sweep["last_increment"],

@@ -30,13 +30,16 @@ from cavityconv.hilbert import (
     project_atom,
     vacuum_state,
 )
+from cavityconv import propagate
 from cavityconv.observables import fidelity
 from cavityconv.propagate import (
     PropagationError,
+    _evolve_sectors,
     evolve_static,
     evolve_td,
     frame_transform,
 )
+from cavityconv.scenarios import run_scenario
 
 LAM = 7e5
 OMEGA = 7e5
@@ -147,6 +150,110 @@ def test_hermiticity_is_checked_outside_the_reached_sector():
                           shape=(space.total_dim, space.total_dim))
     with pytest.raises(ValueError, match="Hermitian"):
         evolve_static(gen + Operator(space, stray), fock_state(space, 1, 0), 1e-4)
+
+
+def sector_cases():
+    """(generator, psi0, times): a two-sector PUC start and a full-support
+    PDC state, each with t = 0 among several times."""
+    rng = np.random.default_rng(11)
+    puc_space, pdc_space = field_space(5, 4), field_space(5, 5)
+    two_sectors = (fock_state(puc_space, 1, 0).amplitudes + fock_state(puc_space, 3, 2).amplitudes)
+    amps = [1.0, 1j] @ rng.normal(size=(2, pdc_space.total_dim))
+    xi_abs = abs(effective_xi(puc()))
+    times = np.array([0.0, 0.3, 1.1, 2.5]) / xi_abs
+    return [
+        (reduced_bilinear_generator(puc_space, puc()),
+         StateVector(puc_space, two_sectors / math.sqrt(2)), times),
+        (reduced_bilinear_generator(pdc_space, pdc()),
+         StateVector(pdc_space, amps / np.linalg.norm(amps)), times),
+    ]
+
+
+@pytest.mark.parametrize("limit", [propagate.DENSE_SECTOR_LIMIT, 2])
+def test_sector_evolution_matches_dense_expm_on_both_sides_of_the_limit(monkeypatch, limit):
+    # limit 2 sends every component of more than two states to expm_multiply
+    monkeypatch.setattr(propagate, "DENSE_SECTOR_LIMIT", limit)
+    for gen, psi0, times in sector_cases():
+        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        dense = gen.to_dense()
+        for t, state in zip(times, states):
+            exact = scipy.linalg.expm(-1j * t * dense) @ psi0.amplitudes
+            assert np.max(np.abs(state - exact[keep])) < 1e-12
+            outside = np.delete(exact, keep)
+            assert np.max(np.abs(outside), initial=0.0) < 1e-12
+        assert np.array_equal(states[0], psi0.amplitudes[keep])  # t = 0 is returned as is
+
+
+def test_multi_time_evolution_equals_per_time_evolve_static():
+    for gen, psi0, times in sector_cases():
+        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        for t, state in zip(times, states):
+            single = evolve_static(gen, psi0, t).amplitudes
+            assert np.max(np.abs(single[keep] - state)) < 1e-13
+            assert not np.delete(single, keep).any()  # exact zeros outside
+
+
+def test_sector_evolution_of_zero_state_and_zero_time():
+    gen, psi0, times = sector_cases()[0]
+    keep, states = _evolve_sectors(gen, np.zeros(gen.space.total_dim, complex), times)
+    assert keep.size == 0 and states.shape == (times.size, 0)
+    assert np.array_equal(evolve_static(gen, psi0, 0.0).amplitudes, psi0.amplitudes)
+
+
+def test_sector_evolution_rejects_a_non_hermitian_element():
+    gen, psi0, times = sector_cases()[0]
+    space = gen.space
+    stray = sp.csr_matrix(([1e3], ([space.flatten(0, 0, 2)], [space.flatten(0, 1, 1)])),
+                          shape=(space.total_dim, space.total_dim))
+    with pytest.raises(ValueError, match="Hermitian"):
+        _evolve_sectors(gen + Operator(space, stray), psi0.amplitudes, times)
+
+
+@pytest.mark.parametrize("limit", [propagate.DENSE_SECTOR_LIMIT, 2])
+def test_forced_norm_drift_raises(monkeypatch, limit):
+    monkeypatch.setattr(propagate, "DENSE_SECTOR_LIMIT", limit)
+    eigh, expm_multiply = np.linalg.eigh, propagate.expm_multiply
+
+    def inflated_eigh(a):
+        energies, basis = eigh(a)
+        return energies, (1.0 + 1e-6) * basis
+
+    monkeypatch.setattr(np.linalg, "eigh", inflated_eigh)
+    monkeypatch.setattr(propagate, "expm_multiply", lambda a, v: (1.0 + 1e-6) * expm_multiply(a, v))
+    gen, psi0, times = sector_cases()[0]
+    with pytest.raises(PropagationError, match="norm"):
+        evolve_static(gen, psi0, times[-1])
+
+
+def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
+    # every comparison row and the dense leakage scan from scratch: one
+    # dense expm of the whole three-level and field spaces per time
+    monkeypatch.setattr("cavityconv.scenarios.DENSE_SCAN_POINTS", 401)
+    doc = run_scenario({"scenario": "full_vs_effective", "truncation": [2, 2]},
+                       check_convergence=False)
+    params = puc(delta_small=resonance_delta(puc()))
+    space, fld = make_space(3, 2, 2), field_space(2, 2)
+    h_full = full_puc_hamiltonian(space, params).at(0.0).to_dense()
+    gen = reduced_bilinear_generator(fld, params).to_dense()
+    psi_fld = fock_state(fld, 1, 0)
+    psi0 = embed_atom(psi_fld, space, "i").amplitudes
+    chi = LAM**2 / DELTA
+
+    def conditioned(t):
+        full = StateVector(space, scipy.linalg.expm(-1j * t * h_full) @ psi0)
+        return project_atom(full, "i")
+
+    rows = doc["tables"]["comparison"]["rows"]
+    assert len(rows) == 101
+    for t, _, fid, leak in rows:
+        cond = conditioned(t)
+        reduced = StateVector(fld, scipy.linalg.expm(-1j * t * gen) @ psi_fld.amplitudes)
+        reduced = frame_transform(reduced, chi, chi, t, sign=+1)
+        assert abs(leak - (1.0 - cond.norm() ** 2)) < 1e-12
+        assert abs(fid - fidelity(cond.normalized(), reduced)) < 1e-12
+    dense_leak = max(1.0 - conditioned(t).norm() ** 2
+                     for t in np.linspace(0.0, rows[-1][0], 401)[1:])
+    assert abs(doc["metrics"]["max_leakage_dense"] - dense_leak) < 1e-12
 
 
 def test_constant_td_reproduces_static():

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -501,10 +502,13 @@ VALIDATION_CASES = [
     bad_config("bell_prep-subnormal", "params.lambda_a", "bell_prep",
                params={"lambda_a": 1e-320}),
     bad_config("truncation-cap", "truncation", "puc_swap", truncation=[2000, 2000]),
+    bad_config("puc_swap-one_mode", "truncation", "puc_swap", truncation=[4, 0]),
+    bad_config("full_vs_effective-one_mode", "truncation", "full_vs_effective", truncation=[0, 4]),
     bad_config("off_resonance", "params.delta_small", "puc_swap", params={"delta_small": 5}),
     bad_config("delta_big", "params.delta_big", "puc_swap",
                params={"delta_big": 0, "delta_small": 0}),
     bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
+    bad_config("delta_big-overflow", "params.delta_big", "pdc_epr", params={"delta_big": 1e308}),
     bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
     # a pair state squeezed past what the closed form can represent
@@ -528,6 +532,9 @@ VALIDATION_CASES = [
     bad_config("convergence-params", "params", "convergence", params={"lambda_a": 1e5}),
     bad_config("convergence-truncation", "truncation", "convergence", truncation=[8, 8]),
     bad_config("convergence-times", "times", "convergence", times=[2e-4]),
+    bad_config("convergence-target_config", "options.target_config.times", "convergence",
+               options={"target": "pdc_epr", "n_max_list": [8, 12],
+                        "target_config": {"times": [-1]}}),
     bad_config("bell_prep-times", "times", "bell_prep", times=[2e-4]),
     bad_config("bell_prep-omega_cl", "params.omega_cl", "bell_prep", params={"omega_cl": 0}),
     bad_config("bell_prep-delta_small", "params.delta_small", "bell_prep",
@@ -552,6 +559,24 @@ def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, config, fiel
     err = capsys.readouterr().err
     assert field_path in err
     assert "Traceback" not in err
+
+
+def test_detuning_whose_square_overflows_says_so():
+    with pytest.raises(ConfigError, match="params.delta_big: expected a detuning whose square "
+                                          "is finite and nonzero, got 1e"):
+        resolve_config({"scenario": "pdc_epr", "params": {"delta_big": 1e308}})
+
+
+@pytest.mark.parametrize("scenario", ["pdc_epr", "epr_variances", "degenerate_squeeze"])
+def test_long_duration_fails_the_gate_quickly(tmp_path, capsys, scenario):
+    # r = |xi| t ~ 3e3: no truncation holds the state, and the evolution
+    # costs the same as at the default duration
+    cfg = write_config(tmp_path, {"scenario": scenario, "times": [0, 1]})
+    start = time.perf_counter()
+    assert cli_main(["run", cfg]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "convergence gate failed" in err and "Traceback" not in err
 
 
 def test_cli_list_scenarios(capsys):
