@@ -21,7 +21,6 @@ from .hamiltonians import (
     fit_traversal_alpha,
     full_pdc_hamiltonian,
     full_puc_hamiltonian,
-    gaussian_profile_factor,
     profile_squeezing_factor,
     reduced_bilinear_generator,
     resonance_delta,
@@ -56,7 +55,6 @@ from .observables import (
     photon_number_distribution,
     quadrature_operator,
     squeezed_variance,
-    squeezing_fraction,
     tmsv_analytic,
     tmsv_quality,
     tmsv_tail_mass,

@@ -26,7 +26,6 @@ from .scenarios import (
     run_scenario,
 )
 from .serialize import result_to_json, table_to_csv
-from .tomography import TruncationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -130,9 +129,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_list(args)
-    except (ConfigError, TruncationError, PropagationError) as exc:
-        # truncation and propagation failures mean the configured truncation
-        # cannot represent the requested computation
+    except (ConfigError, PropagationError) as exc:
+        # a propagation failure means the configured truncation cannot
+        # represent the requested computation
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except ConvergenceGateError as exc:

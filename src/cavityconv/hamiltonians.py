@@ -387,7 +387,8 @@ class TraversalSpec:
 
     waist_w: mode waist (cm); alpha: path length over waist, L = alpha * w;
     tau: total crossing time (s).  The crossing is symmetric:
-    x(t) = v (t - tau/2) with v = alpha * w / tau.
+    x(t) = v (t - tau/2) with v = alpha * w / tau, and the atom sees the
+    mode amplitude f(x) = exp(-x^2 / w^2).
     """
 
     waist_w: float
@@ -401,12 +402,6 @@ class TraversalSpec:
             raise ValueError("alpha must be positive")
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-
-
-def gaussian_profile_factor(t: float, traversal: TraversalSpec) -> float:
-    """Mode amplitude f(x(t)) = exp(-x^2 / w^2) seen by the crossing atom."""
-    x = traversal.alpha * traversal.waist_w * (t / traversal.tau - 0.5)
-    return math.exp(-((x / traversal.waist_w) ** 2))
 
 
 def profile_squeezing_factor(
@@ -436,7 +431,6 @@ def fit_traversal_alpha(
     waist_w: float,
     tau: float,
     target_r: float,
-    bracket: tuple[float, float] = (1e-3, 50.0),
 ) -> float:
     """Root-find the path-to-waist ratio alpha so that the profile-averaged
     squeezing factor at crossing time tau equals target_r.
@@ -456,4 +450,5 @@ def fit_traversal_alpha(
         spec = TraversalSpec(waist_w=waist_w, alpha=alpha, tau=tau)
         return profile_squeezing_factor(params, spec) - target_r
 
-    return float(brentq(gap, bracket[0], bracket[1], xtol=1e-13, rtol=1e-14))
+    # alpha from a nearly flat crossing (1e-3) to one 50 waists long
+    return float(brentq(gap, 1e-3, 50.0, xtol=1e-13, rtol=1e-14))

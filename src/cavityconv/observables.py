@@ -64,28 +64,25 @@ def tmsv_quality(squeeze_param: float) -> float:
 
 @dataclass(frozen=True)
 class TmsvSpec:
-    """Two-mode squeezed vacuum: squeeze parameter r = |xi| tau, the coupling
-    phase arg(xi), and the Fock truncation of the diagonal expansion."""
+    """Two-mode squeezed vacuum: squeeze parameter r = |xi| tau and the
+    coupling phase arg(xi)."""
 
     squeeze_param: float
     phase: float = -math.pi / 2
-    n_max: int | None = None
 
     def __post_init__(self):
         if self.squeeze_param < 0.0:
             raise ValueError("squeeze_param must be non-negative")
 
 
-def tmsv_tail_mass(spec: TmsvSpec, n_max: int | None = None) -> float:
+def tmsv_tail_mass(spec: TmsvSpec, n_max: int) -> float:
     """Probability beyond the truncation: tanh^{2 (n_max + 1)}(r)."""
-    n = spec.n_max if n_max is None else n_max
-    if n is None:
-        raise ValueError("n_max must be set on the TmsvSpec or passed explicitly")
-    return math.tanh(spec.squeeze_param) ** (2 * (n + 1))
+    return math.tanh(spec.squeeze_param) ** (2 * (n_max + 1))
 
 
 def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
-    """Truncated diagonal expansion sum_n c_n |n, n>, renormalized.
+    """Diagonal expansion sum_n c_n |n, n> cut at the smaller mode
+    truncation, renormalized.
 
     Propagating vacuum with exp(-i t (xi ab + xi^* a^dag b^dag)) yields
     c_n = (e^{-i (arg xi + pi/2)} tanh r)^n / cosh r;  the default phase
@@ -95,15 +92,8 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     """
     if space.atom_levels != 1:
         raise ValueError("tmsv_analytic expects a two-mode field space")
-    n_cut = min(space.n_max_a, space.n_max_b)
-    if spec.n_max is not None:
-        if spec.n_max > n_cut:
-            raise ValueError(
-                f"requested truncation {spec.n_max} exceeds the space cap {n_cut}"
-            )
-        n_cut = spec.n_max
     r = spec.squeeze_param
-    n = np.arange(n_cut + 1)
+    n = np.arange(min(space.n_max_a, space.n_max_b) + 1)
     unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
     coeffs = (unit * math.tanh(r)) ** n
     amps = np.zeros(space.total_dim, dtype=np.complex128)
@@ -116,11 +106,6 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
 def squeezed_variance(r: float) -> float:
     """Variance of the squeezed quadrature, e^{-2r}/4 (1/4 at r = 0)."""
     return math.exp(-2.0 * r) / 4.0
-
-
-def squeezing_fraction(r: float) -> float:
-    """Noise reduction below vacuum, 1 - e^{-2r}."""
-    return 1.0 - math.exp(-2.0 * r)
 
 
 def fidelity(s1: StateVector, s2: StateVector) -> float:

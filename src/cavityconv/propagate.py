@@ -12,7 +12,7 @@ phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
-from .hilbert import Operator, StateVector, expectation
+from .hilbert import Operator, StateVector
 
 # Largest norm change a static evolution accepts in any returned state.
 STATIC_NORM_DRIFT_LIMIT = 1e-9
@@ -50,12 +50,8 @@ class Trajectory:
     times: np.ndarray
     states: list[StateVector]
     norms: np.ndarray
-    expectations: dict[str, np.ndarray] = field(default_factory=dict)
     ok: bool = True
     failure: str | None = None
-
-    def final_state(self) -> StateVector:
-        return self.states[-1]
 
 
 NORM_DRIFT_LIMIT = 1e-7
@@ -155,19 +151,14 @@ def _rotating_frame(H: TimeDependentOperator) -> np.ndarray:
     return coords @ x
 
 
-def evolve_td(
-    H: TimeDependentOperator,
-    psi0: StateVector,
-    t_grid,
-    observables: dict[str, Operator] | None = None,
-) -> Trajectory:
+def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory:
     """Propagate an oscillating Hamiltonian along a strictly increasing grid.
 
     H(t) is moved into its static rotating frame (see ``_rotating_frame``),
     where phi = e^{iDt} psi evolves under the static H(0) - D: every grid
-    point is exact, however far apart.  The state, its norm and any requested
-    observable expectations are recorded at every grid point.  Raises
-    PropagationError when H(t) has no static frame.
+    point is exact, however far apart.  The state and its norm are recorded
+    at every grid point.  Raises PropagationError when H(t) has no static
+    frame.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
@@ -176,7 +167,6 @@ def evolve_td(
         raise ValueError("t_grid must be a non-empty 1-d array of times")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    observables = observables or {}  # hilbert.expectation checks their spaces
 
     d = _rotating_frame(H)
     generator = Operator(H.space, H.at(0.0).matrix - sp.diags(d))
@@ -191,8 +181,6 @@ def evolve_td(
         times=t_grid.copy(),
         states=states,
         norms=np.array([s.norm() for s in states]),
-        expectations={name: np.array([expectation(op, s) for s in states])
-                      for name, op in observables.items()},
     )
     drift = np.max(np.abs(traj.norms - traj.norms[0]))
     if drift > NORM_DRIFT_LIMIT:

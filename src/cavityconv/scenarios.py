@@ -39,7 +39,6 @@ from .hamiltonians import (
     two_photon_hamiltonian,
 )
 from .hilbert import (
-    Operator,
     StateVector,
     basis_state,
     embed_atom,
@@ -211,7 +210,6 @@ _FIELDS: dict[str, tuple[Callable, Callable]] = {
     "params.lambda_b": (_complex, _echo_complex),
     "params.omega_cl": (_complex, _echo_complex),
     "params.delta_big": (_detuning, _same),
-    "params.delta_small": (lambda d: d if d == "resonance" else _number(d), _same),
     "params.process": (ProcessKind, lambda process: process.value),
     "traversal.waist_w": (_positive, _same),
     "traversal.alpha": (lambda alpha: None if alpha is None else _positive(alpha), _same),
@@ -282,23 +280,23 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     return ResolvedConfig(scenario=name, **values)
 
 
+_DRIVEN = (ProcessKind.PUC, ProcessKind.PDC, ProcessKind.DEGENERATE_PDC)
+
+
 def _physical_params(fields: dict) -> PhysicalParams:
     # a field the scenario does not list plays no part in it and is fixed at 0
-    fields = {"omega_cl": 0.0, "delta_small": 0.0, **fields}
-    off = PhysicalParams(**{**fields, "delta_small": 0.0})
-    if not off.dispersive:
-        strongest = max(abs(off.lambda_a), abs(off.lambda_b), abs(off.omega_cl))
+    params = PhysicalParams(**{"omega_cl": 0.0, **fields})
+    if not params.dispersive:
+        strongest = max(abs(params.lambda_a), abs(params.lambda_b), abs(params.omega_cl))
         raise ConfigError(
             "params.lambda_a, params.lambda_b, params.omega_cl, params.delta_big: every "
             "model here assumes the dispersive regime |delta_big| >= 10x every coupling, "
-            f"got |delta_big| = {abs(off.delta_big):.6g} and a coupling of {strongest:.6g}"
+            f"got |delta_big| = {abs(params.delta_big):.6g} and a coupling of {strongest:.6g}"
         )
-    try:
-        if fields["delta_small"] == "resonance":
-            fields["delta_small"] = resonance_delta(off)
-        return PhysicalParams(**fields)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"params.delta_small: {exc}") from None
+    # conversion needs the drive on resonance; the two-photon processes leave it off
+    if params.process in _DRIVEN:
+        return replace(params, delta_small=resonance_delta(params))
+    return params
 
 
 def _echo_config(cfg: ResolvedConfig) -> dict:
@@ -395,25 +393,19 @@ def _swap_setup(cfg: ResolvedConfig):
     return xi_abs, field_space(*cfg.truncation)
 
 
-def _generator(cfg: ResolvedConfig, space) -> Operator:
-    """The reduced bilinear generator, which needs the drive on resonance."""
-    try:
-        return reduced_bilinear_generator(space, cfg.params)
-    except ValueError as exc:
-        raise ConfigError(f"params.delta_small: {exc}") from None
-
-
 def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
     """The vacuum evolved under the reduced generator for the last configured time."""
     space = field_space(*cfg.truncation)
-    return evolve_static(_generator(cfg, space), vacuum_state(space), cfg.times[-1])
+    generator = reduced_bilinear_generator(space, cfg.params)
+    return evolve_static(generator, vacuum_state(space), cfg.times[-1])
 
 
 def _scenario_puc_swap(cfg: ResolvedConfig):
     xi_abs, space = _swap_setup(cfg)
     t_swap = (math.pi / 2.0) / xi_abs
     times = (t_swap, *(cfg.times or ()))
-    keep, states = _evolve_sectors(_generator(cfg, space), fock_state(space, 1, 0).amplitudes, times)
+    keep, states = _evolve_sectors(reduced_bilinear_generator(space, cfg.params),
+                                   fock_state(space, 1, 0).amplitudes, times)
     # xi != 0 couples |1,0> to |0,1>, so both lie in the reached sector
     p_10, p_01 = (np.abs(states[:, np.searchsorted(keep, space.flatten(0, *n))]) ** 2
                   for n in ((1, 0), (0, 1)))
@@ -549,7 +541,8 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     psi0 = fock_state(fld_space, 1, 0)
     keep, full = _evolve_sectors(h_full.at(0.0), embed_atom(psi0, atom_space, "i").amplitudes,
                                  np.concatenate([times, dense_ts]))
-    keep_red, reduced = _evolve_sectors(_generator(cfg, fld_space), psi0.amplitudes, times)
+    keep_red, reduced = _evolve_sectors(reduced_bilinear_generator(fld_space, params),
+                                        psi0.amplitudes, times)
     n_a, n_b = fld_space.fock_numbers()
     chi = (abs(params.lambda_a) ** 2 / params.delta_big * n_a
            + abs(params.lambda_b) ** 2 / params.delta_big * n_b)
@@ -645,7 +638,7 @@ def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
         "tau": tau,
         "r": r,
         "variance_analytic": obs.squeezed_variance(r),
-        "squeezing_percent_analytic": 100.0 * obs.squeezing_fraction(r),
+        "squeezing_percent_analytic": 100.0 * obs.tmsv_quality(r),
         "variance_numeric": numeric,
         "anti_variance_numeric": max(var_x, var_p),
         "variance_deviation": abs(numeric - obs.squeezed_variance(r)),
@@ -654,6 +647,8 @@ def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
 
 
 def _scenario_bell_prep(cfg: ResolvedConfig):
+    if min(cfg.truncation) < 1:
+        raise ConfigError("truncation: the Bell pairs need n_max >= 1 in both modes")
     metrics = {}
     transcripts = {}
     slug = {"psi+": "psi_plus", "psi-": "psi_minus", "phi+": "phi_plus", "phi-": "phi_minus"}
@@ -681,8 +676,11 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
     extent = cfg.options["grid_extent"]
     axis = np.linspace(-extent, extent, n_points)
     grid = tomo.PhaseSpaceGrid.two_mode_real(axis, axis)
-    w_direct = tomo.wigner_direct(state, grid)
-    w_proto, signal = tomo.wigner_via_protocol(state, grid)
+    try:
+        w_direct = tomo.wigner_direct(state, grid)
+        w_proto, signal = tomo.wigner_via_protocol(state, grid)
+    except tomo.TruncationError as exc:
+        raise ConfigError(f"truncation, options.grid_extent: {exc}") from None
     origin = tomo.wigner_direct(state, tomo.PhaseSpaceGrid(((0.0, 0.0),)))[0]
     metrics = {
         "w_origin": float(origin),
@@ -742,7 +740,6 @@ _RYDBERG_PUC = {
     "lambda_b": DEFAULT_COUPLING,
     "omega_cl": DEFAULT_COUPLING,
     "delta_big": DEFAULT_DETUNING,
-    "delta_small": "resonance",
     "process": "PUC",
 }
 
@@ -754,12 +751,6 @@ _RYDBERG_DEGENERATE = {**_RYDBERG_PDC, "process": "DEGENERATE_PDC"}
 # the drive off: only the two-photon couplings lambda lambda / Delta act
 _TWO_PHOTON = {"lambda_a": DEFAULT_COUPLING, "lambda_b": DEFAULT_COUPLING,
                "delta_big": DEFAULT_DETUNING, "process": "TWO_PHOTON_BS"}
-
-
-def _closed_form(params: dict) -> dict:
-    """Params of a scenario that reads xi alone and never evolves under the
-    reduced generator, so the drive detuning plays no part."""
-    return {key: value for key, value in params.items() if key != "delta_small"}
 
 
 def _defaults(**fields) -> dict:
@@ -781,7 +772,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
     ),
     "epr_quality": ScenarioDef(
         _scenario_epr_quality,
-        _defaults(params=_closed_form(_RYDBERG_PDC), truncation=[40, 40], times=[DEFAULT_TAU]),
+        _defaults(params=_RYDBERG_PDC, truncation=[40, 40], times=[DEFAULT_TAU]),
         gate_metric="quality_analytic",
         description="Pair-state quality 1 - e^{-2 xi tau}, closed form and variance-based",
     ),
@@ -801,7 +792,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
     "gaussian_profile": ScenarioDef(
         _scenario_gaussian_profile,
         _defaults(
-            params=_closed_form(_RYDBERG_DEGENERATE), times=[5.32e-4],
+            params=_RYDBERG_DEGENERATE, times=[5.32e-4],
             traversal={"waist_w": 0.6, "alpha": None},  # waist in cm
             options={"fit_tau": DEFAULT_TAU, "fit_target_r": 0.51},
         ),

@@ -12,10 +12,11 @@ The measurement sequence per grid point:
 
 The populations obey P_{i,f} = (1 +/- Re<e^{i phi N}>)/2 exactly; at phi = pi
 the conditional phase is the photon-number parity and the displaced-parity
-expectation is the Wigner function:  W = (4/pi^2) <Pi> for two-mode points,
-(2/pi) <Pi> for single-mode scans (mode b held in an even state).  The raw
-atomic signal P_f - P_i = -<Pi> is reported alongside; the two differ by the
-sign fixed by the Ramsey phase choice above.
+expectation is the two-mode Wigner function W = (4/pi^2) <Pi>.  With mode b
+in vacuum, the single-mode Wigner function of mode a is (2/pi) / (4/pi^2) =
+pi/2 times the two-mode value at eta_b = 0.  The raw atomic signal
+P_f - P_i = -<Pi> is reported alongside; the two differ by the sign fixed
+by the Ramsey phase choice above.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,6 @@ from .hilbert import HilbertSpace, Operator, StateVector
 TAIL_LIMIT = 1e-8
 
 TWO_MODE_NORM = 4.0 / math.pi**2
-SINGLE_MODE_NORM = 2.0 / math.pi
 
 
 class TruncationError(RuntimeError):
@@ -57,11 +57,9 @@ class ProbeOutcome:
 
 @dataclass(frozen=True)
 class PhaseSpaceGrid:
-    """Displacement points (eta_a, eta_b); single_mode scans hold eta_b fixed
-    and use the single-mode normalization."""
+    """Displacement points (eta_a, eta_b)."""
 
     points: tuple[tuple[complex, complex], ...]
-    single_mode: bool = False
 
     def __post_init__(self):
         if not self.points:
@@ -72,20 +70,11 @@ class PhaseSpaceGrid:
                 raise ValueError("grid points must be finite")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def normalization(self) -> float:
-        return SINGLE_MODE_NORM if self.single_mode else TWO_MODE_NORM
-
     @classmethod
     def two_mode_real(cls, values_a, values_b) -> "PhaseSpaceGrid":
         """Cartesian real-axis scan: eta_a = x_a, eta_b = x_b."""
         pts = [(complex(xa), complex(xb)) for xa in values_a for xb in values_b]
         return cls(tuple(pts))
-
-    @classmethod
-    def single_mode_scan(cls, etas_a, eta_b: complex = 0.0) -> "PhaseSpaceGrid":
-        pts = [(complex(e), complex(eta_b)) for e in etas_a]
-        return cls(tuple(pts), single_mode=True)
 
 
 def _displaced(
@@ -196,7 +185,7 @@ def wigner_direct(state: StateVector, grid: PhaseSpaceGrid) -> np.ndarray:
     n_a, n_b = state.space.fock_numbers()
     parity = (-1.0) ** (n_a + n_b)
     return np.array([
-        grid.normalization * float(np.vdot(d.amplitudes, parity * d.amplitudes).real)
+        TWO_MODE_NORM * float(np.vdot(d.amplitudes, parity * d.amplitudes).real)
         for d in _displaced(state, grid.points)
     ])
 
@@ -216,5 +205,5 @@ def wigner_via_protocol(
     for k, displaced in enumerate(_displaced(state, grid.points)):
         outcome = probe_protocol(displaced, phi)
         signal[k] = outcome.signal
-        w[k] = -grid.normalization * outcome.signal
+        w[k] = -TWO_MODE_NORM * outcome.signal
     return w, signal

@@ -15,7 +15,6 @@ from cavityconv.hamiltonians import (
     fit_traversal_alpha,
     full_pdc_hamiltonian,
     full_puc_hamiltonian,
-    gaussian_profile_factor,
     profile_squeezing_factor,
     reduced_bilinear_generator,
     resonance_delta,
@@ -388,16 +387,6 @@ def test_every_builder_is_hermitian():
 
 
 # --- Gaussian transverse profile --------------------------------------------------
-
-def test_gaussian_profile_factor_values():
-    trav = TraversalSpec(waist_w=0.6, alpha=4.0, tau=2e-4)
-    assert gaussian_profile_factor(1e-4, trav) == pytest.approx(1.0)
-    # x = w at t/tau = 1/2 + 1/alpha
-    t_at_w = 2e-4 * (0.5 + 1.0 / 4.0)
-    assert gaussian_profile_factor(t_at_w, trav) == pytest.approx(math.exp(-1.0))
-    far = TraversalSpec(waist_w=0.6, alpha=40.0, tau=2e-4)
-    assert gaussian_profile_factor(0.0, far) < 1e-170
-
 
 def test_traversal_spec_validation():
     with pytest.raises(ValueError):

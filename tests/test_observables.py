@@ -27,7 +27,6 @@ from cavityconv.observables import (
     photon_number_distribution,
     quadrature_operator,
     squeezed_variance,
-    squeezing_fraction,
     tmsv_analytic,
     tmsv_quality,
     tmsv_tail_mass,
@@ -145,16 +144,9 @@ def test_tmsv_large_squeezing_stays_finite():
 
 
 def test_tmsv_tail_mass_closed_form():
-    spec = TmsvSpec(squeeze_param=0.68, n_max=20)
-    assert tmsv_tail_mass(spec) == pytest.approx(math.tanh(0.68) ** 42)
-    assert tmsv_tail_mass(spec) < 1e-8
-
-
-def test_tmsv_truncation_exceeding_space_rejected():
-    with pytest.raises(ValueError):
-        tmsv_analytic(TmsvSpec(squeeze_param=0.5, n_max=10), field_space(5, 5))
-    with pytest.raises(ValueError):
-        tmsv_tail_mass(TmsvSpec(squeeze_param=0.5))
+    spec = TmsvSpec(squeeze_param=0.68)
+    assert tmsv_tail_mass(spec, 20) == pytest.approx(math.tanh(0.68) ** 42)
+    assert tmsv_tail_mass(spec, 20) < 1e-8
 
 
 def test_tmsv_evolution_oracle():
@@ -194,7 +186,7 @@ def test_variance_identity_on_evolved_state():
 
 def test_squeezed_variance_values():
     assert squeezed_variance(1.36) == pytest.approx(1.64e-2, abs=2e-4)
-    assert squeezing_fraction(1.36) >= 0.93
+    assert tmsv_quality(1.36) >= 0.93  # the noise reduction below vacuum, 1 - e^{-2r}
     assert squeezed_variance(0.0) == pytest.approx(0.25)
     assert squeezed_variance(0.51) == pytest.approx(9.0e-2, abs=2e-3)
 
@@ -256,13 +248,9 @@ def test_beam_splitter_conserves_total_photon_number():
     space = field_space(6, 6)
     gen = reduced_bilinear_generator(space, params)
     n_total = number_operator(space, "a") + number_operator(space, "b")
-    traj = evolve_td(
-        TimeDependentOperator(gen),
-        fock_state(space, 2, 1),
-        np.linspace(0.0, 5e-4, 11),
-        observables={"n": n_total},
-    )
-    values = traj.expectations["n"].real
+    traj = evolve_td(TimeDependentOperator(gen), fock_state(space, 2, 1),
+                     np.linspace(0.0, 5e-4, 11))
+    values = np.array([expectation(n_total, s).real for s in traj.states])
     assert np.max(np.abs(values - values[0])) < 1e-9 * abs(values[0])
 
 
@@ -271,10 +259,5 @@ def test_pair_generator_conserves_photon_number_difference():
     space = field_space(30, 30)
     gen = reduced_bilinear_generator(space, params)
     diff = number_operator(space, "a") - number_operator(space, "b")
-    traj = evolve_td(
-        TimeDependentOperator(gen),
-        vacuum_state(space),
-        np.linspace(0.0, 2e-4, 9),
-        observables={"d": diff},
-    )
-    assert np.max(np.abs(traj.expectations["d"].real)) < 1e-9
+    traj = evolve_td(TimeDependentOperator(gen), vacuum_state(space), np.linspace(0.0, 2e-4, 9))
+    assert max(abs(expectation(diff, s).real) for s in traj.states) < 1e-9

@@ -1,24 +1,27 @@
-"""The benchmark's outside-in tracer must still find every function it wraps.
+"""The benchmark must still find every library name it uses.
 
-``perfbench/tracing.py`` raises when one of its targets is missing, so a
-refactor that renames or removes a traced function (``tomography.displace``,
-``propagate.expm_multiply``, ...) fails here instead of only in a traced
-benchmark run.
+``perfbench/tracing.py`` raises when one of its targets is missing, and
+``perfbench/workloads.py`` calls builders and reads trajectory fields by
+name, so a refactor that renames or removes one (``tomography.displace``,
+``propagate.expm_multiply``, ``Trajectory.failure``, ...) fails here instead
+of only in a benchmark run.  Both files are loaded read-only.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import cavityconv
 import cavityconv.cli  # a traced target the package does not import itself
 from cavityconv.hilbert import field_space, vacuum_state
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
@@ -26,7 +29,7 @@ def load_tracing(monkeypatch):
 
 
 def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     tracer = tracing.Tracer(cavityconv)
     originals = {(path, attr): getattr(tracer._owner(path), attr)
                  for path, attr, _, _ in tracing.TARGETS}
@@ -41,3 +44,12 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
     for (path, attr), original in originals.items():
         assert getattr(tracer._owner(path), attr) is original, f"{path}.{attr}"
     assert tracing.layer_metrics(tracer.spans)["tomography.points"] == 2
+
+
+@pytest.mark.parametrize("workload", ["time_dependent", "phase_space"])
+def test_workload_pass_runs_and_checks(monkeypatch, tmp_path, workload):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    ops = workloads.build(workload, 1, tmp_path)
+    assert ops
+    for op in ops:
+        assert op.check(op.run()) is None, op.label

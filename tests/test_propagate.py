@@ -264,7 +264,7 @@ def test_constant_td_reproduces_static():
     t_end = 3e-4
     traj = evolve_td(h_td, psi0, np.linspace(0.0, t_end, 7))
     direct = evolve_static(gen, psi0, t_end)
-    dist = np.linalg.norm(traj.final_state().amplitudes - direct.amplitudes)
+    dist = np.linalg.norm(traj.states[-1].amplitudes - direct.amplitudes)
     assert dist < 1e-8
     assert traj.ok
 
@@ -314,10 +314,8 @@ def test_energy_conserved_for_static_hamiltonian():
     gen = reduced_bilinear_generator(space, pdc())
     h_td = TimeDependentOperator(gen)
     psi0 = fock_state(space, 2, 1)
-    traj = evolve_td(
-        h_td, psi0, np.linspace(0.0, 2e-4, 9), observables={"energy": gen}
-    )
-    energies = traj.expectations["energy"].real
+    traj = evolve_td(h_td, psi0, np.linspace(0.0, 2e-4, 9))
+    energies = np.array([expectation(gen, s).real for s in traj.states])
     scale = max(abs(energies[0]), 1.0)
     assert np.max(np.abs(energies - energies[0])) < 1e-8 * scale
 
@@ -371,7 +369,7 @@ def test_stiff_ladder_evolution_matches_static_frame_oracle():
     exact = np.exp(-1j * d_diag * t_end) * evolve_static(
         h_td.at(0.0) - d_op, psi0, t_end
     ).amplitudes
-    dist = np.linalg.norm(traj.final_state().amplitudes - exact)
+    dist = np.linalg.norm(traj.states[-1].amplitudes - exact)
     assert dist < 1e-6
     assert traj.ok
 
@@ -416,8 +414,8 @@ def test_effective_ge_sector_tracks_full_lambda_model():
     psi0 = basis_state(space, "g", 1, 1)
     eps_sq = (LAM / DELTA) ** 2
     for t, bound in ((8e-6, 5.0), (2e-5, 15.0)):
-        full = evolve_td(h_full, psi0, np.array([0.0, t])).final_state()
-        eff = evolve_td(h_eff, psi0, np.array([0.0, t])).final_state()
+        full = evolve_td(h_full, psi0, np.array([0.0, t])).states[-1]
+        eff = evolve_td(h_eff, psi0, np.array([0.0, t])).states[-1]
         assert fidelity(full, eff) > 1.0 - bound * eps_sq
 
 
@@ -437,7 +435,7 @@ def test_effective_ge_sector_tracks_full_ladder_model():
     full = StateVector(
         space, np.exp(-1j * d_diag * t) * evolve_static(h_phi, psi0, t).amplitudes
     )
-    eff = evolve_td(h_eff, psi0, np.array([0.0, t])).final_state()
+    eff = evolve_td(h_eff, psi0, np.array([0.0, t])).states[-1]
     assert fidelity(full, eff) > 1.0 - 6.0 * eps_sq
 
 
@@ -450,7 +448,7 @@ def test_single_interval_spans_many_drive_periods():
     t_end = 2e-4  # 40 periods of the 2e5 rad/s drive phase
     coarse = evolve_td(h, psi0, np.array([0.0, t_end]))
     exact = pdc_frame_oracle(h, psi0, [t_end], params.delta_small)[0]
-    assert np.linalg.norm(coarse.final_state().amplitudes - exact) < 1e-6
+    assert np.linalg.norm(coarse.states[-1].amplitudes - exact) < 1e-6
 
 
 def test_element_oscillating_at_two_frequencies_has_no_frame():
@@ -500,14 +498,10 @@ def test_records_every_grid_point_with_observables():
     gen = reduced_bilinear_generator(space, puc())
     h = TimeDependentOperator(gen)
     n_a = number_operator(space, "a")
-    traj = evolve_td(
-        h,
-        fock_state(space, 1, 0),
-        np.linspace(0.0, 4e-4, 6),
-        observables={"n_a": n_a},
-    )
+    traj = evolve_td(h, fock_state(space, 1, 0), np.linspace(0.0, 4e-4, 6))
     assert traj.times.size == 6
-    assert traj.expectations["n_a"].shape == (6,)
+    assert len(traj.states) == traj.norms.size == 6
     xi_abs = abs(effective_xi(puc()))
     expected = np.cos(xi_abs * traj.times) ** 2
-    assert np.allclose(traj.expectations["n_a"].real, expected, atol=1e-8)
+    n_a_values = [expectation(n_a, s).real for s in traj.states]
+    assert np.allclose(n_a_values, expected, atol=1e-8)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityconv import propagate
 from cavityconv.cli import main as cli_main
-from cavityconv.hamiltonians import PhysicalParams, ProcessKind
+from cavityconv.hamiltonians import PhysicalParams, ProcessKind, resonance_delta
 from cavityconv.scenarios import (
     _FIELDS,
+    GATE_TOLERANCE,
     SCENARIOS,
     ConfigError,
     ConvergenceGateError,
@@ -137,12 +139,28 @@ def test_config_echo_resolves_to_itself(name):
 
 
 def test_complex_and_resonance_parsing():
-    cfg = resolve_config({
-        "scenario": "pdc_epr",
-        "params": {"lambda_a": [0.0, -7e5], "delta_small": "resonance"},
-    })
-    assert cfg.params.lambda_a == -7e5j
-    assert cfg.params.delta_small == pytest.approx(9.8e4)
+    cfg = resolve_config({"scenario": "pdc_epr", "params": {"lambda_a": [0.0, -6e5]}})
+    assert cfg.params.lambda_a == -6e5j
+    # the drive detuning follows the couplings: (|lambda_a|^2 + |lambda_b|^2) / Delta
+    assert cfg.params.delta_small == pytest.approx(8.5e4)
+
+
+WITH_PARAMS = sorted(name for name in REGISTERED if "params" in SCENARIOS[name].defaults)
+
+
+@pytest.mark.parametrize("name", WITH_PARAMS)
+def test_drive_detuning_is_the_computed_resonance(name):
+    params = resolve_config({"scenario": name}).params
+    if params.process.value in ("PUC", "PDC", "DEGENERATE_PDC"):
+        assert params.delta_small == resonance_delta(params)
+    else:  # the two-photon processes run with the drive off
+        assert params.delta_small == 0.0
+
+
+@pytest.mark.parametrize("name", WITH_PARAMS)
+def test_drive_detuning_is_no_config_field(name):
+    with pytest.raises(ConfigError, match=r"^params\.delta_small: unknown in params"):
+        resolve_config({"scenario": name, "params": {"delta_small": 123}})
 
 
 def test_times_range_object():
@@ -504,9 +522,11 @@ VALIDATION_CASES = [
     bad_config("truncation-cap", "truncation", "puc_swap", truncation=[2000, 2000]),
     bad_config("puc_swap-one_mode", "truncation", "puc_swap", truncation=[4, 0]),
     bad_config("full_vs_effective-one_mode", "truncation", "full_vs_effective", truncation=[0, 4]),
+    bad_config("bell_prep-one_mode", "truncation", "bell_prep", truncation=[0, 3]),
+    bad_config("wigner_scan-one_mode", "truncation, options.grid_extent", "wigner_scan",
+               truncation=[0, 3]),
     bad_config("off_resonance", "params.delta_small", "puc_swap", params={"delta_small": 5}),
-    bad_config("delta_big", "params.delta_big", "puc_swap",
-               params={"delta_big": 0, "delta_small": 0}),
+    bad_config("delta_big", "params.delta_big", "puc_swap", params={"delta_big": 0}),
     bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
     bad_config("delta_big-overflow", "params.delta_big", "pdc_epr", params={"delta_big": 1e308}),
     bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
@@ -577,6 +597,25 @@ def test_long_duration_fails_the_gate_quickly(tmp_path, capsys, scenario):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "convergence gate failed" in err and "Traceback" not in err
+
+
+def test_sector_above_the_dense_limit_takes_the_exponential_action(monkeypatch):
+    # [602, 0] reaches the 302 even Fock levels of mode a (304 with the gate's
+    # [606, 4]), just above DENSE_SECTOR_LIMIT: the expm_multiply branch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return expm_multiply(*args, **kwargs)
+
+    expm_multiply = propagate.expm_multiply
+    monkeypatch.setattr(propagate, "expm_multiply", counted)
+    doc = run_scenario({"scenario": "degenerate_squeeze", "truncation": [602, 0]})
+    assert calls and min(calls) > propagate.DENSE_SECTOR_LIMIT
+    assert doc["convergence_gate"]["checked"]
+    default = run_scenario({"scenario": "degenerate_squeeze"}, check_convergence=False)
+    assert abs(doc["metrics"]["variance_numeric"]
+               - default["metrics"]["variance_numeric"]) < GATE_TOLERANCE
 
 
 def test_cli_list_scenarios(capsys):

@@ -200,10 +200,11 @@ def test_wigner_vacuum_at_origin():
 
 
 def test_wigner_single_mode_fock_negativity():
+    # |1> in mode a, b in vacuum: the two-mode value at the origin is -4/pi^2
+    # (pi/2 of it is the single-mode value -2/pi)
     space = field_space(8, 0)
-    grid = PhaseSpaceGrid.single_mode_scan([0.0])
-    w = wigner_direct(fock_state(space, 1, 0), grid)
-    assert w[0] == pytest.approx(-2.0 / math.pi, abs=1e-12)
+    w = wigner_direct(fock_state(space, 1, 0), PhaseSpaceGrid(((0.0, 0.0),)))
+    assert w[0] == pytest.approx(-TWO_MODE_NORM, abs=1e-12)
 
 
 def test_wigner_tmsv_origin_matches_gaussian_oracle():
@@ -247,7 +248,7 @@ def per_point_wigner(state, grid):
     # reference: one displace call and one parity expectation per point
     parity = parity_operator(state.space)
     return np.array([
-        grid.normalization * expectation(parity, displace(state, eta_a, eta_b)).real
+        TWO_MODE_NORM * expectation(parity, displace(state, eta_a, eta_b)).real
         for eta_a, eta_b in grid.points
     ])
 
@@ -312,7 +313,7 @@ def test_squeezed_axis_variance_from_wigner_fit():
     axis_is_p = var_p < var_x
     ys = np.linspace(0.0, 0.25, 6)
     etas = [1j * y if axis_is_p else y + 0j for y in ys]
-    w = wigner_direct(state, PhaseSpaceGrid.single_mode_scan(etas))
+    w = wigner_direct(state, PhaseSpaceGrid(tuple((eta, 0.0) for eta in etas)))
     # ln W = ln W(0) - y^2 / (2 sigma^2)
     slope = np.polyfit(ys**2, np.log(w), 1)[0]
     sigma_sq = -1.0 / (2.0 * slope)
