@@ -2,10 +2,10 @@
 
 Basis ordering is fixed: the atomic index is slowest, mode b fastest, so the
 flat index of |level, n_a, n_b> is  (level * dim_a + n_a) * dim_b + n_b.
-Atomic levels are ordered (g, e, i) for three-level atoms and (g, e, i, f)
-when the non-coupling auxiliary level f is present.  All operators are sparse
-complex matrices tagged with their space; operators on different spaces never
-combine.
+Atomic levels are ordered (g, e, i); the tomography probe's auxiliary level
+f is tracked by ``tomography.probe_protocol`` without a space of its own.  All
+operators are sparse complex matrices tagged with their space; operators on
+different spaces never combine.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ PRUNE_TOL = 1e-15
 # An operator is Hermitian when ||M - M^dag||_F <= HERMITIAN_RTOL * max(||M||_F, 1).
 HERMITIAN_RTOL = 1e-12
 
-_LEVELS_3 = ("g", "e", "i")
-_LEVELS_4 = ("g", "e", "i", "f")
+_LEVELS = ("g", "e", "i")
 
 
 class SpaceMismatchError(ValueError):
@@ -64,12 +63,10 @@ class HilbertSpace:
 
     @property
     def level_labels(self) -> tuple[str, ...]:
-        if self.atom_levels == 1:
-            return ("",)
-        return _LEVELS_3 if self.atom_levels == 3 else _LEVELS_4
+        return ("",) if self.atom_levels == 1 else _LEVELS
 
     def level_index(self, level: int | str) -> int:
-        """Resolve a level label ('g', 'e', 'i', 'f') or index to an index."""
+        """Resolve a level label ('g', 'e', 'i') or index to an index."""
         if isinstance(level, str):
             try:
                 return self.level_labels.index(level)
@@ -106,33 +103,29 @@ class HilbertSpace:
         return HilbertSpace(1, self.n_max_a, self.n_max_b)
 
 
-def make_space(atom_levels: int, n_max_a: int, n_max_b: int) -> HilbertSpace:
-    """Build the composite atom (x) mode-a (x) mode-b space.
-
-    atom_levels must be 3 (g, e, i) or 4 (adds the non-coupling level f).
-    """
-    if atom_levels not in (3, 4):
-        raise ValueError(f"atom_levels must be 3 or 4, got {atom_levels}")
-    if n_max_a < 0 or n_max_b < 0:
+def _checked(space: HilbertSpace) -> HilbertSpace:
+    if space.n_max_a < 0 or space.n_max_b < 0:
         raise ValueError("Fock truncations must be non-negative")
-    space = HilbertSpace(atom_levels, n_max_a, n_max_b)
     if space.total_dim > DIM_CAP:
         raise ValueError(
             f"total dimension {space.total_dim} exceeds cap {DIM_CAP}"
         )
     return space
+
+
+def make_space(atom_levels: int, n_max_a: int, n_max_b: int) -> HilbertSpace:
+    """Build the composite atom (x) mode-a (x) mode-b space.
+
+    atom_levels must be 3 (g, e, i).
+    """
+    if atom_levels != 3:
+        raise ValueError(f"atom_levels must be 3, got {atom_levels}")
+    return _checked(HilbertSpace(atom_levels, n_max_a, n_max_b))
 
 
 def field_space(n_max_a: int, n_max_b: int) -> HilbertSpace:
     """Two-mode space without an atomic factor."""
-    if n_max_a < 0 or n_max_b < 0:
-        raise ValueError("Fock truncations must be non-negative")
-    space = HilbertSpace(1, n_max_a, n_max_b)
-    if space.total_dim > DIM_CAP:
-        raise ValueError(
-            f"total dimension {space.total_dim} exceeds cap {DIM_CAP}"
-        )
-    return space
+    return _checked(HilbertSpace(1, n_max_a, n_max_b))
 
 
 def _prune(matrix: sp.spmatrix) -> sp.csr_matrix:

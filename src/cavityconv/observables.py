@@ -97,8 +97,7 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
     coeffs = (unit * math.tanh(r)) ** n
     amps = np.zeros(space.total_dim, dtype=np.complex128)
-    for k in n:
-        amps[space.flatten(0, k, k)] = coeffs[k]
+    amps[n * (space.dim_b + 1)] = coeffs  # |k, k> sits at flat index k (dim_b + 1)
     amps /= np.linalg.norm(amps)
     return StateVector(space, amps, copy=False)
 

@@ -457,12 +457,13 @@ def _scenario_pdc_epr(cfg: ResolvedConfig):
 
 
 def _scenario_epr_quality(cfg: ResolvedConfig):
-    xi_abs = abs(effective_xi(cfg.params))
+    xi = effective_xi(cfg.params)
+    xi_abs = abs(xi)
     space = field_space(*cfg.truncation)
     rows = []
     for tau in cfg.times:
         r = xi_abs * tau
-        spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(effective_xi(cfg.params)))
+        spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(xi))
         if math.tanh(r) == 1.0:
             raise ConfigError(
                 f"times, params: the squeeze parameter r = |xi| t = {r:.6g} at t = {tau!r} "
@@ -667,6 +668,10 @@ def _scenario_bell_prep(cfg: ResolvedConfig):
 
 
 def _scenario_wigner_scan(cfg: ResolvedConfig):
+    try:
+        pulse_time = tomo.parity_pulse_time(abs(cfg.params.lambda_a), cfg.params.delta_big)
+    except ValueError as exc:
+        raise ConfigError(f"params.lambda_a: {exc}") from None
     choice, space = cfg.options["state"], field_space(*cfg.truncation)
     if choice == "tmsv":
         state = _evolved_vacuum(cfg)
@@ -686,9 +691,7 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
         "w_origin": float(origin),
         "max_protocol_deviation": float(np.max(np.abs(w_proto - w_direct))),
         "grid_points": n_points * n_points,
-        "parity_pulse_time": tomo.parity_pulse_time(
-            abs(cfg.params.lambda_a), cfg.params.delta_big
-        ),
+        "parity_pulse_time": pulse_time,
     }
     rows = [
         [pt[0].real, pt[0].imag, pt[1].real, pt[1].imag, w_proto[k], signal[k]]
@@ -837,7 +840,12 @@ def list_scenarios() -> list[tuple[str, str]]:
 def run_scenario(config: dict, check_convergence: bool = True) -> dict:
     """Run one registered scenario and return its result document."""
     cfg = resolve_config(config)
-    metrics, tables, notes = SCENARIOS[cfg.scenario].run(cfg)
+    entry = SCENARIOS[cfg.scenario]
+    gated = check_convergence and entry.gate_metric is not None
+    if gated:  # the rerun's truncation must fit the cap before any work starts
+        raised = _retruncated(cfg, [n + GATE_STEP for n in cfg.truncation],
+                              "truncation (raised by the convergence gate)")
+    metrics, tables, notes = entry.run(cfg)
     shown = metrics
     if cfg.outputs:
         unknown = set(cfg.outputs) - set(metrics)
@@ -856,16 +864,11 @@ def run_scenario(config: dict, check_convergence: bool = True) -> dict:
     if notes:
         doc["notes"] = notes
 
-    gate_metric = SCENARIOS[cfg.scenario].gate_metric
+    gate_metric = entry.gate_metric
     gate: dict = {"checked": False}
-    if check_convergence and gate_metric is not None:
-        raised = replace(
-            cfg,
-            truncation=(cfg.truncation[0] + GATE_STEP, cfg.truncation[1] + GATE_STEP),
-            outputs=(),
-        )
+    if gated:
         value = metrics[gate_metric]
-        value_plus = _full_metrics(raised)[gate_metric]
+        value_plus = entry.run(raised)[0][gate_metric]
         gate = {
             "checked": True,
             "metric": gate_metric,
@@ -893,9 +896,9 @@ def run_scenario(config: dict, check_convergence: bool = True) -> dict:
     return doc
 
 
-def _full_metrics(cfg: ResolvedConfig) -> dict:
-    metrics, _, _ = SCENARIOS[cfg.scenario].run(replace(cfg, outputs=()))
-    return metrics
+def _retruncated(cfg: ResolvedConfig, truncation: list[int], path: str) -> ResolvedConfig:
+    """cfg at another truncation, validated as the config field at path."""
+    return replace(cfg, truncation=_parse(path, _truncation, truncation))
 
 
 def convergence_sweep(config: dict, n_max_list) -> dict:
@@ -907,17 +910,12 @@ def convergence_sweep(config: dict, n_max_list) -> dict:
     """
     n_max_list = _parse("n_max_list", _n_max_list, list(n_max_list))
     cfg = resolve_config(config)
-    metric = SCENARIOS[cfg.scenario].gate_metric
-    if metric is None:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} has no truncation-dependent headline metric"
-        )
-    keep_b = cfg.truncation[1] == 0
+    entry = SCENARIOS[_parse("scenario", _sweep_target, cfg.scenario)]
+    metric, keep_b = entry.gate_metric, cfg.truncation[1] == 0
     rows = []
     for n in n_max_list:
-        trunc = _parse("n_max_list", _truncation, [n, 0 if keep_b else n])
-        value = _full_metrics(replace(cfg, truncation=trunc))[metric]
-        rows.append([n, value])
+        retruncated = _retruncated(cfg, [n, 0 if keep_b else n], "n_max_list")
+        rows.append([n, entry.run(retruncated)[0][metric]])
     last_increment = abs(rows[-1][1] - rows[-2][1])
     return {
         "scenario": cfg.scenario,

@@ -175,9 +175,10 @@ def probe_protocol(state: StateVector, phi: float) -> ProbeOutcome:
 
 def parity_pulse_time(coupling_abs: float, delta_big: float) -> float:
     """Dispersive interaction time realizing phi = pi: t = pi Delta / |lambda|^2."""
-    if coupling_abs <= 0.0:
-        raise ValueError("coupling_abs must be positive")
-    return math.pi * abs(delta_big) / coupling_abs**2
+    t = math.pi * abs(delta_big) / coupling_abs**2 if coupling_abs**2 > 0.0 else math.inf
+    if coupling_abs <= 0.0 or math.isinf(t):
+        raise ValueError(f"coupling_abs = {coupling_abs!r} gives no finite parity pulse time")
+    return t
 
 
 def wigner_direct(state: StateVector, grid: PhaseSpaceGrid) -> np.ndarray:

@@ -1,7 +1,11 @@
 import copy
+import io
 import json
 import math
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +216,18 @@ def test_gate_refuses_a_truncation_that_drops_the_pair_state(tmp_path, capsys):
     assert "tail_bound" in err and str(TAIL_LIMIT) in err
     assert cli_main(["run", cfg, "--no-converge-check"]) == 0
     assert json.loads(capsys.readouterr().out)["metrics"]["tail_bound"] > 0.99
+
+
+@pytest.mark.parametrize("scenario", ["epr_quality", "pdc_epr"])
+def test_gate_refuses_a_raised_truncation_beyond_the_cap(tmp_path, capsys, scenario):
+    # [500000, 0] fits the three-level cap; the gate's [500004, 4] does not
+    cfg = write_config(tmp_path, {"scenario": scenario, "truncation": [500000, 0]})
+    for flags, code, message in (([], 2, "error: truncation"), (["--no-converge-check"], 0, "")):
+        start = time.perf_counter()
+        assert cli_main(["run", cfg, *flags]) == code
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
 
 
 def test_convergence_sweep_rows_and_flag():
@@ -526,6 +542,10 @@ VALIDATION_CASES = [
     bad_config("wigner_scan-one_mode", "truncation, options.grid_extent", "wigner_scan",
                truncation=[0, 3]),
     bad_config("off_resonance", "params.delta_small", "puc_swap", params={"delta_small": 5}),
+    bad_config("wigner_scan-lambda_a", "params.lambda_a", "wigner_scan", params={"lambda_a": 0}),
+    bad_config("wigner_scan-subnormal", "params.lambda_a", "wigner_scan",
+               params={"lambda_a": 1e-320}),
+    bad_config("wigner_scan-weak", "params.lambda_a", "wigner_scan", params={"lambda_a": 1e-160}),
     bad_config("delta_big", "params.delta_big", "puc_swap", params={"delta_big": 0}),
     bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
     bad_config("delta_big-overflow", "params.delta_big", "pdc_epr", params={"delta_big": 1e308}),
@@ -597,6 +617,43 @@ def test_long_duration_fails_the_gate_quickly(tmp_path, capsys, scenario):
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "convergence gate failed" in err and "Traceback" not in err
+
+
+def fuzz_values(default):
+    """Zero, a negative, ten times a numeric default, null, a string, a one-element list."""
+    values = [0, -1, None, "x", [1]]
+    if isinstance(default, (int, float)) and not isinstance(default, bool):
+        values.append(10 * default)
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_run_of_a_mutated_default_config_ends_in_0_2_or_3(data):
+    name = data.draw(st.sampled_from(sorted(SCENARIOS)))
+    config = {"scenario": name, **copy.deepcopy(SCENARIOS[name].defaults)}
+    leaves = sorted(schema_leaves(SCENARIOS[name].defaults))
+    for path in data.draw(st.permutations(leaves))[:data.draw(st.integers(1, 2))]:
+        *sections, key = path.split(".")
+        section = config
+        for part in sections:
+            section = section[part]
+        section[key] = data.draw(st.sampled_from(fuzz_values(section[key])))
+    flags = data.draw(st.sampled_from([[], ["--no-converge-check"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(["run", str(cfg), *flags])
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (config, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 5.0, config
+    if code == 0 and not flags:
+        tail = json.loads(out.getvalue())["metrics"].get("tail_bound")
+        assert tail is None or tail <= TAIL_LIMIT, config
 
 
 def test_sector_above_the_dense_limit_takes_the_exponential_action(monkeypatch):
