@@ -1,11 +1,18 @@
 """Truncated composite Hilbert space: atom (x) mode-a (x) mode-b.
 
 Basis ordering is fixed: the atomic index is slowest, mode b fastest, so the
-flat index of |level, n_a, n_b> is  (level * dim_a + n_a) * dim_b + n_b.
-Atomic levels are ordered (g, e, i); the tomography probe's auxiliary level
-f is tracked by ``tomography.probe_protocol`` without a space of its own.  All
-operators are sparse complex matrices tagged with their space; operators on
-different spaces never combine.
+flat index of |level, n_a, n_b> is  (level * dim_a + n_a) * dim_b + n_b, and
+``HilbertSpace.shape`` = (atom_levels, dim_a, dim_b) is the shape the flat
+amplitudes reshape to.  Atomic levels are ordered (g, e, i); the tomography
+probe's auxiliary level f is tracked by ``tomography.probe_protocol`` without
+a space of its own.
+
+Each elementary operator is one band of the flat basis, built straight from
+its index arrays: a photon of mode b is a step of 1, a photon of mode a a
+step of dim_b, and |k><l| moves a whole field block.  All operators are
+sparse complex matrices tagged with their space; operators on different
+spaces never combine.  Only exact zeros are dropped from a matrix, so a
+coupling keeps its entries at any scale.
 """
 
 from __future__ import annotations
@@ -18,9 +25,6 @@ from scipy.sparse.linalg import norm as _sparse_norm
 
 # Truncations whose total dimension exceeds this cap are rejected outright.
 DIM_CAP = 2_000_000
-
-# Matrix entries below this magnitude are dropped as structural noise.
-PRUNE_TOL = 1e-15
 
 # An operator is Hermitian when ||M - M^dag||_F <= HERMITIAN_RTOL * max(||M||_F, 1).
 HERMITIAN_RTOL = 1e-12
@@ -62,6 +66,11 @@ class HilbertSpace:
         return self.atom_levels * self.dim_a * self.dim_b
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """(atom_levels, dim_a, dim_b): the axes of the flat basis, mode b fastest."""
+        return (self.atom_levels, self.dim_a, self.dim_b)
+
+    @property
     def level_labels(self) -> tuple[str, ...]:
         return ("",) if self.atom_levels == 1 else _LEVELS
 
@@ -94,8 +103,7 @@ class HilbertSpace:
 
     def fock_numbers(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-basis-index photon numbers (n_a[k], n_b[k]) as int arrays."""
-        n_a = np.tile(np.repeat(np.arange(self.dim_a), self.dim_b), self.atom_levels)
-        n_b = np.tile(np.arange(self.dim_b), self.atom_levels * self.dim_a)
+        _, n_a, n_b = np.indices(self.shape).reshape(3, -1)
         return n_a, n_b
 
     def field_subspace(self) -> "HilbertSpace":
@@ -128,16 +136,6 @@ def field_space(n_max_a: int, n_max_b: int) -> HilbertSpace:
     return _checked(HilbertSpace(1, n_max_a, n_max_b))
 
 
-def _prune(matrix: sp.spmatrix) -> sp.csr_matrix:
-    m = sp.csr_matrix(matrix)
-    if m.nnz:
-        mask = np.abs(m.data) < PRUNE_TOL
-        if mask.any():
-            m.data[mask] = 0.0
-            m.eliminate_zeros()
-    return m
-
-
 class Operator:
     """Sparse complex matrix tagged with its HilbertSpace.
 
@@ -148,13 +146,14 @@ class Operator:
     __slots__ = ("space", "matrix", "_hermitian")
 
     def __init__(self, space: HilbertSpace, matrix):
-        matrix = _prune(matrix)
+        matrix = sp.csr_matrix(matrix, dtype=np.complex128)
+        if not matrix.data.all():  # drop exact zeros, and only those, from a copy
+            matrix = matrix.copy()
+            matrix.eliminate_zeros()
         if matrix.shape != (space.total_dim, space.total_dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match dim {space.total_dim}"
             )
-        if matrix.dtype != np.complex128:
-            matrix = matrix.astype(np.complex128)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_hermitian", None)
@@ -251,28 +250,24 @@ class StateVector:
 
 # --- elementary operators ---------------------------------------------------
 
-def _mode_matrices(space: HilbertSpace, mode: str):
+def _mode_numbers(space: HilbertSpace, mode: str) -> tuple[np.ndarray, int]:
+    """Photon number of the mode at every flat index, and the flat step of
+    one of its photons."""
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    dim = space.dim_a if mode == "a" else space.dim_b
-    lower = sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
-    return lower
+    n_a, n_b = space.fock_numbers()
+    return (n_a, space.dim_b) if mode == "a" else (n_b, 1)
 
 
 def annihilation(space: HilbertSpace, mode: str) -> Operator:
     """Bosonic annihilation operator on the designated mode.
 
-    <n-1| a |n> = sqrt(n); the top truncated level only annihilates downward.
+    <n-1| a |n> = sqrt(n): the band at the mode's photon step, whose factor
+    sqrt(n) is 0 exactly where a step would leave the mode's block.
     """
-    lower = _mode_matrices(space, mode)
-    eye_atom = sp.identity(space.atom_levels, format="csr")
-    eye_a = sp.identity(space.dim_a, format="csr")
-    eye_b = sp.identity(space.dim_b, format="csr")
-    if mode == "a":
-        full = sp.kron(sp.kron(eye_atom, lower), eye_b)
-    else:
-        full = sp.kron(sp.kron(eye_atom, eye_a), lower)
-    return Operator(space, full)
+    n, step = _mode_numbers(space, mode)
+    dim = space.total_dim
+    return Operator(space, sp.diags(np.sqrt(n[step:]), step, shape=(dim, dim)))
 
 
 def creation(space: HilbertSpace, mode: str) -> Operator:
@@ -280,8 +275,9 @@ def creation(space: HilbertSpace, mode: str) -> Operator:
 
 
 def number_operator(space: HilbertSpace, mode: str) -> Operator:
-    a = annihilation(space, mode)
-    return a.dag() @ a
+    """diag(n) of the designated mode."""
+    n, _ = _mode_numbers(space, mode)
+    return Operator(space, sp.diags(n.astype(float)))
 
 
 def identity_operator(space: HilbertSpace) -> Operator:
@@ -289,17 +285,15 @@ def identity_operator(space: HilbertSpace) -> Operator:
 
 
 def atomic_sigma(space: HilbertSpace, k: int | str, l: int | str) -> Operator:
-    """Atomic transition operator |k><l|, identity on both modes."""
+    """Atomic transition operator |k><l|, identity on both modes: the field
+    block of level l moved, entry for entry, to the block of level k."""
     if space.atom_levels == 1:
         raise ValueError("space has no atomic factor")
-    ki = space.level_index(k)
-    li = space.level_index(l)
-    atom = sp.csr_matrix(
-        (np.array([1.0]), (np.array([ki]), np.array([li]))),
-        shape=(space.atom_levels, space.atom_levels),
-    )
-    eye_field = sp.identity(space.field_dim, format="csr")
-    return Operator(space, sp.kron(atom, eye_field))
+    block = np.arange(space.field_dim)
+    rows = space.level_index(k) * space.field_dim + block
+    cols = space.level_index(l) * space.field_dim + block
+    dim = space.total_dim
+    return Operator(space, sp.csr_matrix((np.ones(block.size), (rows, cols)), shape=(dim, dim)))
 
 
 # --- states -----------------------------------------------------------------

@@ -97,7 +97,7 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
     coeffs = (unit * math.tanh(r)) ** n
     amps = np.zeros(space.total_dim, dtype=np.complex128)
-    amps[n * (space.dim_b + 1)] = coeffs  # |k, k> sits at flat index k (dim_b + 1)
+    amps.reshape(space.shape)[0, n, n] = coeffs
     amps /= np.linalg.norm(amps)
     return StateVector(space, amps, copy=False)
 
@@ -114,13 +114,10 @@ def fidelity(s1: StateVector, s2: StateVector) -> float:
 
 def photon_number_distribution(state: StateVector, mode: str) -> np.ndarray:
     """Marginal Fock distribution of one mode (sums to the squared norm)."""
-    space = state.space
     if mode not in ("a", "b"):
         raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    probs = np.abs(state.amplitudes) ** 2
-    shaped = probs.reshape(space.atom_levels, space.dim_a, space.dim_b)
-    axis = (0, 2) if mode == "a" else (0, 1)
-    return shaped.sum(axis=axis)
+    probs = np.abs(state.amplitudes.reshape(state.space.shape)) ** 2
+    return probs.sum(axis=(0, 2) if mode == "a" else (0, 1))
 
 
 _BELL_COMPONENTS = {

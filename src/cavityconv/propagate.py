@@ -129,8 +129,7 @@ def _rotating_frame(H: TimeDependentOperator) -> np.ndarray:
     FRAME_RTOL * max(max|nu|, 1) means no static frame exists.
     """
     space = H.space
-    n_a, n_b = space.fock_numbers()
-    level = np.repeat(np.arange(space.atom_levels), space.field_dim)
+    level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
     coords = np.column_stack([np.eye(space.atom_levels)[level], n_a, n_b])
     equations = []
     for op, nu in [(H.static_part, 0.0), *H.oscillating_parts]:

@@ -406,8 +406,7 @@ def _scenario_puc_swap(cfg: ResolvedConfig):
     times = (t_swap, *(cfg.times or ()))
     keep, states = _evolve_sectors(reduced_bilinear_generator(space, cfg.params),
                                    fock_state(space, 1, 0).amplitudes, times)
-    # xi != 0 couples |1,0> to |0,1>, so both lie in the reached sector
-    p_10, p_01 = (np.abs(states[:, np.searchsorted(keep, space.flatten(0, *n))]) ** 2
+    p_10, p_01 = (np.sum(np.abs(states[:, keep == space.flatten(0, *n)]) ** 2, axis=1)
                   for n in ((1, 0), (0, 1)))
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[keep] = states[0]
@@ -548,12 +547,13 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     chi = (abs(params.lambda_a) ** 2 / params.delta_big * n_a
            + abs(params.lambda_b) ** 2 / params.delta_big * n_b)
     reduced *= np.exp(-1j * np.outer(times, chi[keep_red]))  # frame of the i-level Stark shifts
-    lo = atom_space.level_index("i") * atom_space.field_dim
-    in_i = (keep >= lo) & (keep < lo + atom_space.field_dim)
-    conditioned = full[:, in_i]  # the i-level amplitudes at field indices keep[in_i] - lo
+    level, n_a_kept, n_b_kept = np.unravel_index(keep, atom_space.shape)
+    in_i = level == atom_space.level_index("i")
+    conditioned = full[:, in_i]  # the i-level amplitudes
     population = np.sum(np.abs(conditioned) ** 2, axis=1)
     leak = 1.0 - population
-    _, pos_i, pos_red = np.intersect1d(keep[in_i] - lo, keep_red, return_indices=True)
+    field_kept = np.ravel_multi_index((0, n_a_kept[in_i], n_b_kept[in_i]), fld_space.shape)
+    _, pos_i, pos_red = np.intersect1d(field_kept, keep_red, return_indices=True)
     overlap = np.sum(conditioned[:n_rows, pos_i].conj() * reduced[:, pos_red], axis=1)
     fid = np.abs(overlap) ** 2 / np.where(population[:n_rows] > 0.0, population[:n_rows], 1.0)
     rows = [[t, xi_abs * t, f, l]
@@ -708,12 +708,11 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
 
 def _scenario_convergence(cfg: ResolvedConfig):
     target = cfg.options["target"]
-    config = {"scenario": target, **cfg.options["target_config"]}
     try:  # name the field as this config spells it, before any sweep entry runs
-        resolve_config(config)
+        target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]})
     except ConfigError as exc:
         raise ConfigError(f"options.target_config.{exc}") from None
-    sweep = convergence_sweep(config, cfg.options["n_max_list"])
+    sweep = _sweep(target_cfg, cfg.options["n_max_list"], "options.n_max_list")
     metrics = {
         "final_value": sweep["rows"][-1][1],
         "last_increment": sweep["last_increment"],
@@ -910,12 +909,17 @@ def convergence_sweep(config: dict, n_max_list) -> dict:
     """
     n_max_list = _parse("n_max_list", _n_max_list, list(n_max_list))
     cfg = resolve_config(config)
-    entry = SCENARIOS[_parse("scenario", _sweep_target, cfg.scenario)]
+    _parse("scenario", _sweep_target, cfg.scenario)
+    return _sweep(cfg, n_max_list, "n_max_list")
+
+
+def _sweep(cfg: ResolvedConfig, n_max_list: list[int], path: str) -> dict:
+    """convergence_sweep on a resolved config of a scenario with a gate metric
+    and a parsed n_max_list, whose truncations are checked as the field at path."""
+    entry = SCENARIOS[cfg.scenario]
     metric, keep_b = entry.gate_metric, cfg.truncation[1] == 0
-    rows = []
-    for n in n_max_list:
-        retruncated = _retruncated(cfg, [n, 0 if keep_b else n], "n_max_list")
-        rows.append([n, entry.run(retruncated)[0][metric]])
+    retruncated = [_retruncated(cfg, [n, 0 if keep_b else n], path) for n in n_max_list]
+    rows = [[n, entry.run(c)[0][metric]] for n, c in zip(n_max_list, retruncated)]
     last_increment = abs(rows[-1][1] - rows[-2][1])
     return {
         "scenario": cfg.scenario,

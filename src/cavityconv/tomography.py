@@ -89,7 +89,7 @@ def _displaced(
     truncated generator, and 2n exponentials for an n x n Cartesian grid.
     """
     space = state.space
-    shaped = state.amplitudes.reshape(space.atom_levels, space.dim_a, space.dim_b)
+    shaped = state.amplitudes.reshape(space.shape)
 
     @functools.cache  # lives for this call only
     def matrix(mode: str, eta: complex) -> np.ndarray:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cavityconv.hilbert import (
     DIM_CAP,
     HilbertSpace,
+    Operator,
     SpaceMismatchError,
     annihilation,
     atomic_sigma,
@@ -61,10 +63,66 @@ def test_index_maps_bijective():
 
 def test_fock_numbers_match_unflatten():
     space = make_space(3, 2, 4)
+    assert space.shape == (3, 3, 5)
     n_a, n_b = space.fock_numbers()
     for k in range(space.total_dim):
-        _, na, nb = space.unflatten(k)
+        level, na, nb = space.unflatten(k)
         assert n_a[k] == na and n_b[k] == nb
+        assert np.unravel_index(k, space.shape) == (level, na, nb)
+
+
+ORACLE_SPACES = [field_space(0, 0), field_space(0, 3), field_space(3, 0), field_space(4, 2),
+                 make_space(3, 0, 0), make_space(3, 0, 3), make_space(3, 3, 0), make_space(3, 2, 4)]
+
+
+def kron_annihilation(space, mode):
+    """Reference a: identities on every other factor, joined by Kronecker products."""
+    dims = (space.atom_levels, space.dim_a, space.dim_b)
+    eye = [sp.identity(d) for d in dims]
+    axis = 1 if mode == "a" else 2
+    eye[axis] = sp.diags(np.sqrt(np.arange(1.0, dims[axis])), 1, shape=(dims[axis],) * 2)
+    return sp.kron(sp.kron(eye[0], eye[1]), eye[2]).tocsr()
+
+
+def assert_same_entries(op, reference):
+    reference = sp.csr_matrix(reference)
+    reference.eliminate_zeros()
+    assert op.matrix.nnz == reference.nnz
+    assert (op.matrix != reference).nnz == 0
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_elementary_operators_match_kronecker_products(space):
+    for mode in ("a", "b"):
+        lower = kron_annihilation(space, mode)
+        assert_same_entries(annihilation(space, mode), lower)
+        assert_same_entries(creation(space, mode), lower.T)
+    if space.atom_levels == 1:
+        return
+    for k in range(space.atom_levels):
+        for l in range(space.atom_levels):
+            atom = sp.csr_matrix(([1.0], ([k], [l])), shape=(space.atom_levels,) * 2)
+            assert_same_entries(atomic_sigma(space, k, l),
+                                sp.kron(atom, sp.identity(space.field_dim)))
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_number_operator_is_the_diagonal_of_n(space):
+    for mode, n in zip("ab", space.fock_numbers()):
+        assert_same_entries(number_operator(space, mode), sp.diags(n.astype(float)))
+
+
+def test_operator_keeps_every_nonzero_entry_at_any_scale():
+    space = make_space(3, 2, 2)
+    tiny = Operator(space, 1e-300 * sp.identity(space.total_dim))
+    assert tiny.matrix.nnz == space.total_dim
+    assert np.all(tiny.matrix.diagonal() == 1e-300)
+    # exact zeros, and only those, are dropped, from a copy of the input
+    zero = Operator(space, 0.0 * sp.identity(space.total_dim))
+    assert zero.matrix.nnz == 0
+    stored = sp.csr_matrix(([1.0, 0.0], ([0, 1], [0, 1])), shape=(space.total_dim,) * 2)
+    assert Operator(space, stored).matrix.nnz == 1
+    assert stored.nnz == 2 and np.array_equal(stored.data, [1.0, 0.0])
 
 
 def test_annihilation_ladder_elements():

@@ -108,6 +108,20 @@ def test_pair_generator_vacuum_probability():
     assert abs(p_vac - 1.0 / math.cosh(0.68) ** 2) < 1e-9
 
 
+@pytest.mark.parametrize("params", [puc(), pdc()], ids=["PUC", "PDC"])
+def test_static_evolution_does_not_depend_on_the_scale_of_the_generator(params):
+    # exp(-i (s G) (t / s)) = exp(-i G t): no entry of s G is dropped for being small
+    space = field_space(6, 6)
+    gen = reduced_bilinear_generator(space, params)
+    rng = np.random.default_rng(5)
+    psi = StateVector(space, rng.normal(size=space.total_dim)
+                      + 1j * rng.normal(size=space.total_dim)).normalized()
+    t = 0.7 / abs(effective_xi(params))
+    expected = evolve_static(gen, psi, t)
+    scaled = evolve_static(1e-20 * gen, psi, t / 1e-20)
+    assert np.max(np.abs(scaled.amplitudes - expected.amplitudes)) < 1e-10
+
+
 def test_evolve_static_rejects_non_hermitian():
     space = field_space(2, 2)
     with pytest.raises(ValueError):

@@ -386,6 +386,20 @@ def test_prepare_bell_with_complex_couplings():
         assert transcript["bell_fidelity"] >= 0.99
 
 
+# results depend on the couplings times the time, not on their scale in s^-1
+
+def test_bell_prep_with_weak_couplings():
+    bell = run_scenario({"scenario": "bell_prep", "params": {"lambda_a": 1e-5, "lambda_b": 1e-5}})
+    assert bell["metrics"]["min_fidelity"] >= 1.0 - 1e-9
+
+
+def test_puc_swap_with_a_weak_drive():
+    swap = run_scenario({"scenario": "puc_swap", "params": {"omega_cl": 1e-13}})
+    assert swap["metrics"]["xi_abs"] < 1e-15
+    assert abs(swap["metrics"]["p_swapped"] - 1.0) <= 1e-9
+    assert swap["metrics"]["p_residual"] <= 1e-9
+
+
 def test_prepare_bell_validation():
     with pytest.raises(ValueError):
         prepare_bell("sigma+", two_photon_params())
@@ -532,6 +546,8 @@ VALIDATION_CASES = [
                options={"grid_points": 0}),
     bad_config("n_max_list", "options.n_max_list", "convergence",
                options={"n_max_list": ["a", "b"]}),
+    bad_config("n_max_list-cap", "options.n_max_list", "convergence",
+               options={"n_max_list": [8, 2000]}),
     bad_config("bell_prep-lambda_a", "params.lambda_a", "bell_prep", params={"lambda_a": 0}),
     bad_config("bell_prep-subnormal", "params.lambda_a", "bell_prep",
                params={"lambda_a": 1e-320}),
