@@ -53,7 +53,7 @@ from .observables import (
     epr_metrics,
     fidelity,
     photon_number_distribution,
-    quadrature_operator,
+    quadrature_variances,
     squeezed_variance,
     tmsv_analytic,
     tmsv_quality,

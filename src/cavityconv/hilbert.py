@@ -250,13 +250,18 @@ class StateVector:
 
 # --- elementary operators ---------------------------------------------------
 
+def _mode_axis(mode: str) -> int:
+    """The mode's axis of ``HilbertSpace.shape``."""
+    if mode not in ("a", "b"):
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return 1 if mode == "a" else 2
+
+
 def _mode_numbers(space: HilbertSpace, mode: str) -> tuple[np.ndarray, int]:
     """Photon number of the mode at every flat index, and the flat step of
     one of its photons."""
-    if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     n_a, n_b = space.fock_numbers()
-    return (n_a, space.dim_b) if mode == "a" else (n_b, 1)
+    return (n_a, space.dim_b) if _mode_axis(mode) == 1 else (n_b, 1)
 
 
 def annihilation(space: HilbertSpace, mode: str) -> Operator:
@@ -272,6 +277,19 @@ def annihilation(space: HilbertSpace, mode: str) -> Operator:
 
 def creation(space: HilbertSpace, mode: str) -> Operator:
     return annihilation(space, mode).dag()
+
+
+def _ladder(state: StateVector, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Flat a|psi> and a^dag|psi> of one mode with no operator built: shifts by
+    one along the mode's axis of the amplitude array, weighted by sqrt(n),
+    that drop the top level exactly as the truncated a and a^dag do."""
+    psi = state.amplitudes.reshape(state.space.shape)
+    lowered, raised = np.zeros_like(psi), np.zeros_like(psi)
+    src, low, up = (np.moveaxis(x, _mode_axis(mode), -1) for x in (psi, lowered, raised))
+    root = np.sqrt(np.arange(1, src.shape[-1]))
+    low[..., :-1] = root * src[..., 1:]
+    up[..., 1:] = root * src[..., :-1]
+    return lowered.ravel(), raised.ravel()
 
 
 def number_operator(space: HilbertSpace, mode: str) -> Operator:

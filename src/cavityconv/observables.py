@@ -1,10 +1,12 @@
-"""Field observables: quadratures, EPR correlations, squeezed-vacuum states,
-photon statistics, and state overlaps.
+"""Field observables: quadrature variances, EPR correlations, squeezed-vacuum
+states, photon statistics, and state overlaps.
 
 Quadratures use the half convention x = (a + a^dag)/2, p = -i(a - a^dag)/2,
 so the vacuum variance is 1/4 and the ideal pair-correlated state built by
 the down-conversion generator satisfies <(x_a - x_b)^2> = <(p_a + p_b)^2> =
-e^{-2r}/2 with r the squeeze parameter.
+e^{-2r}/2 with r the squeeze parameter.  Each variance is ||X psi||^2 (X is
+Hermitian in the truncated space), with X psi built from ladder shifts of the
+amplitude array: no operator on the full space.
 """
 
 from __future__ import annotations
@@ -14,23 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    HilbertSpace,
-    Operator,
-    StateVector,
-    annihilation,
-    expectation,
-)
+from .hilbert import HilbertSpace, StateVector, _ladder, _mode_axis
 
 
-def quadrature_operator(space: HilbertSpace, mode: str, kind: str) -> Operator:
-    """Hermitian quadrature x or p of one mode (vacuum variance 1/4)."""
-    a = annihilation(space, mode)
-    if kind == "x":
-        return 0.5 * (a + a.dag())
-    if kind == "p":
-        return -0.5j * (a - a.dag())
-    raise ValueError(f"kind must be 'x' or 'p', got {kind!r}")
+def _variance(doubled: np.ndarray) -> float:
+    """<X^2> = ||X psi||^2 from the flat array 2 X psi."""
+    return 0.25 * float(np.vdot(doubled, doubled).real)
+
+
+def quadrature_variances(state: StateVector, mode: str) -> tuple[float, float]:
+    """<x^2> and <p^2> of one mode (each 1/4 on the vacuum)."""
+    a, a_dag = _ladder(state, mode)
+    return _variance(a + a_dag), _variance(a - a_dag)  # 2x psi, 2i p psi
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,11 @@ def epr_metrics(state: StateVector) -> EprMetrics:
 
     A separable double vacuum gives variance sum 1 and quality 0.
     """
-    space = state.space
-    if space.atom_levels != 1:
+    if state.space.atom_levels != 1:
         raise ValueError("epr_metrics expects a two-mode field state; project the atom first")
-    x_minus = quadrature_operator(space, "a", "x") - quadrature_operator(space, "b", "x")
-    p_plus = quadrature_operator(space, "a", "p") + quadrature_operator(space, "b", "p")
-    var_x = expectation(x_minus @ x_minus, state).real
-    var_p = expectation(p_plus @ p_plus, state).real
+    (a, a_dag), (b, b_dag) = _ladder(state, "a"), _ladder(state, "b")
+    var_x = _variance(a + a_dag - b - b_dag)  # 2 (x_a - x_b) psi
+    var_p = _variance(a - a_dag + b - b_dag)  # 2i (p_a + p_b) psi
     return EprMetrics(var_x, var_p, 1.0 - (var_x + var_p))
 
 
@@ -114,10 +109,8 @@ def fidelity(s1: StateVector, s2: StateVector) -> float:
 
 def photon_number_distribution(state: StateVector, mode: str) -> np.ndarray:
     """Marginal Fock distribution of one mode (sums to the squared norm)."""
-    if mode not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
     probs = np.abs(state.amplitudes.reshape(state.space.shape)) ** 2
-    return probs.sum(axis=(0, 2) if mode == "a" else (0, 1))
+    return probs.sum(axis=(0, 3 - _mode_axis(mode)))  # every axis but the mode's
 
 
 _BELL_COMPONENTS = {

@@ -42,7 +42,6 @@ from .hilbert import (
     StateVector,
     basis_state,
     embed_atom,
-    expectation,
     field_space,
     fock_state,
     make_space,
@@ -629,10 +628,7 @@ def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
     r = 2.0 * xi_abs * tau
 
     state = _evolved_vacuum(cfg)
-    x_op = obs.quadrature_operator(state.space, "a", "x")
-    p_op = obs.quadrature_operator(state.space, "a", "p")
-    var_x = expectation(x_op @ x_op, state).real
-    var_p = expectation(p_op @ p_op, state).real
+    var_x, var_p = obs.quadrature_variances(state, "a")
     numeric = min(var_x, var_p)
     metrics = {
         "xi_abs": xi_abs,
@@ -775,7 +771,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
     "epr_quality": ScenarioDef(
         _scenario_epr_quality,
         _defaults(params=_RYDBERG_PDC, truncation=[40, 40], times=[DEFAULT_TAU]),
-        gate_metric="quality_analytic",
+        gate_metric="quality_operational_numeric",
         description="Pair-state quality 1 - e^{-2 xi tau}, closed form and variance-based",
     ),
     "epr_variances": ScenarioDef(

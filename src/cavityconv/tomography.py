@@ -27,10 +27,9 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .hilbert import HilbertSpace, Operator, StateVector
+from .hilbert import StateVector
 
 # Displaced probability allowed in the top Fock level of either mode before
 # the truncated displacement is declared unfaithful.
@@ -132,12 +131,6 @@ def displace(state: StateVector, eta_a: complex, eta_b: complex) -> StateVector:
     probability in the top Fock level of a displaced mode.
     """
     return next(_displaced(state, ((eta_a, eta_b),)))
-
-
-def parity_operator(space: HilbertSpace) -> Operator:
-    """Total photon-number parity exp(i pi (n_a + n_b))."""
-    n_a, n_b = space.fock_numbers()
-    return Operator(space, sp.diags(((-1.0) ** (n_a + n_b)).astype(complex)))
 
 
 def conditional_phase_expectation(state: StateVector, phi: float) -> complex:

@@ -1,0 +1,31 @@
+"""Sparse full-space operators that the library no longer builds, kept as
+independent oracles for the array-based observables and tomography, and the
+random states they are compared on."""
+
+import numpy as np
+import scipy.sparse as sp
+
+from cavityconv.hilbert import HilbertSpace, Operator, StateVector, annihilation
+
+
+def random_state(space: HilbertSpace, seed: int) -> StateVector:
+    """Normalized state with independent complex Gaussian amplitudes."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+    return StateVector(space, amps / np.linalg.norm(amps))
+
+
+def quadrature_operator(space: HilbertSpace, mode: str, kind: str) -> Operator:
+    """Hermitian quadrature x or p of one mode (vacuum variance 1/4)."""
+    a = annihilation(space, mode)
+    if kind == "x":
+        return 0.5 * (a + a.dag())
+    if kind == "p":
+        return -0.5j * (a - a.dag())
+    raise ValueError(f"kind must be 'x' or 'p', got {kind!r}")
+
+
+def parity_operator(space: HilbertSpace) -> Operator:
+    """Total photon-number parity exp(i pi (n_a + n_b))."""
+    n_a, n_b = space.fock_numbers()
+    return Operator(space, sp.diags(((-1.0) ** (n_a + n_b)).astype(complex)))

@@ -9,6 +9,7 @@ from cavityconv.hilbert import (
     HilbertSpace,
     Operator,
     SpaceMismatchError,
+    _ladder,
     annihilation,
     atomic_sigma,
     basis_state,
@@ -22,15 +23,7 @@ from cavityconv.hilbert import (
     project_atom,
     vacuum_state,
 )
-
-
-def random_state(space, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
-    amps /= np.linalg.norm(amps)
-    from cavityconv.hilbert import StateVector
-
-    return StateVector(space, amps)
+from oracles import random_state
 
 
 def test_make_space_dimensions():
@@ -110,6 +103,19 @@ def test_elementary_operators_match_kronecker_products(space):
 def test_number_operator_is_the_diagonal_of_n(space):
     for mode, n in zip("ab", space.fock_numbers()):
         assert_same_entries(number_operator(space, mode), sp.diags(n.astype(float)))
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_ladder_shift_matches_sparse_operators(space):
+    # the array shift gives a|psi> and a^dag|psi> entry for entry as the
+    # truncated sparse matrices do, top level to zero included
+    for seed, mode in enumerate("ab"):
+        psi = random_state(space, seed)
+        lowered, raised = _ladder(psi, mode)
+        np.testing.assert_array_equal(lowered, annihilation(space, mode).apply(psi).amplitudes)
+        np.testing.assert_array_equal(raised, creation(space, mode).apply(psi).amplitudes)
+    with pytest.raises(ValueError, match="mode"):
+        _ladder(psi, "c")
 
 
 def test_operator_keeps_every_nonzero_entry_at_any_scale():

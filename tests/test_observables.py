@@ -11,6 +11,8 @@ from cavityconv.hamiltonians import (
     resonance_delta,
 )
 from cavityconv.hilbert import (
+    Operator,
+    annihilation,
     expectation,
     field_space,
     fock_state,
@@ -25,7 +27,7 @@ from cavityconv.observables import (
     epr_metrics,
     fidelity,
     photon_number_distribution,
-    quadrature_operator,
+    quadrature_variances,
     squeezed_variance,
     tmsv_analytic,
     tmsv_quality,
@@ -33,6 +35,7 @@ from cavityconv.observables import (
 )
 from cavityconv.propagate import evolve_static, evolve_td
 from cavityconv.hamiltonians import TimeDependentOperator
+from oracles import quadrature_operator, random_state
 
 LAM = 7e5
 
@@ -92,6 +95,45 @@ def test_epr_metrics_rejects_atomic_state():
 
     with pytest.raises(ValueError):
         epr_metrics(basis_state(make_space(3, 1, 1), "g", 0, 0))
+
+
+ORACLE_SPACES = [field_space(0, 0), field_space(0, 3), field_space(3, 0), field_space(6, 4)]
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_epr_metrics_match_sparse_quadrature_oracle(space):
+    x_minus = quadrature_operator(space, "a", "x") - quadrature_operator(space, "b", "x")
+    p_plus = quadrature_operator(space, "a", "p") + quadrature_operator(space, "b", "p")
+    for seed in range(3):
+        psi = random_state(space, seed)
+        m = epr_metrics(psi)
+        assert m.var_x_minus == pytest.approx(expectation(x_minus @ x_minus, psi).real, abs=1e-13)
+        assert m.var_p_plus == pytest.approx(expectation(p_plus @ p_plus, psi).real, abs=1e-13)
+        assert m.quality == 1.0 - (m.var_x_minus + m.var_p_plus)
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES + [make_space(3, 0, 3), make_space(3, 3, 0),
+                                                   make_space(3, 5, 2)], ids=str)
+def test_quadrature_variances_match_sparse_oracle(space):
+    for seed, mode in enumerate("ab"):
+        psi = random_state(space, seed)
+        x, p = (quadrature_operator(space, mode, kind) for kind in "xp")
+        var_x, var_p = quadrature_variances(psi, mode)
+        assert var_x == pytest.approx(expectation(x @ x, psi).real, abs=1e-13)
+        assert var_p == pytest.approx(expectation(p @ p, psi).real, abs=1e-13)
+
+
+def test_variances_build_no_full_space_operator(monkeypatch):
+    psi = random_state(field_space(8, 8), 0)
+    built = []
+    real_init = Operator.__init__
+    monkeypatch.setattr(Operator, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    epr_metrics(psi)
+    quadrature_variances(psi, "a")
+    assert built == []
+    annihilation(psi.space, "a")  # the counter sees an operator that is built
+    assert len(built) == 1
 
 
 def test_quality_values_at_paper_interaction_strengths():

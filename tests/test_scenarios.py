@@ -209,13 +209,22 @@ def test_gate_failure_raises_with_both_values():
 
 def test_gate_refuses_a_truncation_that_drops_the_pair_state(tmp_path, capsys):
     # r = 5.1: [40, 40] holds under 1 % of the pair state, while the gate
-    # metric quality_analytic does not depend on the truncation
+    # metric quality_operational_numeric moves by only 9e-9 at +4
     cfg = write_config(tmp_path, {"scenario": "epr_quality", "times": [0.0015]})
     assert cli_main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert "tail_bound" in err and str(TAIL_LIMIT) in err
     assert cli_main(["run", cfg, "--no-converge-check"]) == 0
     assert json.loads(capsys.readouterr().out)["metrics"]["tail_bound"] > 0.99
+
+
+def test_epr_quality_gate_follows_the_truncated_state(tmp_path, capsys):
+    # at r = 0.686 the variance-based quality on [10, 10] moves by 5.5e-5 at +4;
+    # a closed-form gate metric would not move, leaving only the tail bound (1.1e-5)
+    cfg = write_config(tmp_path, {"scenario": "epr_quality", "truncation": [10, 10]})
+    assert cli_main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence gate failed: quality_operational_numeric")
 
 
 @pytest.mark.parametrize("scenario", ["epr_quality", "pdc_epr"])

@@ -24,7 +24,6 @@ from cavityconv.observables import (
     TmsvSpec,
     fidelity,
     photon_number_distribution,
-    quadrature_operator,
     tmsv_analytic,
 )
 from cavityconv.propagate import evolve_static
@@ -33,12 +32,12 @@ from cavityconv.tomography import (
     TruncationError,
     conditional_phase_expectation,
     displace,
-    parity_operator,
     parity_pulse_time,
     probe_protocol,
     wigner_direct,
     wigner_via_protocol,
 )
+from oracles import parity_operator, quadrature_operator
 
 TWO_MODE_NORM = 4.0 / math.pi**2
 
