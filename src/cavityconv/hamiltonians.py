@@ -33,6 +33,9 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+import scipy.sparse as sp
+
 from .hilbert import (
     HilbertSpace,
     Operator,
@@ -317,6 +320,10 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
 
     The constant i-level energy shift is dropped here; it is a global phase
     on that subspace and is kept only by the effective builders.
+
+    The xi half is one band of the flat basis, built from its index arrays:
+    a b^dag moves |n_a, n_b> up by dim_b - 1, a b by dim_b + 1 and a^2 by
+    2 dim_b, with the entries of the operator product at each source state.
     """
     delta_res = resonance_delta(params)
     scale = max(
@@ -329,16 +336,18 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
             f"the static generator requires delta_small = {delta_res!r}"
         )
     xi = effective_xi(params)
-    a = annihilation(space, "a")
-    if params.process is ProcessKind.PUC:
-        b = annihilation(space, "b")
-        half = xi * (a @ b.dag())
+    n_a, n_b = space.fock_numbers()
+    if params.process is ProcessKind.PUC:  # b^dag drops the top level of b
+        step, band = space.dim_b - 1, np.sqrt(n_a) * np.sqrt(n_b + 1) * (n_b < space.n_max_b)
     elif params.process is ProcessKind.PDC:
-        b = annihilation(space, "b")
-        half = xi * (a @ b)
+        step, band = space.dim_b + 1, np.sqrt(n_a) * np.sqrt(n_b)
     else:
-        half = xi * (a @ a)
-    return half + half.dag()
+        step, band = 2 * space.dim_b, np.sqrt(n_a) * np.sqrt(np.maximum(n_a - 1, 0))
+    dim = space.total_dim
+    if not 0 < step < dim:  # no step fits (a one-level mode): the band is empty
+        return Operator(space, sp.csr_matrix((dim, dim)))
+    upper = xi * band[step:]  # <k| xi half |k + step>
+    return Operator(space, sp.diags([upper, upper.conj()], [step, -step], shape=(dim, dim)))
 
 
 def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:

@@ -2,12 +2,18 @@
 
 A static generator is evolved only on the connected components of its
 sparsity graph that the initial state reaches (nothing couples them to the
-rest).  A component of at most DENSE_SECTOR_LIMIT states is diagonalized
-once, G = V E V^dag, so every requested time is one product
-V (e^{-iEt} * V^dag psi0) whatever |G| t; a larger one takes one
-matrix-exponential action per time.  Every oscillating Hamiltonian built here
-is static in a diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
-phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
+rest).  A component whose off-diagonal graph is a path (states - 1 edges, no
+state with more than two neighbours), such as every conserved sector of the
+bilinear generators and of the full models, is ordered from one end; the
+diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
+one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
+component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
+eigh.  Either way every requested time is one product
+UV (e^{-iEt} * (UV)^dag psi0) whatever |G| t; a component above its limit
+takes one matrix-exponential action per time.  Every oscillating Hamiltonian
+built here is static in a diagonal rotating frame
+D = omega_level + nu_a n_a + nu_b n_b: phi = e^{iDt} psi evolves under
+H(0) - D (no substeps, no step-size control).
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
@@ -25,8 +32,13 @@ from .hilbert import Operator, StateVector
 # Largest norm change a static evolution accepts in any returned state.
 STATIC_NORM_DRIFT_LIMIT = 1e-9
 
-# Largest component diagonalized by one dense eigh; a larger one takes one
-# expm_multiply per time (single-time crossover: ~300 states, see CHANGES.md).
+# Largest path component diagonalized by one real tridiagonal eigensolve; a
+# larger one takes one expm_multiply per time (single-time crossover:
+# ~1000 states, see CHANGES.md).
+CHAIN_SECTOR_LIMIT = 1000
+
+# Largest other component diagonalized by one dense eigh; a larger one takes
+# one expm_multiply per time (single-time crossover: ~300 states, see CHANGES.md).
 DENSE_SECTOR_LIMIT = 300
 
 # Largest frame-equation residual, relative to max(max|nu|, 1), for which the
@@ -57,6 +69,38 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
+def _paths(sub: sp.csr_matrix, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position, hop) of every state of sub, whose connected components
+    carry the labels.  On a component whose off-diagonal graph is a path
+    (states - 1 edges, no state of degree above 2), position counts the
+    steps from one end and hop is <state|sub|next state>, 0 at the far end;
+    on any other component position is -1 and hop 0.
+    """
+    n = labels.size
+    coo = sub.tocoo()
+    off = coo.row != coo.col
+    row, col, val = coo.row[off], coo.col[off], coo.data[off]
+    # each edge once, whichever triangle stores it
+    lo, hi = np.divmod(np.unique(np.minimum(row, col).astype(np.int64) * n
+                                 + np.maximum(row, col)), n)
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    _, comp = np.unique(labels, return_inverse=True)
+    path = np.bincount(comp[lo], minlength=comp.max() + 1) == np.bincount(comp) - 1
+    path[comp[degree > 2]] = False
+    ends = np.flatnonzero(path[comp] & (degree <= 1))
+    _, first = np.unique(comp[ends], return_index=True)
+    position = np.full(n, -1.0)
+    if first.size:
+        edges = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+        steps = dijkstra(edges, directed=False, indices=ends[first],
+                         unweighted=True, min_only=True)
+        position[path[comp]] = steps[path[comp]]
+    hop = np.zeros(n, dtype=np.complex128)
+    forward = position[col] - position[row] == 1.0
+    hop[row[forward]] = val[forward]
+    return position, hop
+
+
 def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     """(keep, states): the sorted indices of the components of G's sparsity
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
@@ -69,20 +113,31 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, n
     # graph from the pattern: csgraph would drop the imaginary part of G
     _, component = connected_components(G.matrix != 0, directed=False)
     keep = np.flatnonzero(np.isin(component, component[amps != 0]))
+    if not keep.size:  # the zero state
+        return keep, np.empty((times.size, 0), dtype=np.complex128)
     labels = component[keep]
-    order = np.argsort(labels, kind="stable")
+    sub = G.matrix[keep][:, keep]
+    position, hop = _paths(sub, labels)
+    diagonal = sub.diagonal().real
+    order = np.lexsort((position, labels))  # each path from its end
     psi = amps[keep]
     states = np.empty((times.size, keep.size), dtype=np.complex128)
     for pos in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        sub = G.matrix[keep[pos]][:, keep[pos]]
-        if pos.size <= DENSE_SECTOR_LIMIT:
-            energies, basis = np.linalg.eigh(sub.toarray())
-            phases = np.exp(np.outer(times, -1j * energies))
-            phases *= basis.conj().T @ psi[pos]
-            states[:, pos] = phases @ basis.T
+        if position[pos[0]] == 0.0 and pos.size <= CHAIN_SECTOR_LIMIT:
+            h = hop[pos[:-1]]
+            energies, basis = eigh_tridiagonal(diagonal[pos], np.abs(h))
+            gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(h)))))
+            basis = gauge[:, None] * basis
+        elif position[pos[0]] < 0.0 and pos.size <= DENSE_SECTOR_LIMIT:
+            energies, basis = np.linalg.eigh(sub[pos][:, pos].toarray())
         else:
+            block = sub[pos][:, pos]
             for k, t in enumerate(times):
-                states[k, pos] = expm_multiply((-1j * t) * sub, psi[pos]) if t else psi[pos]
+                states[k, pos] = expm_multiply((-1j * t) * block, psi[pos]) if t else psi[pos]
+            continue
+        phases = np.exp(np.outer(times, -1j * energies))
+        phases *= basis.conj().T @ psi[pos]
+        states[:, pos] = phases @ basis.T
     states[times == 0.0] = psi
     drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
     if drift > STATIC_NORM_DRIFT_LIMIT:

@@ -1,10 +1,11 @@
 """Sparse full-space operators that the library no longer builds, kept as
-independent oracles for the array-based observables and tomography, and the
-random states they are compared on."""
+independent oracles for the array-based observables, tomography and reduced
+generator, and the random states they are compared on."""
 
 import numpy as np
 import scipy.sparse as sp
 
+from cavityconv.hamiltonians import PhysicalParams, ProcessKind, effective_xi
 from cavityconv.hilbert import HilbertSpace, Operator, StateVector, annihilation
 
 
@@ -29,3 +30,17 @@ def parity_operator(space: HilbertSpace) -> Operator:
     """Total photon-number parity exp(i pi (n_a + n_b))."""
     n_a, n_b = space.fock_numbers()
     return Operator(space, sp.diags(((-1.0) ** (n_a + n_b)).astype(complex)))
+
+
+def bilinear_generator_product_form(space: HilbertSpace, params: PhysicalParams) -> Operator:
+    """xi a b^dag + h.c. (PUC), xi a b + h.c. (PDC) or xi a^2 + h.c.
+    (degenerate), multiplied out from the sparse ladder operators."""
+    xi = effective_xi(params)
+    a = annihilation(space, "a")
+    if params.process is ProcessKind.PUC:
+        half = xi * (a @ annihilation(space, "b").dag())
+    elif params.process is ProcessKind.PDC:
+        half = xi * (a @ annihilation(space, "b"))
+    else:
+        half = xi * (a @ a)
+    return half + half.dag()

@@ -34,6 +34,8 @@ from cavityconv.hilbert import (
     number_operator,
 )
 
+from oracles import bilinear_generator_product_form
+
 LAM = 7e5
 OMEGA = 7e5
 DELTA = 1e7
@@ -355,6 +357,21 @@ def test_reduced_degenerate_creates_photon_pairs():
     out = gen.apply(fock_state(space, 0, 0))
     xi = effective_xi(params)
     assert abs(fock_state(space, 2, 0).inner(out) - math.sqrt(2) * xi.conjugate()) < 1e-9
+
+
+@pytest.mark.parametrize("n_max", [(0, 0), (3, 0), (0, 3), (1, 0), (7, 5), (6, 9)])
+@pytest.mark.parametrize("process", [ProcessKind.PUC, ProcessKind.PDC,
+                                     ProcessKind.DEGENERATE_PDC])
+def test_reduced_generator_band_equals_the_operator_product(process, n_max):
+    # complex couplings give the band a phase; [n, 0] puts the PUC band at offset 0
+    couplings = (LAM * np.exp(0.3j), LAM * np.exp(-1.1j), OMEGA * 1j, DELTA)
+    params = PhysicalParams(*couplings, resonance_delta(PhysicalParams(*couplings, 0.0, process)),
+                            process)
+    space = field_space(*n_max)
+    gen = reduced_bilinear_generator(space, params)
+    oracle = bilinear_generator_product_form(space, params)
+    assert gen.matrix.nnz == oracle.matrix.nnz
+    assert np.array_equal(gen.to_dense(), oracle.to_dense())
 
 
 def test_reduced_generator_rejects_off_resonance():

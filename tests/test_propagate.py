@@ -10,6 +10,7 @@ from cavityconv.hamiltonians import (
     ProcessKind,
     TimeDependentOperator,
     effective_pdc_hamiltonian,
+    effective_puc_hamiltonian,
     effective_xi,
     full_pdc_hamiltonian,
     full_puc_hamiltonian,
@@ -20,6 +21,7 @@ from cavityconv.hilbert import (
     Operator,
     StateVector,
     annihilation,
+    basis_state,
     embed_atom,
     expectation,
     field_space,
@@ -40,6 +42,8 @@ from cavityconv.propagate import (
     frame_transform,
 )
 from cavityconv.scenarios import run_scenario
+
+from oracles import random_state
 
 LAM = 7e5
 OMEGA = 7e5
@@ -183,19 +187,132 @@ def sector_cases():
     ]
 
 
+def assert_matches_dense_expm(gen, psi0, times, keep, states):
+    dense = gen.to_dense()
+    for t, state in zip(times, states):
+        exact = scipy.linalg.expm(-1j * t * dense) @ psi0.amplitudes
+        assert np.max(np.abs(state - exact[keep])) < 1e-12
+        outside = np.delete(exact, keep)
+        assert np.max(np.abs(outside), initial=0.0) < 1e-12
+
+
+def set_sector_limits(monkeypatch, limit):
+    """Send every component of more than limit states to expm_multiply."""
+    monkeypatch.setattr(propagate, "CHAIN_SECTOR_LIMIT", limit)
+    monkeypatch.setattr(propagate, "DENSE_SECTOR_LIMIT", limit)
+
+
+def counted_solvers(monkeypatch) -> dict:
+    """Live counts of the eigensolver and exponential-action calls."""
+    calls = dict.fromkeys(("tridiagonal", "eigh", "expm"), 0)
+
+    def counted(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(propagate, "eigh_tridiagonal",
+                        counted("tridiagonal", propagate.eigh_tridiagonal))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(propagate, "expm_multiply", counted("expm", propagate.expm_multiply))
+    return calls
+
+
 @pytest.mark.parametrize("limit", [propagate.DENSE_SECTOR_LIMIT, 2])
 def test_sector_evolution_matches_dense_expm_on_both_sides_of_the_limit(monkeypatch, limit):
-    # limit 2 sends every component of more than two states to expm_multiply
-    monkeypatch.setattr(propagate, "DENSE_SECTOR_LIMIT", limit)
+    set_sector_limits(monkeypatch, limit)
     for gen, psi0, times in sector_cases():
         keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
-        dense = gen.to_dense()
-        for t, state in zip(times, states):
-            exact = scipy.linalg.expm(-1j * t * dense) @ psi0.amplitudes
-            assert np.max(np.abs(state - exact[keep])) < 1e-12
-            outside = np.delete(exact, keep)
-            assert np.max(np.abs(outside), initial=0.0) < 1e-12
+        assert_matches_dense_expm(gen, psi0, times, keep, states)
         assert np.array_equal(states[0], psi0.amplitudes[keep])  # t = 0 is returned as is
+
+
+@pytest.mark.parametrize("params", [pdc(), puc(lambda_b=LAM * np.exp(0.9j))],
+                         ids=["PDC-imaginary-xi", "PUC-complex-lambda_b"])
+def test_chain_branch_makes_hops_of_any_phase_real(monkeypatch, params):
+    xi = effective_xi(params)
+    assert xi.real == 0.0 if params.process is ProcessKind.PDC else xi.imag != 0.0
+    space = field_space(6, 5)
+    gen = reduced_bilinear_generator(space, params)
+    psi0 = random_state(space, 2)
+    times = np.array([0.0, 0.3, 1.1, 2.5]) / abs(xi)
+    calls = counted_solvers(monkeypatch)
+    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    assert calls["tridiagonal"] > 0 and calls["eigh"] == calls["expm"] == 0
+    assert_matches_dense_expm(gen, psi0, times, keep, states)
+
+
+def frame_generator(h_td):
+    """H(0) - D in the solved static rotating frame of an oscillating H(t)."""
+    return Operator(h_td.space, h_td.at(0.0).matrix - sp.diags(propagate._rotating_frame(h_td)))
+
+
+@pytest.mark.parametrize("builder, params, dense_calls", [
+    (full_puc_hamiltonian, puc(delta_small=1e4), 0),
+    (full_pdc_hamiltonian, pdc(delta_small=1e4), 0),
+    # five g/e components have states of degree 3 and cycles
+    (effective_puc_hamiltonian, puc(delta_small=1e4), 5),
+    (effective_pdc_hamiltonian, pdc(delta_small=5e4), 5),
+], ids=["full_puc", "full_pdc", "effective_puc", "effective_pdc"])
+def test_frame_generators_take_the_chain_branch_exactly_on_paths(monkeypatch, builder, params,
+                                                                  dense_calls):
+    space = make_space(3, 3, 3)
+    gen = frame_generator(builder(space, params))
+    psi0 = random_state(space, 8)  # reaches every component
+    times = np.array([0.0, 1e-7, 2e-6, 3e-5])
+    calls = counted_solvers(monkeypatch)
+    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    assert keep.size == space.total_dim
+    assert calls["eigh"] == dense_calls and calls["expm"] == 0 and calls["tridiagonal"] > 0
+    assert_matches_dense_expm(gen, psi0, times, keep, states)
+
+
+def test_a_branched_tree_takes_the_dense_branch(monkeypatch):
+    # one state hopping to three others: states - 1 edges, but not a path
+    space = field_space(3, 0)
+    star = sp.csr_matrix(([1e3, 2e3j, -3e3], ([0, 0, 0], [1, 2, 3])), shape=(4, 4))
+    gen = Operator(space, star + star.conj().T)
+    psi0 = random_state(space, 6)
+    times = np.array([0.0, 1e-4, 2e-3])
+    calls = counted_solvers(monkeypatch)
+    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    assert calls == {"tridiagonal": 0, "eigh": 1, "expm": 0}
+    assert_matches_dense_expm(gen, psi0, times, keep, states)
+
+
+def test_chain_branch_on_one_state_components(monkeypatch):
+    # a diagonal generator makes every state a one-state path; the beam
+    # splitter's n_a + n_b = 0 and = 7 sectors are one state each
+    space = field_space(4, 3)
+    psi0 = random_state(space, 4)
+    times = np.array([0.0, 0.3, 1.1, 2.5]) / abs(effective_xi(puc()))
+    diagonal = 1e3 * number_operator(space, "a") - 3e3 * number_operator(space, "b")
+    beam_splitter = reduced_bilinear_generator(space, puc())
+    calls = counted_solvers(monkeypatch)
+    for gen, components in ((diagonal, 20), (beam_splitter, 8), (diagonal + beam_splitter, 8)):
+        calls.update(dict.fromkeys(calls, 0))
+        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
+        assert_matches_dense_expm(gen, psi0, times, keep, states)
+        assert np.array_equal(states[0], psi0.amplitudes[keep])
+
+
+def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monkeypatch):
+    calls = counted_solvers(monkeypatch)
+    for name in ("pdc_epr", "epr_variances", "degenerate_squeeze", "puc_swap"):
+        run_scenario({"scenario": name})
+    assert calls["tridiagonal"] > 0 and calls["eigh"] == calls["expm"] == 0
+    built = []
+    real_init = Operator.__init__
+    monkeypatch.setattr(Operator, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    degenerate = PhysicalParams(LAM, LAM, OMEGA, DELTA, 2 * LAM**2 / DELTA,
+                                ProcessKind.DEGENERATE_PDC)
+    for params in (puc(), pdc(), degenerate):
+        built.clear()
+        reduced_bilinear_generator(field_space(8, 8), params)
+        assert len(built) == 1
 
 
 def test_multi_time_evolution_equals_per_time_evolve_static():
@@ -225,18 +342,28 @@ def test_sector_evolution_rejects_a_non_hermitian_element():
 
 @pytest.mark.parametrize("limit", [propagate.DENSE_SECTOR_LIMIT, 2])
 def test_forced_norm_drift_raises(monkeypatch, limit):
-    monkeypatch.setattr(propagate, "DENSE_SECTOR_LIMIT", limit)
-    eigh, expm_multiply = np.linalg.eigh, propagate.expm_multiply
+    # the beam splitter's sectors are paths; the effective model's g/e
+    # components are not, so it also reaches the dense eigh below the limit
+    set_sector_limits(monkeypatch, limit)
+    eigh, eigh_tridiagonal = np.linalg.eigh, propagate.eigh_tridiagonal
+    expm_multiply = propagate.expm_multiply
 
-    def inflated_eigh(a):
-        energies, basis = eigh(a)
-        return energies, (1.0 + 1e-6) * basis
+    def inflated(solver):
+        def solve(*args):
+            energies, basis = solver(*args)
+            return energies, (1.0 + 1e-6) * basis
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigh", inflated_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", inflated(eigh))
+    monkeypatch.setattr(propagate, "eigh_tridiagonal", inflated(eigh_tridiagonal))
     monkeypatch.setattr(propagate, "expm_multiply", lambda a, v: (1.0 + 1e-6) * expm_multiply(a, v))
     gen, psi0, times = sector_cases()[0]
     with pytest.raises(PropagationError, match="norm"):
         evolve_static(gen, psi0, times[-1])
+    space = make_space(3, 3, 3)
+    effective = frame_generator(effective_puc_hamiltonian(space, puc(delta_small=1e4)))
+    with pytest.raises(PropagationError, match="norm"):
+        evolve_static(effective, basis_state(space, "g", 0, 3), 3e-5)
 
 
 def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
@@ -418,9 +545,6 @@ def test_effective_ge_sector_tracks_full_lambda_model():
     # drive + Stark + exchange terms of the second-order model reproduce the
     # three-level dynamics from |g,1,1> up to the virtual i-population,
     # measured deficit ~1.5 eps^2 at Omega t ~ 5.6 and ~7.5 eps^2 at ~14
-    from cavityconv.hamiltonians import effective_puc_hamiltonian
-    from cavityconv.hilbert import basis_state
-
     params = puc()
     space = make_space(3, 4, 4)
     h_full = full_puc_hamiltonian(space, params)
@@ -434,9 +558,6 @@ def test_effective_ge_sector_tracks_full_lambda_model():
 
 
 def test_effective_ge_sector_tracks_full_ladder_model():
-    from cavityconv.hamiltonians import effective_pdc_hamiltonian
-    from cavityconv.hilbert import basis_state
-
     params = pdc()
     space = make_space(3, 4, 4)
     h_td = full_pdc_hamiltonian(space, params)

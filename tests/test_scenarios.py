@@ -682,8 +682,8 @@ def test_cli_run_of_a_mutated_default_config_ends_in_0_2_or_3(data):
 
 
 def test_sector_above_the_dense_limit_takes_the_exponential_action(monkeypatch):
-    # [602, 0] reaches the 302 even Fock levels of mode a (304 with the gate's
-    # [606, 4]), just above DENSE_SECTOR_LIMIT: the expm_multiply branch
+    # [2000, 0] reaches the 1001 even Fock levels of mode a (1003 with the
+    # gate's [2004, 4]), just above CHAIN_SECTOR_LIMIT: the expm_multiply branch
     calls = []
 
     def counted(*args, **kwargs):
@@ -692,8 +692,8 @@ def test_sector_above_the_dense_limit_takes_the_exponential_action(monkeypatch):
 
     expm_multiply = propagate.expm_multiply
     monkeypatch.setattr(propagate, "expm_multiply", counted)
-    doc = run_scenario({"scenario": "degenerate_squeeze", "truncation": [602, 0]})
-    assert calls and min(calls) > propagate.DENSE_SECTOR_LIMIT
+    doc = run_scenario({"scenario": "degenerate_squeeze", "truncation": [2000, 0]})
+    assert calls and min(calls) > propagate.CHAIN_SECTOR_LIMIT
     assert doc["convergence_gate"]["checked"]
     default = run_scenario({"scenario": "degenerate_squeeze"}, check_convergence=False)
     assert abs(doc["metrics"]["variance_numeric"]
