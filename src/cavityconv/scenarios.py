@@ -39,6 +39,7 @@ from .hamiltonians import (
     two_photon_hamiltonian,
 )
 from .hilbert import (
+    DIM_CAP,
     StateVector,
     basis_state,
     embed_atom,
@@ -664,6 +665,17 @@ def _scenario_bell_prep(cfg: ResolvedConfig):
 
 
 def _scenario_wigner_scan(cfg: ResolvedConfig):
+    n_points = cfg.options["grid_points"]
+    dim_a, dim_b = (n + 1 for n in cfg.truncation)
+    # the scan holds its points, and per axis value one displaced field and
+    # one dense displacement matrix of each mode
+    sizes = {"points": n_points, "field amplitudes": dim_a * dim_b,
+             "mode-a matrix entries": dim_a * dim_a, "mode-b matrix entries": dim_b * dim_b}
+    over = [f"{n_points} x {size} {what}" for what, size in sizes.items()
+            if n_points * size > DIM_CAP]
+    if over:
+        raise ConfigError(f"options.grid_points: {n_points} per axis exceeds cap {DIM_CAP} "
+                          f"with {', '.join(over)}")
     try:
         pulse_time = tomo.parity_pulse_time(abs(cfg.params.lambda_a), cfg.params.delta_big)
     except ValueError as exc:
@@ -673,7 +685,6 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
         state = _evolved_vacuum(cfg)
     else:
         state = vacuum_state(space) if choice == "vacuum" else fock_state(space, 1, 0)
-    n_points = cfg.options["grid_points"]
     extent = cfg.options["grid_extent"]
     axis = np.linspace(-extent, extent, n_points)
     grid = tomo.PhaseSpaceGrid.two_mode_real(axis, axis)

@@ -1,7 +1,9 @@
 import copy
+import importlib
 import io
 import json
 import math
+import pkgutil
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavityconv import propagate
+import cavityconv
+from cavityconv import propagate, scenarios, tomography
 from cavityconv.cli import main as cli_main
 from cavityconv.hamiltonians import PhysicalParams, ProcessKind, resonance_delta
+from cavityconv.hilbert import StateVector
 from cavityconv.scenarios import (
     _FIELDS,
     GATE_TOLERANCE,
@@ -355,6 +360,52 @@ def test_wigner_scan_emits_grid_table():
     assert center[4] == pytest.approx(4.0 / math.pi**2, abs=1e-9)
 
 
+def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatch):
+    # 10^10 point tuples would be built by the grid; the check comes first
+    def never(*args, **kwargs):
+        raise AssertionError("the scan must be refused before this is built")
+
+    monkeypatch.setattr(tomography.PhaseSpaceGrid, "two_mode_real", classmethod(never))
+    monkeypatch.setattr(scenarios, "_evolved_vacuum", never)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="options.grid_points: 100000 per axis exceeds cap "
+                                          "2000000 with 100000 x 100000 points"):
+        run_scenario({"scenario": "wigner_scan", "options": {"grid_points": 100000}})
+    assert time.perf_counter() - start < 1.0
+
+
+def counted(monkeypatch, owner, name, counts):
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_wigner_scan_cost_does_not_grow_per_point(monkeypatch):
+    # no dense exponential anywhere in the default scan, gate rerun included
+    counts = {}
+    package = [importlib.import_module(f"cavityconv.{info.name}")
+               for info in pkgutil.iter_modules(cavityconv.__path__)]
+    for module in (scipy.linalg, *package):
+        if hasattr(module, "expm"):
+            counted(monkeypatch, module, "expm", counts)
+    counted(monkeypatch, StateVector, "__init__", counts)
+    counted(monkeypatch, tomography, "probe_protocol", counts)
+    run_scenario({"scenario": "wigner_scan"})
+    assert counts.get("expm", 0) == 0
+    per_grid = {}
+    for grid_points in (3, 9):
+        counts.clear()
+        run_scenario({"scenario": "wigner_scan", "options": {"grid_points": grid_points}},
+                     check_convergence=False)
+        per_grid[grid_points] = dict(counts)
+    assert per_grid[3] == per_grid[9]
+    assert per_grid[3]["__init__"] > 0
+
+
 # --- bell preparation ---------------------------------------------------------------------
 
 def test_prepare_bell_pre_measurement_amplitudes():
@@ -551,6 +602,12 @@ VALIDATION_CASES = [
     bad_config("alpha", "traversal.alpha", "gaussian_profile", traversal={"alpha": -1}),
     bad_config("wigner_scan-grid_points", "options.grid_points", "wigner_scan",
                options={"grid_points": 0}),
+    bad_config("wigner_scan-grid_points-cap", "options.grid_points", "wigner_scan",
+               options={"grid_points": 100000}),
+    bad_config("wigner_scan-grid_points-field_cap", "options.grid_points", "wigner_scan",
+               truncation=[300, 300], options={"grid_points": 30}),
+    bad_config("wigner_scan-grid_points-mode_cap", "options.grid_points", "wigner_scan",
+               truncation=[100000, 1]),
     bad_config("full_vs_effective-grid_points", "options.grid_points", "full_vs_effective",
                options={"grid_points": 0}),
     bad_config("n_max_list", "options.n_max_list", "convergence",

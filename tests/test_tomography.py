@@ -28,8 +28,10 @@ from cavityconv.observables import (
 )
 from cavityconv.propagate import evolve_static
 from cavityconv.tomography import (
+    TAIL_LIMIT,
     PhaseSpaceGrid,
     TruncationError,
+    _mode_displacements,
     conditional_phase_expectation,
     displace,
     parity_pulse_time,
@@ -133,6 +135,26 @@ def test_displace_matches_dense_full_space_oracle(space, eta_a, eta_b):
     expected = full_space_displacement(space, eta_a, eta_b) @ psi.amplitudes
     out = displace(psi, eta_a, eta_b)
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+
+QUADRANT_ETAS = [0.7 + 0.4j, -0.5 + 0.9j, -0.8 - 0.3j, 0.2 - 1.1j, 0.6, -0.6, 0.6j, -0.6j]
+
+
+@pytest.mark.parametrize("n_max", [1, 6, 30])
+def test_mode_displacement_matches_dense_exponential(n_max):
+    low = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+    etas = np.array([0.0, *QUADRANT_ETAS])
+    matrices = _mode_displacements(n_max, etas, "a")
+    assert np.array_equal(matrices[0], np.eye(n_max + 1))
+    for eta, matrix in zip(etas[1:], matrices[1:]):
+        expected = scipy.linalg.expm(np.conj(eta) * low - eta * low.T)
+        assert np.max(np.abs(matrix - expected)) < 1e-12
+
+
+def test_mode_displacement_of_single_level_mode():
+    assert np.array_equal(_mode_displacements(0, np.array([0.0]), "b"), np.ones((1, 1, 1)))
+    with pytest.raises(TruncationError, match="mode b holds a single Fock level"):
+        _mode_displacements(0, np.array([0.0, 0.3j]), "b")
 
 
 def test_displacing_single_level_mode_rejected_with_atom():
@@ -267,6 +289,65 @@ def test_grid_with_repeated_and_zero_etas_matches_per_point_displacement():
     assert np.max(np.abs(w_direct - expected)) < 1e-12
     assert np.max(np.abs(w_proto - expected)) < 1e-12
     assert np.allclose(signal, -expected / TWO_MODE_NORM, atol=1e-12)
+
+
+def oracle_displaced(state, eta_a, eta_b):
+    amps = full_space_displacement(state.space, eta_a, eta_b) @ state.amplitudes
+    return StateVector(state.space, amps)
+
+
+ORACLE_POINTS = [
+    # a diagonal with complex etas, then repeated points and points with one
+    # mode undisplaced
+    *((0.02 * k * (1 - 0.5j), 0.015 * k * (-0.3 + 1j)) for k in range(-2, 3)),
+    (0.04 - 0.02j, -0.01 + 0.03j), (0.04 - 0.02j, -0.01 + 0.03j),
+    (0.0, -0.02j), (0.03 + 0.01j, 0.0), (0.0, 0.0), (0.0, -0.02j),
+]
+
+
+@pytest.mark.parametrize("space", [field_space(7, 6), make_space(3, 4, 3)],
+                         ids=["field", "three_level"])
+def test_wigner_direct_matches_per_point_dense_oracle(space):
+    psi = damped_random_state(space, 17)
+    parity = parity_operator(space)
+    expected = [TWO_MODE_NORM * expectation(parity, oracle_displaced(psi, *pt)).real
+                for pt in ORACLE_POINTS]
+    w = wigner_direct(psi, PhaseSpaceGrid(tuple(ORACLE_POINTS)))
+    assert np.max(np.abs(w - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("phi", [math.pi, 1.3])
+def test_wigner_via_protocol_matches_per_point_probe_oracle(phi):
+    psi = damped_random_state(field_space(7, 6), 19)
+    outcomes = [probe_protocol(oracle_displaced(psi, *pt), phi) for pt in ORACLE_POINTS]
+    signal_expected = np.array([o.signal for o in outcomes])
+    w, signal = wigner_via_protocol(psi, PhaseSpaceGrid(tuple(ORACLE_POINTS)), phi)
+    assert np.max(np.abs(signal - signal_expected)) < 1e-12
+    assert np.max(np.abs(w + TWO_MODE_NORM * signal_expected)) < 1e-12
+
+
+def test_wigner_via_protocol_rejects_atom_state():
+    psi = damped_random_state(make_space(3, 4, 3), 2)
+    with pytest.raises(ValueError):
+        wigner_via_protocol(psi, PhaseSpaceGrid(((0.0, 0.0),)))
+
+
+def test_truncation_error_names_the_first_point_over_the_limit_with_both_tails():
+    space = field_space(6, 6)
+    vacuum = vacuum_state(space)
+    # the last point overflows most and sorts first among the distinct etas;
+    # the middle one is the first over the limit in grid order
+    points = ((0.1, 0.1), (0.9, 0.8), (-3.0, 0.0))
+    probs = np.abs(oracle_displaced(vacuum, *points[1]).amplitudes.reshape(7, 7)) ** 2
+    tail_a, tail_b = probs[6, :].sum(), probs[:, 6].sum()
+    assert tail_a > TAIL_LIMIT and tail_b > TAIL_LIMIT
+    shown = f"{tail_a + tail_b:.3e}"
+    assert shown not in (f"{tail_a:.3e}", f"{tail_b:.3e}")
+    for scan in (wigner_direct, wigner_via_protocol):
+        with pytest.raises(TruncationError, match=f"displacement left {shown} probability"):
+            scan(vacuum, PhaseSpaceGrid(points))
+    with pytest.raises(TruncationError, match=f"displacement left {shown} probability"):
+        displace(vacuum, *points[1])
 
 
 def test_grid_point_past_truncation_edge_raises():
