@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 convergence-gate failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -119,8 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers keep no state between parse_args calls: build it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

@@ -2,8 +2,9 @@
 
 A static generator is evolved only on the connected components of its
 sparsity graph that the initial state reaches (nothing couples them to the
-rest).  A component whose off-diagonal graph is a path (states - 1 edges, no
-state with more than two neighbours), such as every conserved sector of the
+rest); they are found by walking the graph out from the state's support, so
+the cost follows the reached states, not the whole space.  A component
+whose off-diagonal graph is a path, such as every conserved sector of the
 bilinear generators and of the full models, is ordered from one end; the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
 one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
@@ -69,72 +70,133 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
-def _paths(sub: sp.csr_matrix, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(position, hop) of every state of sub, whose connected components
-    carry the labels.  On a component whose off-diagonal graph is a path
-    (states - 1 edges, no state of degree above 2), position counts the
-    steps from one end and hop is <state|sub|next state>, 0 at the far end;
-    on any other component position is -1 and hop 0.
+def _walk(pattern: sp.csr_matrix, starts: np.ndarray, label: np.ndarray,
+          sectors: list[np.ndarray]) -> None:
+    """Append to sectors the states of one directed breadth-first walk from
+    each start no walk has reached, in walk order; label[state] is the index
+    of its sector, -1 while unreached.  A walk that runs into earlier sectors
+    (through an entry stored on one side only) absorbs them.
     """
-    n = labels.size
-    coo = sub.tocoo()
-    off = coo.row != coo.col
-    row, col, val = coo.row[off], coo.col[off], coo.data[off]
-    # each edge once, whichever triangle stores it
-    lo, hi = np.divmod(np.unique(np.minimum(row, col).astype(np.int64) * n
-                                 + np.maximum(row, col)), n)
-    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    _, comp = np.unique(labels, return_inverse=True)
-    path = np.bincount(comp[lo], minlength=comp.max() + 1) == np.bincount(comp) - 1
-    path[comp[degree > 2]] = False
-    ends = np.flatnonzero(path[comp] & (degree <= 1))
-    _, first = np.unique(comp[ends], return_index=True)
-    position = np.full(n, -1.0)
-    if first.size:
-        edges = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
-        steps = dijkstra(edges, directed=False, indices=ends[first],
-                         unweighted=True, min_only=True)
-        position[path[comp]] = steps[path[comp]]
-    hop = np.zeros(n, dtype=np.complex128)
-    forward = position[col] - position[row] == 1.0
-    hop[row[forward]] = val[forward]
-    return position, hop
+    starts = starts[label[starts] < 0]
+    while starts.size:
+        order = breadth_first_order(pattern, starts[0], return_predecessors=False)
+        met = label[order]
+        if met.max() >= 0:
+            met = np.unique(met[met >= 0])
+            order = np.concatenate([*(sectors[k] for k in met), order[label[order] < 0]])
+            for k in met:
+                sectors[k] = order[:0]
+        label[order] = len(sectors)
+        sectors.append(order)
+        starts = starts[label[starts] < 0]
+
+
+def _reached_sectors(M: sp.csr_matrix, pattern: sp.csr_matrix,
+                     support: np.ndarray) -> list[np.ndarray]:
+    """The connected components of M's sparsity graph that meet support,
+    each as its states in walk order over pattern, M's entries set to 1.
+
+    The walks follow stored entries row-wise.  Their union K is the exact
+    reached set once no stored entry leads into K from a row outside it,
+    i.e. when the entries whose column is in K are exactly those of K's
+    rows; otherwise the walk goes on from those rows.
+    """
+    n = M.shape[0]
+    label = np.full(n, -1)
+    sectors: list[np.ndarray] = []
+    _walk(pattern, support, label, sectors)
+    while sectors:  # else the zero state, which reaches nothing
+        reached = label >= 0
+        into = np.take(reached, M.indices)
+        rows = np.concatenate(sectors)
+        if np.count_nonzero(into) == np.sum(M.indptr[rows + 1] - M.indptr[rows]):
+            break
+        entry_row = np.repeat(np.arange(n), np.diff(M.indptr))
+        _walk(pattern, np.unique(entry_row[into & ~reached[entry_row]]), label, sectors)
+    return [s for s in sectors if s.size]
+
+
+def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
+    """(row, col, value) of every entry of M[order][:, order], rows ascending;
+    rank[order] = arange(order.size) and order is closed under M's rows."""
+    start = M.indptr[order]
+    count = M.indptr[order + 1] - start
+    entry = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    return np.repeat(np.arange(order.size), count), rank[M.indices[entry]], M.data[entry]
 
 
 def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     """(keep, states): the sorted indices of the components of G's sparsity
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
     every other amplitude is exactly 0 and a time of 0 returns amps[keep].
+    The components are walked out from the support of amps and sliced from
+    G once, in walk order, so no step labels or slices the whole space.
     Raises ValueError for a non-Hermitian G, PropagationError on norm drift.
     """
     if not G.is_hermitian():
         raise ValueError("static evolution requires a Hermitian generator")
     times = np.asarray(times, dtype=float)
-    # graph from the pattern: csgraph would drop the imaginary part of G
-    _, component = connected_components(G.matrix != 0, directed=False)
-    keep = np.flatnonzero(np.isin(component, component[amps != 0]))
-    if not keep.size:  # the zero state
-        return keep, np.empty((times.size, 0), dtype=np.complex128)
-    labels = component[keep]
-    sub = G.matrix[keep][:, keep]
-    position, hop = _paths(sub, labels)
-    diagonal = sub.diagonal().real
-    order = np.lexsort((position, labels))  # each path from its end
-    psi = amps[keep]
-    states = np.empty((times.size, keep.size), dtype=np.complex128)
-    for pos in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        if position[pos[0]] == 0.0 and pos.size <= CHAIN_SECTOR_LIMIT:
-            h = hop[pos[:-1]]
+    M = G.matrix
+    # a float pattern: csgraph would drop the imaginary part of G
+    pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+    sectors = _reached_sectors(M, pattern, np.flatnonzero(amps != 0))
+    if not sectors:  # the zero state
+        return np.empty(0, dtype=np.intp), np.empty((times.size, 0), dtype=np.complex128)
+    size = np.array([s.size for s in sectors])
+    bounds = np.concatenate(([0], np.cumsum(size)))
+    sector = np.repeat(np.arange(size.size), size)  # of every position
+    order = np.concatenate(sectors)
+    rank = np.empty(M.shape[0], dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    row, col, val = _entries(M, order, rank)
+    first = np.searchsorted(row, bounds)  # entries of each sector, contiguous
+
+    def beyond(width):  # sectors holding an entry more than width off the diagonal
+        flags = np.zeros(size.size, dtype=bool)
+        flags[sector[row[np.abs(row - col) > width]]] = True
+        return flags
+
+    # a sector is a path, ordered from one end, when no entry lies more than
+    # one place off the diagonal; a walk begun inside a path keeps every
+    # entry within two places and ends at a path end, so walk again from there
+    inside = np.flatnonzero(beyond(1) & ~beyond(2))
+    if inside.size:
+        position = np.arange(order.size)
+        for k in inside:
+            walk = breadth_first_order(pattern, order[bounds[k + 1] - 1],
+                                       return_predecessors=False)
+            if walk.size == size[k]:  # else an entry stored on one side only cuts it
+                position[rank[walk]] = np.arange(bounds[k], bounds[k + 1])
+        row, col = position[row], position[col]
+        order[position] = order.copy()
+    far = beyond(1)
+    diagonal = np.zeros(order.size)
+    on = row == col
+    np.add.at(diagonal, row[on], val[on].real)
+    hop = np.zeros(order.size, dtype=np.complex128)
+    up = col == row + 1
+    np.add.at(hop, row[up], val[up])
+    psi = amps[order]
+    states = np.empty((times.size, order.size), dtype=np.complex128)
+    for k in range(size.size):
+        pos = slice(bounds[k], bounds[k + 1])
+        if not far[k] and size[k] <= CHAIN_SECTOR_LIMIT:
+            h = hop[bounds[k]:bounds[k + 1] - 1]
             energies, basis = eigh_tridiagonal(diagonal[pos], np.abs(h))
             gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(h)))))
             basis = gauge[:, None] * basis
-        elif position[pos[0]] < 0.0 and pos.size <= DENSE_SECTOR_LIMIT:
-            energies, basis = np.linalg.eigh(sub[pos][:, pos].toarray())
         else:
-            block = sub[pos][:, pos]
-            for k, t in enumerate(times):
-                states[k, pos] = expm_multiply((-1j * t) * block, psi[pos]) if t else psi[pos]
-            continue
+            e = slice(first[k], first[k + 1])
+            r, c = row[e] - bounds[k], col[e] - bounds[k]
+            if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
+                block = np.zeros((size[k], size[k]), dtype=np.complex128)
+                np.add.at(block, (r, c), val[e])
+                energies, basis = np.linalg.eigh(block)
+            else:
+                block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
+                for i, t in enumerate(times):
+                    states[i, pos] = expm_multiply((-1j * t) * block, psi[pos]) if t else psi[pos]
+                continue
         phases = np.exp(np.outer(times, -1j * energies))
         phases *= basis.conj().T @ psi[pos]
         states[:, pos] = phases @ basis.T
@@ -142,7 +204,8 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, n
     drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
     if drift > STATIC_NORM_DRIFT_LIMIT:
         raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
-    return keep, states
+    sort = np.argsort(order)
+    return order[sort], states[:, sort]
 
 
 def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:

@@ -1,9 +1,11 @@
 """Sparse full-space operators that the library no longer builds, kept as
 independent oracles for the array-based observables, tomography and reduced
-generator, and the random states they are compared on."""
+generator, the random states they are compared on, and the whole-graph
+labelling of the sectors a state reaches."""
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from cavityconv.hamiltonians import PhysicalParams, ProcessKind, effective_xi
 from cavityconv.hilbert import HilbertSpace, Operator, StateVector, annihilation
@@ -44,3 +46,10 @@ def bilinear_generator_product_form(space: HilbertSpace, params: PhysicalParams)
     else:
         half = xi * (a @ a)
     return half + half.dag()
+
+
+def reached_components(matrix: sp.spmatrix, support: np.ndarray) -> np.ndarray:
+    """Sorted union of the undirected connected components of the sparsity
+    graph of matrix that meet support, labelled over the whole space."""
+    _, label = connected_components(matrix != 0, directed=False)
+    return np.flatnonzero(np.isin(label, label[support]))

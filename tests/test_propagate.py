@@ -43,7 +43,7 @@ from cavityconv.propagate import (
 )
 from cavityconv.scenarios import run_scenario
 
-from oracles import random_state
+from oracles import random_state, reached_components
 
 LAM = 7e5
 OMEGA = 7e5
@@ -188,6 +188,7 @@ def sector_cases():
 
 
 def assert_matches_dense_expm(gen, psi0, times, keep, states):
+    assert np.array_equal(keep, reached_components(gen.matrix, np.flatnonzero(psi0.amplitudes)))
     dense = gen.to_dense()
     for t, state in zip(times, states):
         exact = scipy.linalg.expm(-1j * t * dense) @ psi0.amplitudes
@@ -296,6 +297,94 @@ def test_chain_branch_on_one_state_components(monkeypatch):
         assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
         assert_matches_dense_expm(gen, psi0, times, keep, states)
         assert np.array_equal(states[0], psi0.amplitudes[keep])
+
+
+# local edges of the components of scattered_generator
+SHAPES = {
+    "path": [(k, k + 1) for k in range(6)],
+    "tree": [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)],  # state 0 has three neighbours
+    "cycle": [(k, (k + 1) % 5) for k in range(5)],
+    "pair": [(0, 1)],
+    "isolated": [],  # two states with a diagonal entry, one with no entry at all
+}
+SIZES = {"path": 7, "tree": 6, "cycle": 5, "pair": 2, "isolated": 3}
+
+
+def scattered_generator(seed):
+    """(generator, states): a random Hermitian generator whose components
+    have the SHAPES, their states scattered over the basis by a seeded
+    permutation; states[name] lists a component's states in local order."""
+    rng = np.random.default_rng(seed)
+    dim = sum(SIZES.values())
+    place = rng.permutation(dim)
+    states, rows, cols, vals, offset = {}, [], [], [], 0
+    for name, edges in SHAPES.items():
+        states[name] = place[offset:offset + SIZES[name]]
+        for i, j in edges:
+            rows.append(states[name][i])
+            cols.append(states[name][j])
+            vals.append(1e3 * (rng.normal() + 1j * rng.normal()))
+        offset += SIZES[name]
+    half = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    diagonal = 1e3 * rng.normal(size=dim)
+    diagonal[states["isolated"][2]] = 0.0
+    gen = Operator(field_space(dim - 1, 0), half + half.conj().T + sp.diags(diagonal))
+    return gen, states
+
+
+def amplitudes_on(space, support, seed):
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[support] = random_state(space, seed).amplitudes[support]
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", ["mid-path", "two-seeds", "tree", "cycle", "isolated",
+                                  "one-sided", "full-support"])
+def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
+    gen, states = scattered_generator(seed)
+    space = gen.space
+    support = {
+        "mid-path": states["path"][[3]],
+        "two-seeds": states["cycle"][[0, 2]],
+        "tree": states["tree"][[4]],
+        "cycle": states["cycle"][[3]],
+        "isolated": states["isolated"][[1, 2]],
+        "one-sided": states["pair"][[0]],
+        "full-support": np.arange(space.total_dim),
+    }[case]
+    if case == "one-sided":
+        # one entry stored on one side only, inside the Hermitian tolerance:
+        # its row, outside the walked pair, leads into the pair
+        stray = sp.csr_matrix(([1e-20], ([states["path"][5]], [states["pair"][1]])),
+                              shape=gen.matrix.shape)
+        gen = Operator(space, gen.matrix + stray)
+        assert gen.is_hermitian()
+    amps = amplitudes_on(space, support, seed)
+    psi0 = StateVector(space, amps)
+    times = np.array([0.0, 2e-4, 1e-3])
+    calls = counted_solvers(monkeypatch)
+    keep, states_out = _evolve_sectors(gen, amps, times)
+    assert_matches_dense_expm(gen, psi0, times, keep, states_out)
+    if case == "mid-path":  # walked again from an end: still one tridiagonal
+        assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
+    if case == "one-sided":
+        assert set(states["path"]) <= set(keep)
+
+
+def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
+    # [300, 300] has 90 601 states; the vacuum reaches the 301 of n_a = n_b
+    visited = []
+    walk = propagate.breadth_first_order
+
+    def counted(*args, **kwargs):
+        order = walk(*args, **kwargs)
+        visited.append(order.size)
+        return order
+
+    monkeypatch.setattr(propagate, "breadth_first_order", counted)
+    run_scenario({"scenario": "pdc_epr", "truncation": [300, 300]}, check_convergence=False)
+    assert 301 <= sum(visited) <= 3 * 301
 
 
 def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monkeypatch):

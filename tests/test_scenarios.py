@@ -1,3 +1,4 @@
+import argparse
 import copy
 import importlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavityconv
-from cavityconv import propagate, scenarios, tomography
+from cavityconv import cli, propagate, scenarios, tomography
 from cavityconv.cli import main as cli_main
 from cavityconv.hamiltonians import PhysicalParams, ProcessKind, resonance_delta
 from cavityconv.hilbert import StateVector
@@ -762,6 +763,22 @@ def test_cli_list_scenarios(capsys):
     out = capsys.readouterr().out
     for name in REGISTERED:
         assert name in out
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    assert cli_main(["list-scenarios"]) == 0  # the first call may build it
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for _ in range(3):
+        assert cli_main(["list-scenarios"]) == 0
+    assert not built
+    assert isinstance(cli.build_parser(), argparse.ArgumentParser) and built
 
 
 def test_cli_convergence_sweep_csv(tmp_path, capsys):
