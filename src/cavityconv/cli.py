@@ -35,21 +35,28 @@ EXIT_CONVERGENCE = 3
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object")
     return raw
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {str(path)!r}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -66,7 +73,7 @@ def _externalize_tables(doc: dict, out: str) -> dict:
     for name in sorted(doc.get("tables", {})):
         table = doc["tables"][name]
         csv_path = out_path.with_name(f"{out_path.stem}_{name}.csv")
-        csv_path.write_text(table_to_csv(table["columns"], table["rows"]))
+        _write(csv_path, table_to_csv(table["columns"], table["rows"]))
         files[name] = csv_path.name
     if files:
         doc = dict(doc)

@@ -42,7 +42,6 @@ from .hilbert import (
     DIM_CAP,
     StateVector,
     basis_state,
-    embed_atom,
     field_space,
     fock_state,
     make_space,
@@ -91,7 +90,8 @@ class ConvergenceGateError(RuntimeError):
 # A scenario's registry ``defaults`` alone states which keys its config and its
 # sections accept and what each field defaults to (when absent or null); a
 # scenario lists only the fields its body or its gate reads.
-# ``_FIELDS`` maps each field path to (parse, echo); other paths are sections.
+# ``_FIELDS`` maps each field path to its parser; other paths are sections.  The
+# config echo holds the parsed values, and the serializer renders them as JSON.
 
 @dataclass(frozen=True)
 class ResolvedConfig:
@@ -129,10 +129,6 @@ def _complex(value) -> complex:
     return complex(_number(value))
 
 
-def _echo_complex(c: complex):
-    return c.real if c.imag == 0.0 else [c.real, c.imag]
-
-
 def _detuning(value) -> float:
     if not 0.0 < _number(value) * value < math.inf:  # couplings divide by delta_big^2
         raise ValueError(f"expected a detuning whose square is finite and nonzero, got {value!r}")
@@ -153,7 +149,10 @@ def _times(value) -> tuple[float, ...] | None:
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "num"}:
             raise ValueError(f"a range needs exactly start, stop and num, got {sorted(value)}")
-        grid = np.linspace(_number(value["start"]), _number(value["stop"]), _count(value["num"], 1))
+        num = _count(value["num"], 1)
+        if num > DIM_CAP:
+            raise ValueError(f"{num} points exceed cap {DIM_CAP}")
+        grid = np.linspace(_number(value["start"]), _number(value["stop"]), num)
         times = tuple(float(t) for t in grid)
     elif isinstance(value, (list, tuple)) and value:
         times = tuple(_number(t) for t in value)
@@ -198,29 +197,25 @@ def _target_config(value) -> dict:
     return dict(value)
 
 
-def _same(value):
-    return value
-
-
-_FIELDS: dict[str, tuple[Callable, Callable]] = {
-    "truncation": (_truncation, list),
-    "times": (_times, lambda times: None if times is None else list(times)),
-    "outputs": (_outputs, list),
-    "params.lambda_a": (_complex, _echo_complex),
-    "params.lambda_b": (_complex, _echo_complex),
-    "params.omega_cl": (_complex, _echo_complex),
-    "params.delta_big": (_detuning, _same),
-    "params.process": (ProcessKind, lambda process: process.value),
-    "traversal.waist_w": (_positive, _same),
-    "traversal.alpha": (lambda alpha: None if alpha is None else _positive(alpha), _same),
-    "options.grid_points": (lambda n: _count(n, 1), _same),
-    "options.grid_extent": (_number, _same),
-    "options.state": (_wigner_state, _same),
-    "options.fit_tau": (_positive, _same),
-    "options.fit_target_r": (_positive, _same),
-    "options.target": (_sweep_target, _same),
-    "options.n_max_list": (_n_max_list, list),
-    "options.target_config": (_target_config, dict),
+_FIELDS: dict[str, Callable] = {
+    "truncation": _truncation,
+    "times": _times,
+    "outputs": _outputs,
+    "params.lambda_a": _complex,
+    "params.lambda_b": _complex,
+    "params.omega_cl": _complex,
+    "params.delta_big": _detuning,
+    "params.process": ProcessKind,
+    "traversal.waist_w": _positive,
+    "traversal.alpha": lambda alpha: None if alpha is None else _positive(alpha),
+    "options.grid_points": lambda n: _count(n, 1),
+    "options.grid_extent": _number,
+    "options.state": _wigner_state,
+    "options.fit_tau": _positive,
+    "options.fit_target_r": _positive,
+    "options.target": _sweep_target,
+    "options.n_max_list": _n_max_list,
+    "options.target_config": _target_config,
 }
 
 
@@ -243,22 +238,10 @@ def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
         path = prefix + key
         if path in _FIELDS:
             value = raw.get(key)
-            values[key] = _parse(path, _FIELDS[path][0], default if value is None else value)
+            values[key] = _parse(path, _FIELDS[path], default if value is None else value)
         else:
             values[key] = _resolve(default, raw.get(key, {}), path + ".")
     return values
-
-
-def _echo(defaults: dict, resolved: dict, prefix: str = "") -> dict:
-    echo = {}
-    for key, default in defaults.items():
-        path, value = prefix + key, resolved[key]
-        if path in _FIELDS:
-            echo[key] = _FIELDS[path][1](value)
-        else:  # params is a PhysicalParams, traversal and options are dicts
-            section = value if isinstance(value, dict) else vars(value)
-            echo[key] = _echo(default, section, path + ".")
-    return echo
 
 
 def resolve_config(raw: dict) -> ResolvedConfig:
@@ -300,7 +283,13 @@ def _physical_params(fields: dict) -> PhysicalParams:
 
 
 def _echo_config(cfg: ResolvedConfig) -> dict:
-    return {"scenario": cfg.scenario, **_echo(SCENARIOS[cfg.scenario].defaults, vars(cfg))}
+    """The resolved value of every field the scenario lists."""
+    echo = {"scenario": cfg.scenario}
+    for key, default in SCENARIOS[cfg.scenario].defaults.items():
+        value = getattr(cfg, key)
+        # params is a PhysicalParams; traversal and options hold only listed keys
+        echo[key] = {name: getattr(value, name) for name in default} if key == "params" else value
+    return echo
 
 
 # --- bell preparation ---------------------------------------------------------
@@ -365,7 +354,7 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
     transcript = {
         "target": target,
         "interaction": kind,
-        "coupling": _echo_complex(coupling),
+        "coupling": coupling,
         "interaction_time": t_quarter,
         "initial_state": initial_label,
         "atomic_projection": f"(|g> {'+' if sign > 0 else '-'} |e>)/sqrt2",
@@ -408,10 +397,8 @@ def _scenario_puc_swap(cfg: ResolvedConfig):
                                    fock_state(space, 1, 0).amplitudes, times)
     p_10, p_01 = (np.sum(np.abs(states[:, keep == space.flatten(0, *n)]) ** 2, axis=1)
                   for n in ((1, 0), (0, 1)))
-    amps = np.zeros(space.total_dim, dtype=np.complex128)
-    amps[keep] = states[0]
-    final = StateVector(space, amps, copy=False)
-    photon_sum = obs.mean_photon_number(final, "a") + obs.mean_photon_number(final, "b")
+    n_a, n_b = space.fock_numbers()
+    photon_sum = float(np.sum(np.abs(states[0]) ** 2 * (n_a + n_b)[keep]))
     metrics = {
         "xi_abs": xi_abs,
         "swap_time": t_swap,
@@ -522,10 +509,12 @@ def _scenario_epr_variances(cfg: ResolvedConfig):
 
 def _scenario_full_vs_effective(cfg: ResolvedConfig):
     params = cfg.params
-    xi_abs, fld_space = _swap_setup(cfg)
+    xi_abs, _ = _swap_setup(cfg)
     eps_sq = (max(abs(params.lambda_a), abs(params.lambda_b)) / abs(params.delta_big)) ** 2
-    t_end = (math.pi / 2.0) / xi_abs
     n_points = cfg.options["grid_points"]
+    if n_points > DIM_CAP:
+        raise ConfigError(f"options.grid_points: {n_points} points exceed cap {DIM_CAP}")
+    t_end = (math.pi / 2.0) / xi_abs
     times = np.array(cfg.times) if cfg.times else np.linspace(0.0, t_end, n_points)
 
     atom_space = make_space(3, *cfg.truncation)
@@ -534,27 +523,22 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
         raise ConfigError("params.lambda_a, params.lambda_b: full_vs_effective requires "
                           "symmetric couplings (static full model)")
 
-    # both models on their reached sectors, the full one also at the dense
-    # diagnostic sweep that gives the continuous-time leakage envelope
+    # the full model on its reached sector, also at the dense diagnostic sweep
+    # that gives the continuous-time leakage envelope
     n_rows = times.size
     dense_ts = np.linspace(0.0, float(times[-1]), DENSE_SCAN_POINTS)[1:]
-    psi0 = fock_state(fld_space, 1, 0)
-    keep, full = _evolve_sectors(h_full.at(0.0), embed_atom(psi0, atom_space, "i").amplitudes,
+    keep, full = _evolve_sectors(h_full.at(0.0), basis_state(atom_space, "i", 1, 0).amplitudes,
                                  np.concatenate([times, dense_ts]))
-    keep_red, reduced = _evolve_sectors(reduced_bilinear_generator(fld_space, params),
-                                        psi0.amplitudes, times)
-    n_a, n_b = fld_space.fock_numbers()
-    chi = (abs(params.lambda_a) ** 2 / params.delta_big * n_a
-           + abs(params.lambda_b) ** 2 / params.delta_big * n_b)
-    reduced *= np.exp(-1j * np.outer(times, chi[keep_red]))  # frame of the i-level Stark shifts
-    level, n_a_kept, n_b_kept = np.unravel_index(keep, atom_space.shape)
-    in_i = level == atom_space.level_index("i")
-    conditioned = full[:, in_i]  # the i-level amplitudes
-    population = np.sum(np.abs(conditioned) ** 2, axis=1)
+    # the i-level amplitudes: |i;1,0> and |i;0,1> are the only i states reached
+    i_10, i_01 = (np.sum(full[:, keep == atom_space.flatten(atom_space.level_index("i"), *n)],
+                         axis=1) for n in ((1, 0), (0, 1)))
+    population = np.abs(i_10) ** 2 + np.abs(i_01) ** 2
     leak = 1.0 - population
-    field_kept = np.ravel_multi_index((0, n_a_kept[in_i], n_b_kept[in_i]), fld_space.shape)
-    _, pos_i, pos_red = np.intersect1d(field_kept, keep_red, return_indices=True)
-    overlap = np.sum(conditioned[:n_rows, pos_i].conj() * reduced[:, pos_red], axis=1)
+    # the reduced swap's Rabi solution cos(|xi| t)|1,0> - i (xi/|xi|) sin(|xi| t)|0,1>; the i-level
+    # Stark shifts |lambda|^2 n / delta_big are a global phase on it, as |lambda_a| = |lambda_b|
+    xi_t = xi_abs * times
+    overlap = (i_10[:n_rows].conj() * np.cos(xi_t)
+               - 1j * (effective_xi(params) / xi_abs) * i_01[:n_rows].conj() * np.sin(xi_t))
     fid = np.abs(overlap) ** 2 / np.where(population[:n_rows] > 0.0, population[:n_rows], 1.0)
     rows = [[t, xi_abs * t, f, l]
             for t, f, l in zip(times.tolist(), fid.tolist(), leak[:n_rows].tolist())]

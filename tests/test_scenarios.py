@@ -139,13 +139,31 @@ def test_schema_fields_are_exactly_the_registry_leaves():
     assert leaves == set(_FIELDS)
 
 
-@pytest.mark.parametrize("name", sorted(REGISTERED))
-def test_config_echo_resolves_to_itself(name):
-    echo = run_scenario({"scenario": name}, check_convergence=False)["config"]
+ECHO_CONFIGS = [pytest.param({"scenario": name}, id=name) for name in sorted(REGISTERED)] + [
+    pytest.param({"scenario": "puc_swap", "params": {
+        "lambda_a": [0.0, 7e5], "lambda_b": [4.2e5, -5.6e5], "omega_cl": [3e5, 5e5]}},
+        id="complex_couplings"),
+    pytest.param({"scenario": "puc_swap", "times": {"start": 0.0, "stop": 3e-4, "num": 4}},
+                 id="times_range"),
+    pytest.param({"scenario": "convergence", "options": {
+        "target": "puc_swap", "n_max_list": [2, 4],
+        "target_config": {"params": {"lambda_a": [0.0, 6e5]}, "times": [1e-4]}}},
+        id="convergence-target_config"),
+    pytest.param({"scenario": "bell_prep", "params": {"lambda_a": [3e5, 4e5]}},
+                 id="bell_prep-complex"),
+]
+
+
+@pytest.mark.parametrize("config", ECHO_CONFIGS)
+def test_config_echo_resolves_to_itself(config):
+    # the echo as the result document renders it is the contract
+    name = config["scenario"]
+    echo = json.loads(result_to_json(run_scenario(config, check_convergence=False)))["config"]
     assert set(echo) == {"scenario", *SCENARIOS[name].defaults}
-    if "options" in echo:
+    if len(config) == 1 and "options" in echo:
         assert echo["options"] == SCENARIOS[name].defaults["options"]
-    assert _echo_config(resolve_config(echo)) == echo
+    assert (result_to_json({"config": _echo_config(resolve_config(echo))})
+            == result_to_json({"config": echo}))
 
 
 def test_complex_and_resonance_parsing():
@@ -567,6 +585,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content, out, named", [
+    pytest.param(b'{"scenario": "pdc_epr\xff"}', None, "cannot read config", id="not_utf8"),
+    pytest.param(b"[" * 100000, None, "not valid JSON", id="nested_too_deep"),
+    pytest.param(b'{"scenario": "puc_swap"}', "missing/out.json", "--out", id="unwritable_out"),
+])
+def test_cli_input_and_output_errors_exit_2(tmp_path, capsys, content, out, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    flags = ["--out", str(tmp_path / out)] if out else []
+    assert cli_main(["run", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 def test_cli_maps_truncation_overflow_to_validation_exit(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "scenario": "wigner_scan",
@@ -611,6 +643,8 @@ VALIDATION_CASES = [
                truncation=[100000, 1]),
     bad_config("full_vs_effective-grid_points", "options.grid_points", "full_vs_effective",
                options={"grid_points": 0}),
+    bad_config("full_vs_effective-grid_points-cap", "options.grid_points", "full_vs_effective",
+               options={"grid_points": 1_000_000_000_000}),
     bad_config("n_max_list", "options.n_max_list", "convergence",
                options={"n_max_list": ["a", "b"]}),
     bad_config("n_max_list-cap", "options.n_max_list", "convergence",
@@ -648,6 +682,8 @@ VALIDATION_CASES = [
     bad_config("grid_points-string", "options.grid_points", "wigner_scan",
                options={"grid_points": "x"}),
     bad_config("times-stop", "times", "puc_swap", times={"start": 0.0, "stop": "x", "num": 3}),
+    bad_config("times-num-cap", "times", "puc_swap",
+               times={"start": 0, "stop": 1e-3, "num": 1_000_000_000_000}),
     # knobs that no scenario reads
     bad_config("seed", "seed", "puc_swap", seed=5),
     bad_config("traversal-outside-profile", "traversal", "puc_swap", traversal={"waist_w": 1}),
