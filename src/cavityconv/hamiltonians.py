@@ -33,15 +33,13 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-import scipy.sparse as sp
-
 from .hilbert import (
     HilbertSpace,
     Operator,
+    _band,
+    _band_operator,
     annihilation,
     atomic_sigma,
-    identity_operator,
     number_operator,
 )
 
@@ -148,15 +146,14 @@ def full_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
     drive:    omega_cl sig_ge at frequency -delta (plus h.c.)
     """
     _require(params, ProcessKind.PUC)
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    sig_ig = atomic_sigma(space, "i", "g")
-    sig_ie = atomic_sigma(space, "i", "e")
-    coupling = params.lambda_a * (a @ sig_ig) + params.lambda_b * (b @ sig_ie)
-    static = coupling + coupling.dag() - params.delta_big * (
-        atomic_sigma(space, "e", "e") + atomic_sigma(space, "g", "g")
-    )
-    drive = params.omega_cl * atomic_sigma(space, "g", "e")
+    lam_a, lam_b = params.lambda_a, params.lambda_b
+    static = _band_operator(space, [
+        (lam_a, _band(space, "i", "g", 1, 0)), (lam_a.conjugate(), _band(space, "g", "i", -1, 0)),
+        (lam_b, _band(space, "i", "e", 0, 1)), (lam_b.conjugate(), _band(space, "e", "i", 0, -1)),
+        (-params.delta_big, _band(space, "e", "e", 0, 0)),
+        (-params.delta_big, _band(space, "g", "g", 0, 0)),
+    ])
+    drive = _band_operator(space, [(params.omega_cl, _band(space, "g", "e", 0, 0))])
     return TimeDependentOperator(static, [(drive, -params.delta_small)])
 
 
@@ -165,15 +162,13 @@ def full_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
     free Hamiltonian; the optical frequencies drop out and the three
     couplings oscillate at -Delta, +Delta and -delta respectively."""
     _require(params, ProcessKind.PDC)
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    zero = Operator(space, 0.0 * identity_operator(space).matrix)
     parts = [
-        (params.lambda_a * (a @ atomic_sigma(space, "i", "g")), -params.delta_big),
-        (params.lambda_b * (b @ atomic_sigma(space, "e", "i")), +params.delta_big),
-        (params.omega_cl * atomic_sigma(space, "g", "e"), -params.delta_small),
+        ((params.lambda_a, _band(space, "i", "g", 1, 0)), -params.delta_big),
+        ((params.lambda_b, _band(space, "e", "i", 0, 1)), +params.delta_big),
+        ((params.omega_cl, _band(space, "g", "e", 0, 0)), -params.delta_small),
     ]
-    return TimeDependentOperator(zero, parts)
+    return TimeDependentOperator(_band_operator(space, []),
+                                 [(_band_operator(space, [term]), nu) for term, nu in parts])
 
 
 def _stark_operators(space: HilbertSpace, params: PhysicalParams):
@@ -321,9 +316,7 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
     The constant i-level energy shift is dropped here; it is a global phase
     on that subspace and is kept only by the effective builders.
 
-    The xi half is one band of the flat basis, built from its index arrays:
-    a b^dag moves |n_a, n_b> up by dim_b - 1, a b by dim_b + 1 and a^2 by
-    2 dim_b, with the entries of the operator product at each source state.
+    The xi half and its conjugate are one band each.
     """
     delta_res = resonance_delta(params)
     scale = max(
@@ -336,18 +329,9 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
             f"the static generator requires delta_small = {delta_res!r}"
         )
     xi = effective_xi(params)
-    n_a, n_b = space.fock_numbers()
-    if params.process is ProcessKind.PUC:  # b^dag drops the top level of b
-        step, band = space.dim_b - 1, np.sqrt(n_a) * np.sqrt(n_b + 1) * (n_b < space.n_max_b)
-    elif params.process is ProcessKind.PDC:
-        step, band = space.dim_b + 1, np.sqrt(n_a) * np.sqrt(n_b)
-    else:
-        step, band = 2 * space.dim_b, np.sqrt(n_a) * np.sqrt(np.maximum(n_a - 1, 0))
-    dim = space.total_dim
-    if not 0 < step < dim:  # no step fits (a one-level mode): the band is empty
-        return Operator(space, sp.csr_matrix((dim, dim)))
-    upper = xi * band[step:]  # <k| xi half |k + step>
-    return Operator(space, sp.diags([upper, upper.conj()], [step, -step], shape=(dim, dim)))
+    d_a, d_b = {ProcessKind.PUC: (1, -1), ProcessKind.PDC: (1, 1)}.get(params.process, (2, 0))
+    return _band_operator(space, [(xi, _band(space, None, None, d_a, d_b)),
+                                  (xi.conjugate(), _band(space, None, None, -d_a, -d_b))])
 
 
 def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:
@@ -360,14 +344,9 @@ def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: st
     through the effective builders.
     """
     coupling = two_photon_coupling(params, kind)
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    seg = atomic_sigma(space, "e", "g")
-    if kind == "BS":
-        half = coupling * (a @ b.dag() @ seg)
-    else:
-        half = coupling * (a @ b @ seg)
-    return half + half.dag()
+    d_b = -1 if kind == "BS" else 1
+    return _band_operator(space, [(coupling, _band(space, "e", "g", 1, d_b)),
+                                  (coupling.conjugate(), _band(space, "g", "e", -1, -d_b))])
 
 
 # --- transverse Gaussian mode profile ----------------------------------------

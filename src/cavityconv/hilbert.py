@@ -7,9 +7,9 @@ amplitudes reshape to.  Atomic levels are ordered (g, e, i); the tomography
 probe's auxiliary level f is tracked by ``tomography.probe_protocol`` without
 a space of its own.
 
-Each elementary operator is one band of the flat basis, built straight from
-its index arrays: a photon of mode b is a step of 1, a photon of mode a a
-step of dim_b, and |k><l| moves a whole field block.  All operators are
+Every operator outside the effective builders sums bands |k><l| (x) a^d_a (x)
+b^d_b of the flat basis from one primitive: a photon of mode b is a step of 1,
+of mode a a step of dim_b, and |k><l| moves a whole field block.  All operators are
 sparse complex matrices tagged with their space; operators on different
 spaces never combine.  Only exact zeros are dropped from a matrix, so a
 coupling keeps its entries at any scale.
@@ -257,22 +257,52 @@ def _mode_axis(mode: str) -> int:
     return 1 if mode == "a" else 2
 
 
-def _mode_numbers(space: HilbertSpace, mode: str) -> tuple[np.ndarray, int]:
-    """Photon number of the mode at every flat index, and the flat step of
-    one of its photons."""
-    n_a, n_b = space.fock_numbers()
-    return (n_a, space.dim_b) if _mode_axis(mode) == 1 else (n_b, 1)
+def _ladder_factor(n: np.ndarray, power: int, n_max: int) -> np.ndarray:
+    """<n - power| a^power |n> at each n, a negative power raising: the sqrt
+    factors in the order the steps take them, 0 where a step leaves 0..n_max."""
+    factor = np.ones(n.shape)
+    for j in range(power):
+        factor = factor * np.sqrt(np.maximum(n - j, 0))
+    for j in range(1, 1 - power):
+        factor = factor * np.sqrt(n + j)
+    return factor * (n - power <= n_max)
+
+
+def _band(space: HilbertSpace, k, l, d_a: int, d_b: int) -> tuple[int, np.ndarray]:
+    """Offset (column minus row) and ``sp.diags`` entries of |k><l| (x) a^d_a
+    (x) b^d_b, a negative power meaning the creation operator and k = l = None
+    the identity on the atom: at each source state the operator product's
+    entry, 0 exactly where a step leaves a mode's truncation."""
+    atom, offset = np.ones(space.atom_levels), d_a * space.dim_b + d_b
+    if k is not None:
+        k, l = space.level_index(k), space.level_index(l)
+        atom, offset = np.arange(space.atom_levels) == l, offset + (l - k) * space.field_dim
+    entries = np.multiply.outer(atom, np.outer(
+        _ladder_factor(np.arange(space.dim_a), d_a, space.n_max_a),
+        _ladder_factor(np.arange(space.dim_b), d_b, space.n_max_b))).ravel()
+    # entry j of the band sits in column j + offset above the diagonal, column j below it
+    return offset, entries[max(offset, 0):][:max(space.total_dim - abs(offset), 0)]
+
+
+def _band_operator(space: HilbertSpace, terms) -> Operator:
+    """Sum of coefficient * band over (coefficient, band) terms as one ``sp.diags``:
+    bands at one offset add up (from 0, as a sparse sum does, so no zero part
+    keeps a minus sign), a band that fits no diagonal drops out, and no band at
+    all is the zero operator."""
+    diagonals: dict[int, np.ndarray] = {}
+    for coefficient, (offset, entries) in terms:
+        if entries.size:
+            diagonals[offset] = diagonals.get(offset, 0.0) + coefficient * entries
+    dim = space.total_dim
+    if not diagonals:
+        return Operator(space, sp.csr_matrix((dim, dim)))
+    return Operator(space, sp.diags(list(diagonals.values()), list(diagonals), shape=(dim, dim)))
 
 
 def annihilation(space: HilbertSpace, mode: str) -> Operator:
-    """Bosonic annihilation operator on the designated mode.
-
-    <n-1| a |n> = sqrt(n): the band at the mode's photon step, whose factor
-    sqrt(n) is 0 exactly where a step would leave the mode's block.
-    """
-    n, step = _mode_numbers(space, mode)
-    dim = space.total_dim
-    return Operator(space, sp.diags(np.sqrt(n[step:]), step, shape=(dim, dim)))
+    """Bosonic annihilation operator on the designated mode: <n-1| a |n> = sqrt(n)."""
+    powers = (1, 0) if _mode_axis(mode) == 1 else (0, 1)
+    return _band_operator(space, [(1.0, _band(space, None, None, *powers))])
 
 
 def creation(space: HilbertSpace, mode: str) -> Operator:
@@ -294,24 +324,15 @@ def _ladder(state: StateVector, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
 def number_operator(space: HilbertSpace, mode: str) -> Operator:
     """diag(n) of the designated mode."""
-    n, _ = _mode_numbers(space, mode)
+    n = space.fock_numbers()[_mode_axis(mode) - 1]
     return Operator(space, sp.diags(n.astype(float)))
 
 
-def identity_operator(space: HilbertSpace) -> Operator:
-    return Operator(space, sp.identity(space.total_dim, format="csr"))
-
-
 def atomic_sigma(space: HilbertSpace, k: int | str, l: int | str) -> Operator:
-    """Atomic transition operator |k><l|, identity on both modes: the field
-    block of level l moved, entry for entry, to the block of level k."""
+    """Atomic transition operator |k><l|, identity on both modes."""
     if space.atom_levels == 1:
         raise ValueError("space has no atomic factor")
-    block = np.arange(space.field_dim)
-    rows = space.level_index(k) * space.field_dim + block
-    cols = space.level_index(l) * space.field_dim + block
-    dim = space.total_dim
-    return Operator(space, sp.csr_matrix((np.ones(block.size), (rows, cols)), shape=(dim, dim)))
+    return _band_operator(space, [(1.0, _band(space, k, l, 0, 0))])
 
 
 # --- states -----------------------------------------------------------------
@@ -365,15 +386,3 @@ def expectation(op: Operator, state: StateVector) -> complex:
     if op.space != state.space:
         raise SpaceMismatchError("operator and state live on different spaces")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def atom_block(op: Operator, level: int | str) -> Operator:
-    """Restriction of an operator to one atomic level, as a field-space operator."""
-    space = op.space
-    if space.atom_levels == 1:
-        raise ValueError("operator has no atomic factor")
-    li = space.level_index(level)
-    lo = li * space.field_dim
-    hi = lo + space.field_dim
-    block = op.matrix[lo:hi, lo:hi]
-    return Operator(space.field_subspace(), block)

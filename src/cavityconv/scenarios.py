@@ -278,6 +278,9 @@ def _physical_params(fields: dict) -> PhysicalParams:
         )
     # conversion needs the drive on resonance; the two-photon processes leave it off
     if params.process in _DRIVEN:
+        if not cmath.isfinite(effective_xi(params)):
+            raise ConfigError("params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big: "
+                              "omega_cl lambda_a lambda_b overflows the coupling xi")
         return replace(params, delta_small=resonance_delta(params))
     return params
 
@@ -511,9 +514,13 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     params = cfg.params
     xi_abs, _ = _swap_setup(cfg)
     eps_sq = (max(abs(params.lambda_a), abs(params.lambda_b)) / abs(params.delta_big)) ** 2
-    n_points = cfg.options["grid_points"]
-    if n_points > DIM_CAP:
-        raise ConfigError(f"options.grid_points: {n_points} points exceed cap {DIM_CAP}")
+    n_points = len(cfg.times) if cfg.times else cfg.options["grid_points"]
+    # |i;1,0> reaches |i;1,0>, |i;0,1> and the g and e states with n_a + n_b = 2
+    reached = 2 + 2 * sum(2 - cfg.truncation[1] <= n_a <= cfg.truncation[0] for n_a in range(3))
+    if (n_points + DENSE_SCAN_POINTS - 1) * reached > DIM_CAP:
+        raise ConfigError(f"{'times' if cfg.times else 'options.grid_points'}: {n_points} points "
+                          f"plus the {DENSE_SCAN_POINTS - 1}-point dense scan, times {reached} "
+                          f"reached states, exceed cap {DIM_CAP}")
     t_end = (math.pi / 2.0) / xi_abs
     times = np.array(cfg.times) if cfg.times else np.linspace(0.0, t_end, n_points)
 
@@ -665,6 +672,8 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
     except ValueError as exc:
         raise ConfigError(f"params.lambda_a: {exc}") from None
     choice, space = cfg.options["state"], field_space(*cfg.truncation)
+    if choice == "one_photon" and cfg.truncation[0] < 1:
+        raise ConfigError("truncation, options.state: the one_photon state |1,0> needs n_max_a >= 1")
     if choice == "tmsv":
         state = _evolved_vacuum(cfg)
     else:

@@ -24,17 +24,23 @@ from cavityconv.hamiltonians import (
 from cavityconv.hilbert import (
     Operator,
     annihilation,
-    atom_block,
     atomic_sigma,
     basis_state,
     field_space,
     fock_state,
-    identity_operator,
     make_space,
     number_operator,
 )
 
-from oracles import bilinear_generator_product_form
+from oracles import (
+    assert_identical,
+    atom_block,
+    bilinear_generator_product_form,
+    full_pdc_product_form,
+    full_puc_product_form,
+    identity_operator,
+    two_photon_product_form,
+)
 
 LAM = 7e5
 OMEGA = 7e5
@@ -368,10 +374,33 @@ def test_reduced_generator_band_equals_the_operator_product(process, n_max):
     params = PhysicalParams(*couplings, resonance_delta(PhysicalParams(*couplings, 0.0, process)),
                             process)
     space = field_space(*n_max)
-    gen = reduced_bilinear_generator(space, params)
-    oracle = bilinear_generator_product_form(space, params)
-    assert gen.matrix.nnz == oracle.matrix.nnz
-    assert np.array_equal(gen.to_dense(), oracle.to_dense())
+    assert_identical(reduced_bilinear_generator(space, params),
+                     bilinear_generator_product_form(space, params).matrix)
+
+
+# one-level modes, the smallest spaces, and a lopsided one
+BAND_TRUNCATIONS = [(0, 0), (4, 0), (0, 4), (1, 1), (2, 5), (6, 3)]
+# complex, asymmetric couplings with drives of either sign of phase
+BAND_COUPLINGS = [(LAM, LAM, OMEGA), (LAM * np.exp(0.3j), -0.4 * LAM, OMEGA * np.exp(-2.0j)),
+                  (-1j * LAM, 0.6 * LAM * np.exp(2.5j), -OMEGA)]
+
+
+@pytest.mark.parametrize("couplings", BAND_COUPLINGS, ids=str)
+@pytest.mark.parametrize("n_max", BAND_TRUNCATIONS, ids=str)
+def test_band_builders_equal_their_operator_products_bit_for_bit(n_max, couplings):
+    space = make_space(3, *n_max)
+    fields = dict(zip(("lambda_a", "lambda_b", "omega_cl"), couplings), delta_small=3e3)
+    for build, oracle, params in ((full_puc_hamiltonian, full_puc_product_form, puc_params(**fields)),
+                                  (full_pdc_hamiltonian, full_pdc_product_form, pdc_params(**fields))):
+        built, want = build(space, params), oracle(space, params)
+        assert_identical(built.static_part, want.static_part.matrix)
+        assert [nu for _, nu in built.oscillating_parts] == [nu for _, nu in want.oscillating_parts]
+        for (op, _), (ref, _) in zip(built.oscillating_parts, want.oscillating_parts):
+            assert_identical(op, ref.matrix)
+    two_photon = PhysicalParams(*couplings[:2], 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS)
+    for kind in ("BS", "TMS"):
+        assert_identical(two_photon_hamiltonian(space, two_photon, kind),
+                         two_photon_product_form(space, two_photon, kind).matrix)
 
 
 def test_reduced_generator_rejects_off_resonance():

@@ -23,7 +23,7 @@ from cavityconv.hilbert import (
     project_atom,
     vacuum_state,
 )
-from oracles import random_state
+from oracles import assert_identical, identity_operator, random_state
 
 
 def test_make_space_dimensions():
@@ -88,15 +88,15 @@ def assert_same_entries(op, reference):
 def test_elementary_operators_match_kronecker_products(space):
     for mode in ("a", "b"):
         lower = kron_annihilation(space, mode)
-        assert_same_entries(annihilation(space, mode), lower)
+        assert_identical(annihilation(space, mode), lower)
         assert_same_entries(creation(space, mode), lower.T)
     if space.atom_levels == 1:
         return
     for k in range(space.atom_levels):
         for l in range(space.atom_levels):
             atom = sp.csr_matrix(([1.0], ([k], [l])), shape=(space.atom_levels,) * 2)
-            assert_same_entries(atomic_sigma(space, k, l),
-                                sp.kron(atom, sp.identity(space.field_dim)))
+            assert_identical(atomic_sigma(space, k, l),
+                             sp.kron(atom, sp.identity(space.field_dim)))
 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
@@ -240,7 +240,6 @@ def test_expectation_number_and_identity():
     for n in range(1, 6):
         val = expectation(n_op, fock_state(space, n, 0))
         assert abs(val - n) < 1e-12
-    from cavityconv.hilbert import identity_operator
 
     psi = random_state(space, 3)
     assert abs(expectation(identity_operator(space), psi) - 1.0) < 1e-12

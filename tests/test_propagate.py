@@ -16,6 +16,7 @@ from cavityconv.hamiltonians import (
     full_puc_hamiltonian,
     reduced_bilinear_generator,
     resonance_delta,
+    two_photon_hamiltonian,
 )
 from cavityconv.hilbert import (
     Operator,
@@ -26,7 +27,6 @@ from cavityconv.hilbert import (
     expectation,
     field_space,
     fock_state,
-    identity_operator,
     make_space,
     number_operator,
     project_atom,
@@ -43,7 +43,7 @@ from cavityconv.propagate import (
 )
 from cavityconv.scenarios import run_scenario
 
-from oracles import random_state, reached_components
+from oracles import identity_operator, random_state, reached_components
 
 LAM = 7e5
 OMEGA = 7e5
@@ -401,6 +401,11 @@ def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monke
     for params in (puc(), pdc(), degenerate):
         built.clear()
         reduced_bilinear_generator(field_space(8, 8), params)
+        assert len(built) == 1
+    two_photon = PhysicalParams(LAM, LAM, 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS)
+    for kind in ("BS", "TMS"):
+        built.clear()
+        two_photon_hamiltonian(make_space(3, 2, 2), two_photon, kind)
         assert len(built) == 1
 
 

@@ -19,8 +19,13 @@ from hypothesis import strategies as st
 import cavityconv
 from cavityconv import cli, propagate, scenarios, tomography
 from cavityconv.cli import main as cli_main
-from cavityconv.hamiltonians import PhysicalParams, ProcessKind, resonance_delta
-from cavityconv.hilbert import StateVector
+from cavityconv.hamiltonians import (
+    PhysicalParams,
+    ProcessKind,
+    full_puc_hamiltonian,
+    resonance_delta,
+)
+from cavityconv.hilbert import DIM_CAP, StateVector, basis_state, make_space
 from cavityconv.scenarios import (
     _FIELDS,
     GATE_TOLERANCE,
@@ -42,6 +47,10 @@ REGISTERED = {
     "gaussian_profile", "degenerate_squeeze", "bell_prep", "wigner_scan",
     "convergence",
 }
+
+
+# omega_cl lambda_a lambda_b overflows, though xi itself is about 1e144
+XI_OVERFLOW = {"delta_big": 1e150, "lambda_a": 1e148, "lambda_b": 1e148, "omega_cl": 1e148}
 
 
 def two_photon_params():
@@ -393,6 +402,43 @@ def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatc
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("n_max, reached", [((6, 6), 8), ((1, 1), 4), ((1, 5), 6), ((40, 3), 8)])
+def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypatch, n_max,
+                                                                         reached):
+    # the count the cap uses is the sector |i;1,0> reaches under the full model
+    space = make_space(3, *n_max)
+    params = resolve_config({"scenario": "full_vs_effective"}).params
+    keep, _ = propagate._evolve_sectors(full_puc_hamiltonian(space, params).at(0.0),
+                                        basis_state(space, "i", 1, 0).amplitudes, [0.0])
+    assert keep.size == reached
+
+    def never(*args, **kwargs):
+        raise AssertionError("the comparison must be refused before this is built")
+
+    monkeypatch.setattr(scenarios, "full_puc_hamiltonian", never)
+    monkeypatch.setattr(scenarios, "_evolve_sectors", never)
+    points = DIM_CAP // reached - scenarios.DENSE_SCAN_POINTS + 2  # the fewest over the cap
+    with pytest.raises(ConfigError, match=f"options.grid_points: {points} points .* times "
+                                          f"{reached} reached states, exceed cap {DIM_CAP}"):
+        run_scenario({"scenario": "full_vs_effective", "truncation": list(n_max),
+                      "options": {"grid_points": points}})
+    with pytest.raises(ConfigError, match="options.grid_points: 300000 points"):
+        run_scenario({"scenario": "full_vs_effective", "options": {"grid_points": 300_000}})
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "pdc_epr", "params": XI_OVERFLOW},
+    {"scenario": "wigner_scan", "options": {"state": "one_photon"}, "truncation": [0, 3]},
+    {"scenario": "full_vs_effective", "options": {"grid_points": 300_000}},
+], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap"])
+@pytest.mark.parametrize("flags", [[], ["--no-converge-check"]], ids=["gate", "no-gate"])
+def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on_and_off(tmp_path, capsys,
+                                                                            config, flags):
+    assert cli_main(["run", write_config(tmp_path, config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def counted(monkeypatch, owner, name, counts):
     wrapped = getattr(owner, name)
 
@@ -645,6 +691,10 @@ VALIDATION_CASES = [
                options={"grid_points": 0}),
     bad_config("full_vs_effective-grid_points-cap", "options.grid_points", "full_vs_effective",
                options={"grid_points": 1_000_000_000_000}),
+    bad_config("full_vs_effective-grid_points-reached_cap", "options.grid_points",
+               "full_vs_effective", options={"grid_points": 300_000}),
+    bad_config("full_vs_effective-times-reached_cap", "times", "full_vs_effective",
+               times={"start": 0.0, "stop": 1e-3, "num": 300_000}),
     bad_config("n_max_list", "options.n_max_list", "convergence",
                options={"n_max_list": ["a", "b"]}),
     bad_config("n_max_list-cap", "options.n_max_list", "convergence",
@@ -658,6 +708,8 @@ VALIDATION_CASES = [
     bad_config("bell_prep-one_mode", "truncation", "bell_prep", truncation=[0, 3]),
     bad_config("wigner_scan-one_mode", "truncation, options.grid_extent", "wigner_scan",
                truncation=[0, 3]),
+    bad_config("wigner_scan-one_photon-one_mode", "truncation, options.state", "wigner_scan",
+               truncation=[0, 3], options={"state": "one_photon"}),
     bad_config("off_resonance", "params.delta_small", "puc_swap", params={"delta_small": 5}),
     bad_config("wigner_scan-lambda_a", "params.lambda_a", "wigner_scan", params={"lambda_a": 0}),
     bad_config("wigner_scan-subnormal", "params.lambda_a", "wigner_scan",
@@ -666,6 +718,8 @@ VALIDATION_CASES = [
     bad_config("delta_big", "params.delta_big", "puc_swap", params={"delta_big": 0}),
     bad_config("delta_big-subnormal", "params.delta_big", "puc_swap", params={"delta_big": 1e-320}),
     bad_config("delta_big-overflow", "params.delta_big", "pdc_epr", params={"delta_big": 1e308}),
+    bad_config("xi-overflow", "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big",
+               "pdc_epr", params=XI_OVERFLOW),
     bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
     # a pair state squeezed past what the closed form can represent
