@@ -1,7 +1,7 @@
 """Sparse full-space operators that the library no longer builds, kept as
 independent oracles for the array-based observables and tomography and for
-the band-built Hamiltonians, the random states they are compared on, and the whole-graph
-labelling of the sectors a state reaches."""
+the band-built Hamiltonians; the random states they are compared on; and
+the whole-graph labelling of the sectors a state reaches."""
 
 import numpy as np
 import scipy.sparse as sp
