@@ -426,17 +426,20 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
         run_scenario({"scenario": "full_vs_effective", "options": {"grid_points": 300_000}})
 
 
-@pytest.mark.parametrize("config", [
-    {"scenario": "pdc_epr", "params": XI_OVERFLOW},
-    {"scenario": "wigner_scan", "options": {"state": "one_photon"}, "truncation": [0, 3]},
-    {"scenario": "full_vs_effective", "options": {"grid_points": 300_000}},
+@pytest.mark.parametrize("config, field_path", [
+    ({"scenario": "pdc_epr", "params": XI_OVERFLOW},
+     "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big"),
+    ({"scenario": "wigner_scan", "options": {"state": "one_photon"}, "truncation": [0, 3]},
+     "truncation, options.state"),
+    ({"scenario": "full_vs_effective", "options": {"grid_points": 300_000}},
+     "options.grid_points"),
 ], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap"])
-@pytest.mark.parametrize("flags", [[], ["--no-converge-check"]], ids=["gate", "no-gate"])
-def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on_and_off(tmp_path, capsys,
-                                                                            config, flags):
-    assert cli_main(["run", write_config(tmp_path, config), *flags]) == 2
+def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
+                                                                    field_path):
+    # VALIDATION_CASES runs each with the gate off
+    assert cli_main(["run", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {field_path}: ") and "Traceback" not in err
 
 
 def counted(monkeypatch, owner, name, counts):
