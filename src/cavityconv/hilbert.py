@@ -7,11 +7,12 @@ amplitudes reshape to.  Atomic levels are ordered (g, e, i); the tomography
 probe's auxiliary level f is tracked by ``tomography.probe_protocol`` without
 a space of its own.
 
-Every operator outside the effective builders sums bands |k><l| (x) a^d_a
-(x) b^d_b of the flat basis from one primitive: a photon of mode b is a step
-of 1, of mode a a step of dim_b, and |k><l| moves a whole field block.  All
-operators are sparse complex matrices tagged with their space; operators on
-different spaces never combine.  Only exact zeros are dropped from a matrix,
+The ladder and transition operators, and every Hamiltonian outside the
+effective builders, sum bands |k><l| (x) a^d_a (x) b^d_b of the flat basis
+from one primitive: a photon of mode b is a step of 1, of mode a a step of
+dim_b, and |k><l| moves a whole field block.  All operators are sparse
+complex matrices tagged with their space; operators on different spaces
+never combine.  Only exact zeros are dropped from a matrix,
 so a coupling keeps its entries at any scale.
 """
 
