@@ -2,17 +2,20 @@
 
 A static generator is evolved only on the connected components of its
 sparsity graph that the initial state reaches (nothing couples them to the
-rest); they are found by walking the graph out from the state's support, so
-the cost follows the reached states, not the whole space.  A component
-whose off-diagonal graph is a path, such as every conserved sector of the
-bilinear generators and of the full models, is ordered from one end; the
-diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
-one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
-component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
-eigh.  Either way every requested time is one product
-UV (e^{-iEt} * (UV)^dag psi0) whatever |G| t; a component above its limit
-takes one matrix-exponential action per time.  Every oscillating Hamiltonian
-built here is static in a diagonal rotating frame
+rest): one breadth-first walk from each support state no earlier walk
+reached finds them, so the cost follows the reached states, not the whole
+space; an entry stored on one side only costs one more walk, over the
+symmetrized pattern.  A component whose off-diagonal graph is a path, such
+as every conserved sector of the bilinear generators and of the full
+models, is ordered from one end; the diagonal gauge
+u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and one real
+tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other component of
+at most DENSE_SECTOR_LIMIT states is diagonalized by one dense eigh.  Either
+way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0); a
+component above its limit takes one matrix-exponential action per time, on
+a fixed seed.  Times whose phases round by more than STATIC_NORM_DRIFT_LIMIT
+(|E| t eps, |E| bounded by the largest absolute row sum) are refused.  Every
+oscillating Hamiltonian built here is static in a diagonal rotating frame
 D = omega_level + nu_a n_a + nu_b n_b: phi = e^{iDt} psi evolves under
 H(0) - D (no substeps, no step-size control).
 """
@@ -70,50 +73,36 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
-def _walk(pattern: sp.csr_matrix, starts: np.ndarray, label: np.ndarray,
-          sectors: list[np.ndarray]) -> None:
-    """Append to sectors the states of one directed breadth-first walk from
-    each start no walk has reached, in walk order; label[state] is the index
-    of its sector, -1 while unreached.  A walk that runs into earlier sectors
-    (through an entry stored on one side only) absorbs them.
-    """
-    starts = starts[label[starts] < 0]
+def _walk(pattern: sp.csr_matrix, starts: np.ndarray) -> list[np.ndarray]:
+    """The states of one breadth-first walk over pattern's stored entries,
+    in walk order, from each start that no earlier walk reached."""
+    reached = np.zeros(pattern.shape[0], dtype=bool)
+    walks = []
     while starts.size:
-        order = breadth_first_order(pattern, starts[0], return_predecessors=False)
-        met = label[order]
-        if met.max() >= 0:
-            met = np.unique(met[met >= 0])
-            order = np.concatenate([*(sectors[k] for k in met), order[label[order] < 0]])
-            for k in met:
-                sectors[k] = order[:0]
-        label[order] = len(sectors)
-        sectors.append(order)
-        starts = starts[label[starts] < 0]
+        walks.append(breadth_first_order(pattern, starts[0], return_predecessors=False))
+        reached[walks[-1]] = True
+        starts = starts[~reached[starts]]
+    return walks
 
 
-def _reached_sectors(M: sp.csr_matrix, pattern: sp.csr_matrix,
-                     support: np.ndarray) -> list[np.ndarray]:
-    """The connected components of M's sparsity graph that meet support,
-    each as its states in walk order over pattern, M's entries set to 1.
-
-    The walks follow stored entries row-wise.  Their union K is the exact
-    reached set once no stored entry leads into K from a row outside it,
-    i.e. when the entries whose column is in K are exactly those of K's
-    rows; otherwise the walk goes on from those rows.
+def _reached_sectors(M: sp.csr_matrix, pattern: sp.csr_matrix, support: np.ndarray):
+    """(sectors, pattern): the connected components of M's sparsity graph
+    that meet support, each as its states in walk order over pattern, M's
+    entries set to 1.  The walks follow stored entries row-wise; unless an
+    entry stored on one side only makes two of them meet or leads into them
+    from a row outside (the entries whose column they hold are not those of
+    their rows), they are the components.  Else the components are walked
+    once more over pattern + pattern.T, which is returned instead.
     """
-    n = M.shape[0]
-    label = np.full(n, -1)
-    sectors: list[np.ndarray] = []
-    _walk(pattern, support, label, sectors)
-    while sectors:  # else the zero state, which reaches nothing
-        reached = label >= 0
-        into = np.take(reached, M.indices)
-        rows = np.concatenate(sectors)
-        if np.count_nonzero(into) == np.sum(M.indptr[rows + 1] - M.indptr[rows]):
-            break
-        entry_row = np.repeat(np.arange(n), np.diff(M.indptr))
-        _walk(pattern, np.unique(entry_row[into & ~reached[entry_row]]), label, sectors)
-    return [s for s in sectors if s.size]
+    sectors = _walk(pattern, support)
+    rows = np.concatenate([support[:0], *sectors])
+    reached = np.zeros(M.shape[0], dtype=bool)
+    reached[rows] = True
+    if (rows.size > np.count_nonzero(reached)
+            or np.count_nonzero(reached[M.indices]) > np.sum(M.indptr[rows + 1] - M.indptr[rows])):
+        pattern = pattern + pattern.T
+        sectors = _walk(pattern, support)
+    return sectors, pattern
 
 
 def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
@@ -125,13 +114,23 @@ def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
     return np.repeat(np.arange(order.size), count), rank[M.indices[entry]], M.data[entry]
 
 
+def _check_phase_precision(scale: float, times) -> None:
+    """Refuse times at which phases up to scale * |t| carry no precision: their
+    rounding, scale * max|t| * eps, exceeds STATIC_NORM_DRIFT_LIMIT."""
+    phase = scale * np.max(np.abs(times), initial=0.0)
+    if not phase * np.finfo(float).eps <= STATIC_NORM_DRIFT_LIMIT:
+        raise PropagationError(f"times: phases reach {phase:.3e} rad, where rounding alone "
+                               f"exceeds the norm tolerance {STATIC_NORM_DRIFT_LIMIT:g}")
+
+
 def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     """(keep, states): the sorted indices of the components of G's sparsity
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
     every other amplitude is exactly 0 and a time of 0 returns amps[keep].
     The components are walked out from the support of amps and sliced from
     G once, in walk order, so no step labels or slices the whole space.
-    Raises ValueError for a non-Hermitian G, PropagationError on norm drift.
+    Raises ValueError for a non-Hermitian G, PropagationError on norm drift
+    or on times whose phases carry no precision.
     """
     if not G.is_hermitian():
         raise ValueError("static evolution requires a Hermitian generator")
@@ -139,7 +138,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, n
     M = G.matrix
     # a float pattern: csgraph would drop the imaginary part of G
     pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-    sectors = _reached_sectors(M, pattern, np.flatnonzero(amps != 0))
+    sectors, pattern = _reached_sectors(M, pattern, np.flatnonzero(amps != 0))
     if not sectors:  # the zero state
         return np.empty(0, dtype=np.intp), np.empty((times.size, 0), dtype=np.complex128)
     size = np.array([s.size for s in sectors])
@@ -149,6 +148,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, n
     rank = np.empty(M.shape[0], dtype=np.intp)
     rank[order] = np.arange(order.size)
     row, col, val = _entries(M, order, rank)
+    _check_phase_precision(np.bincount(row, np.abs(val)).max(initial=0.0), times)  # max|E|
     first = np.searchsorted(row, bounds)  # entries of each sector, contiguous
 
     def beyond(width):  # sectors holding an entry more than width off the diagonal
@@ -194,8 +194,13 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times) -> tuple[np.ndarray, n
                 energies, basis = np.linalg.eigh(block)
             else:
                 block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
-                for i, t in enumerate(times):
-                    states[i, pos] = expm_multiply((-1j * t) * block, psi[pos]) if t else psi[pos]
+                caller = np.random.get_state()
+                try:  # its norm estimates draw from NumPy's global generator: fix their draws
+                    for i in np.flatnonzero(times):  # times of 0 are set below
+                        np.random.seed(0)
+                        states[i, pos] = expm_multiply((-1j * times[i]) * block, psi[pos])
+                finally:
+                    np.random.set_state(caller)
                 continue
         phases = np.exp(np.outer(times, -1j * energies))
         phases *= basis.conj().T @ psi[pos]
@@ -275,7 +280,7 @@ def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory
     where phi = e^{iDt} psi evolves under the static H(0) - D: every grid
     point is exact, however far apart.  The state and its norm are recorded
     at every grid point.  Raises PropagationError when H(t) has no static
-    frame.
+    frame or when the frame phases D t carry no precision.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
@@ -289,16 +294,11 @@ def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory
     generator = Operator(H.space, H.at(0.0).matrix - sp.diags(d))
     phi0 = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
     keep, phi = _evolve_sectors(generator, phi0, t_grid - t_grid[0])
-    states = []
-    for t, phi_t in zip(t_grid, phi):
-        amps = np.zeros_like(phi0)
-        amps[keep] = np.exp(-1j * d[keep] * t) * phi_t
-        states.append(StateVector(psi0.space, amps, copy=False))
-    traj = Trajectory(
-        times=t_grid.copy(),
-        states=states,
-        norms=np.array([s.norm() for s in states]),
-    )
+    _check_phase_precision(np.abs(d[keep]).max(initial=0.0), t_grid)
+    amps = np.zeros((t_grid.size, phi0.size), dtype=np.complex128)
+    amps[:, keep] = np.exp(-1j * np.outer(t_grid, d[keep])) * phi
+    traj = Trajectory(times=t_grid.copy(), norms=np.linalg.norm(amps, axis=1),
+                      states=[StateVector(psi0.space, a, copy=False) for a in amps])
     drift = np.max(np.abs(traj.norms - traj.norms[0]))
     if drift > NORM_DRIFT_LIMIT:
         traj.ok = False

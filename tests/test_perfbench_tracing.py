@@ -46,7 +46,7 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch):
     assert tracing.layer_metrics(tracer.spans)["tomography.points"] == 2
 
 
-@pytest.mark.parametrize("workload", ["time_dependent", "phase_space"])
+@pytest.mark.parametrize("workload", ["defaults", "large_fock", "time_dependent", "phase_space"])
 def test_workload_pass_runs_and_checks(monkeypatch, tmp_path, workload):
     workloads = load_perfbench(monkeypatch, "workloads")
     ops = workloads.build(workload, 1, tmp_path)

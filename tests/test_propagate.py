@@ -41,7 +41,7 @@ from cavityconv.propagate import (
     evolve_td,
     frame_transform,
 )
-from cavityconv.scenarios import run_scenario
+from cavityconv.scenarios import SCENARIOS, run_scenario
 
 from oracles import identity_operator, random_state, reached_components
 
@@ -338,9 +338,26 @@ def amplitudes_on(space, support, seed):
     return amps / np.linalg.norm(amps)
 
 
+def counted_walks(monkeypatch) -> list:
+    """The pattern of every propagate._walk call, live."""
+    patterns = []
+    walk = propagate._walk
+    monkeypatch.setattr(propagate, "_walk",
+                        lambda pattern, starts: patterns.append(pattern) or walk(pattern, starts))
+    return patterns
+
+
+def with_one_sided_entry(gen, row, col):
+    """gen plus one entry stored on one side only, inside the Hermitian tolerance."""
+    stray = sp.csr_matrix(([1e-20], ([row], [col])), shape=gen.matrix.shape)
+    gen = Operator(gen.space, gen.matrix + stray)
+    assert gen.is_hermitian()
+    return gen
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", ["mid-path", "two-seeds", "tree", "cycle", "isolated",
-                                  "one-sided", "full-support"])
+                                  "one-sided", "walks-meet", "full-support"])
 def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
     gen, states = scattered_generator(seed)
     space = gen.space
@@ -351,25 +368,53 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
         "cycle": states["cycle"][[3]],
         "isolated": states["isolated"][[1, 2]],
         "one-sided": states["pair"][[0]],
+        "walks-meet": np.sort([states["pair"][0], states["path"][0]]),
         "full-support": np.arange(space.total_dim),
     }[case]
     if case == "one-sided":
-        # one entry stored on one side only, inside the Hermitian tolerance:
         # its row, outside the walked pair, leads into the pair
-        stray = sp.csr_matrix(([1e-20], ([states["path"][5]], [states["pair"][1]])),
-                              shape=gen.matrix.shape)
-        gen = Operator(space, gen.matrix + stray)
-        assert gen.is_hermitian()
+        gen = with_one_sided_entry(gen, states["path"][5], states["pair"][1])
+    if case == "walks-meet":
+        # the walk from the later start runs into the first walk's component
+        if support[0] == states["pair"][0]:
+            gen = with_one_sided_entry(gen, states["path"][5], states["pair"][1])
+        else:
+            gen = with_one_sided_entry(gen, states["pair"][1], states["path"][5])
     amps = amplitudes_on(space, support, seed)
     psi0 = StateVector(space, amps)
     times = np.array([0.0, 2e-4, 1e-3])
     calls = counted_solvers(monkeypatch)
+    walks = counted_walks(monkeypatch)
     keep, states_out = _evolve_sectors(gen, amps, times)
     assert_matches_dense_expm(gen, psi0, times, keep, states_out)
     if case == "mid-path":  # walked again from an end: still one tridiagonal
         assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
-    if case == "one-sided":
-        assert set(states["path"]) <= set(keep)
+    if case in ("one-sided", "walks-meet"):
+        assert set(states["path"]) | set(states["pair"]) == set(keep)
+        # exactly one more walk, over the symmetrized pattern
+        assert len(walks) == 2
+        assert (walks[1] != walks[0] + walks[0].T).nnz == 0
+    else:
+        assert len(walks) == 1
+
+
+def test_program_paths_walk_once_per_evolution(monkeypatch):
+    # every default scenario, gate on and off: one walk per evolution over
+    # the pattern it was given, so no transposed pattern is ever built
+    walks, evolutions = counted_walks(monkeypatch), []
+    reached_sectors = propagate._reached_sectors
+
+    def checked(M, pattern, support):
+        before = len(walks)
+        sectors, walked = reached_sectors(M, pattern, support)
+        evolutions.append((len(walks) - before, walked is pattern))
+        return sectors, walked
+
+    monkeypatch.setattr(propagate, "_reached_sectors", checked)
+    for name in SCENARIOS:
+        for gated in (True, False):
+            run_scenario({"scenario": name}, check_convergence=gated)
+    assert len(evolutions) > len(SCENARIOS) and set(evolutions) == {(1, True)}
 
 
 def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
@@ -689,6 +734,51 @@ def test_element_oscillating_at_two_frequencies_has_no_frame():
                               [(exchange, 1e5), (exchange, 2e5)])
     with pytest.raises(PropagationError, match="no static rotating frame"):
         evolve_td(h, fock_state(space, 1, 0), np.array([0.0, 1e-5]))
+
+
+def test_times_whose_phases_carry_no_precision_are_refused_before_any_solve(monkeypatch):
+    # |E| is bounded by the largest absolute row sum over the reached states
+    # (Gershgorin); a time t is refused when that bound * t * eps exceeds the
+    # norm tolerance, and accepted just below it
+    gen, psi0, _ = sector_cases()[0]
+    keep, _ = _evolve_sectors(gen, psi0.amplitudes, [0.0])
+    bound = np.max(np.abs(gen.matrix[keep]).sum(axis=1))
+    edge = propagate.STATIC_NORM_DRIFT_LIMIT / np.finfo(float).eps / bound
+    calls = counted_solvers(monkeypatch)
+    for t in (1.001 * edge, 1e300):
+        with pytest.raises(PropagationError, match=r"^times: phases reach"):
+            _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6, t])
+    assert calls == {"tridiagonal": 0, "eigh": 0, "expm": 0}
+    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0, 0.999 * edge])
+    assert abs(np.linalg.norm(states[1]) - 1.0) < 1e-9
+
+
+def test_frame_phases_that_carry_no_precision_are_refused():
+    # a short span late in time: the evolution in the frame (|H(0) - D| t
+    # ~ 1e3) is fine, but the frame phases D t are not (|D| is at most 1.5e5
+    # on the reached states, 1.75e5 on the whole space)
+    space = make_space(3, 3, 3)
+    h = effective_pdc_hamiltonian(space, pdc(delta_small=5e4))
+    psi0 = embed_atom(vacuum_state(field_space(3, 3)), space, "i")
+    assert evolve_td(h, psi0, np.array([1.0, 1.0 + 1e-4])).ok
+    with pytest.raises(PropagationError, match=r"^times: phases reach 1\.500e\+07 rad"):
+        evolve_td(h, psi0, np.array([100.0, 100.0 + 1e-4]))
+
+
+def test_recorded_grid_states_are_the_frame_phases_times_the_evolved_amplitudes():
+    space = make_space(3, 3, 3)
+    h = effective_pdc_hamiltonian(space, pdc(delta_small=5e4))
+    psi0 = embed_atom(vacuum_state(field_space(3, 3)), space, "i")
+    grid = np.linspace(0.0, 1e-4, 5)
+    traj = evolve_td(h, psi0, grid)
+    d = propagate._rotating_frame(h)
+    generator = Operator(space, h.at(0.0).matrix - sp.diags(d))
+    keep, phi = _evolve_sectors(generator, psi0.amplitudes, grid)
+    for t, phi_t, state, norm in zip(grid, phi, traj.states, traj.norms):
+        amps = np.zeros(space.total_dim, dtype=np.complex128)
+        amps[keep] = np.exp(-1j * d[keep] * t) * phi_t
+        assert np.array_equal(state.amplitudes, amps)
+        assert abs(norm - np.linalg.norm(amps)) <= 4 * np.finfo(float).eps
 
 
 def test_time_grid_must_increase():

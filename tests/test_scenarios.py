@@ -433,7 +433,12 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
      "truncation, options.state"),
     ({"scenario": "full_vs_effective", "options": {"grid_points": 300_000}},
      "options.grid_points"),
-], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap"])
+    ({"scenario": "puc_swap", "times": [1e300]}, "times"),
+    ({"scenario": "puc_swap", "times": [1e13]}, "times"),
+    ({"scenario": "full_vs_effective", "times": [0, 1e300]}, "times"),
+], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap",
+        "puc_swap-times-no_precision", "puc_swap-times-1e13",
+        "full_vs_effective-times-no_precision"])
 def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
                                                                     field_path):
     # VALIDATION_CASES runs each with the gate off
@@ -724,6 +729,11 @@ VALIDATION_CASES = [
     bad_config("xi-overflow", "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big",
                "pdc_epr", params=XI_OVERFLOW),
     bad_config("negative_time", "times", "pdc_epr", times=[-1e-4]),
+    # times at which the evolution's phases carry no precision
+    bad_config("puc_swap-times-no_precision", "times", "puc_swap", times=[1e300]),
+    bad_config("puc_swap-times-1e13", "times", "puc_swap", times=[1e13]),
+    bad_config("full_vs_effective-times-no_precision", "times", "full_vs_effective",
+               times=[0, 1e300]),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
     # a pair state squeezed past what the closed form can represent
     bad_config("epr_quality-long_time", "times", "epr_quality", times=[0.0, 1.0]),
