@@ -535,7 +535,9 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     n_rows = times.size
     dense_ts = np.linspace(0.0, float(times[-1]), DENSE_SCAN_POINTS)[1:]
     keep, full = _evolve_sectors(h_full.at(0.0), basis_state(atom_space, "i", 1, 0).amplitudes,
-                                 np.concatenate([times, dense_ts]))
+                                 np.concatenate([times, dense_ts]),
+                                 "times" if cfg.times else "params.omega_cl, params.lambda_a, "
+                                 "params.lambda_b, params.delta_big")
     # the i-level amplitudes: |i;1,0> and |i;0,1> are the only i states reached
     i_10, i_01 = (np.sum(full[:, keep == atom_space.flatten(atom_space.level_index("i"), *n)],
                          axis=1) for n in ((1, 0), (0, 1)))

@@ -51,6 +51,9 @@ REGISTERED = {
 
 # omega_cl lambda_a lambda_b overflows, though xi itself is about 1e144
 XI_OVERFLOW = {"delta_big": 1e150, "lambda_a": 1e148, "lambda_b": 1e148, "omega_cl": 1e148}
+# full_vs_effective without times runs to t_end = (pi/2) / |xi|, set by these
+FAR_DETUNED = {"scenario": "full_vs_effective", "params": {"delta_big": 1e8}}
+T_END_FIELDS = "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big"
 
 
 def two_photon_params():
@@ -436,15 +439,26 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
     ({"scenario": "puc_swap", "times": [1e300]}, "times"),
     ({"scenario": "puc_swap", "times": [1e13]}, "times"),
     ({"scenario": "full_vs_effective", "times": [0, 1e300]}, "times"),
+    (FAR_DETUNED | {"params": {"delta_big": 1e12}}, T_END_FIELDS),
 ], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap",
         "puc_swap-times-no_precision", "puc_swap-times-1e13",
-        "full_vs_effective-times-no_precision"])
+        "full_vs_effective-times-no_precision", "full_vs_effective-t_end-no_precision"])
 def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
                                                                     field_path):
     # VALIDATION_CASES runs each with the gate off
     assert cli_main(["run", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field_path}: ") and "Traceback" not in err
+
+
+def test_far_detuned_full_vs_effective_phases_keep_their_precision(tmp_path):
+    # |E| t_end ~ 4.6e6 rad rounds by ~1e-9 rad: the run is not refused, and the
+    # far-detuned regime is where the effective model holds best
+    out = tmp_path / "out.json"
+    for flags in ([], ["--no-converge-check"]):
+        assert cli_main(["run", write_config(tmp_path, FAR_DETUNED), "--out", str(out), *flags]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["fidelity_end"] >= metrics["fidelity_bound"]
 
 
 def counted(monkeypatch, owner, name, counts):
@@ -734,6 +748,8 @@ VALIDATION_CASES = [
     bad_config("puc_swap-times-1e13", "times", "puc_swap", times=[1e13]),
     bad_config("full_vs_effective-times-no_precision", "times", "full_vs_effective",
                times=[0, 1e300]),
+    bad_config("full_vs_effective-t_end-no_precision", T_END_FIELDS, "full_vs_effective",
+               params={"delta_big": 1e12}),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
     # a pair state squeezed past what the closed form can represent
     bad_config("epr_quality-long_time", "times", "epr_quality", times=[0.0, 1.0]),
