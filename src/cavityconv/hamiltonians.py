@@ -33,6 +33,8 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .hilbert import (
     HilbertSpace,
     Operator,
@@ -306,18 +308,10 @@ def two_photon_coupling(params: PhysicalParams, kind: str) -> complex:
     raise ValueError(f"kind must be 'BS' or 'TMS', got {kind!r}")
 
 
-def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> Operator:
-    """Static two-mode generator in the rotating frame at drive resonance.
-
-    PUC -> xi a b^dag + h.c. (beam splitter)
-    PDC -> xi a b + h.c. (two-mode squeezer)
-    DEGENERATE_PDC -> xi a^2 + h.c. (single-mode squeezer)
-
-    The constant i-level energy shift is dropped here; it is a global phase
-    on that subspace and is kept only by the effective builders.
-
-    The xi half and its conjugate are one band each.
-    """
+def _reduced_band(space: HilbertSpace, params: PhysicalParams) -> tuple[int, np.ndarray]:
+    """(offset, upper): the xi half of ``reduced_bilinear_generator``, its
+    entries upper[j] at (j, j + offset), offset >= 0, stored as that builder
+    stores them.  Raises ValueError off drive resonance."""
     delta_res = resonance_delta(params)
     scale = max(
         abs(delta_res),
@@ -328,10 +322,27 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
             f"drive detuning {params.delta_small} is off resonance; "
             f"the static generator requires delta_small = {delta_res!r}"
         )
-    xi = effective_xi(params)
     d_a, d_b = {ProcessKind.PUC: (1, -1), ProcessKind.PDC: (1, 1)}.get(params.process, (2, 0))
-    return _band_operator(space, [(xi, _band(space, None, None, d_a, d_b)),
-                                  (xi.conjugate(), _band(space, None, None, -d_a, -d_b))])
+    offset, entries = _band(space, None, None, d_a, d_b)
+    return offset, 0.0 + effective_xi(params) * entries
+
+
+def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> Operator:
+    """Static two-mode generator in the rotating frame at drive resonance.
+
+    PUC -> xi a b^dag + h.c. (beam splitter)
+    PDC -> xi a b + h.c. (two-mode squeezer)
+    DEGENERATE_PDC -> xi a^2 + h.c. (single-mode squeezer)
+
+    The constant i-level energy shift is dropped here; it is a global phase
+    on that subspace and is kept only by the effective builders.
+
+    The xi half and its conjugate are one band each.  The scenarios evolve a
+    Fock state under it straight from the xi half (``_reduced_band`` and
+    ``propagate._evolve_band``), with no full-space operator built.
+    """
+    offset, upper = _reduced_band(space, params)
+    return _band_operator(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
 
 
 def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:

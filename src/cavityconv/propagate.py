@@ -5,7 +5,10 @@ sparsity graph that the initial state reaches (nothing couples them to the
 rest): one breadth-first walk from each support state no earlier walk
 reached finds them, so the cost follows the reached states, not the whole
 space; an entry stored on one side only costs one more walk, over the
-symmetrized pattern.  A component whose off-diagonal graph is a path, such
+symmetrized pattern.  The reduced bilinear generators skip even that: a
+Fock state is evolved straight from their xi band (``_evolve_band``), index
+arithmetic finding the run it reaches, so no whole-space matrix, Hermitian
+check or walk is made.  A component whose off-diagonal graph is a path, such
 as every conserved sector of the bilinear generators and of the full
 models, is ordered from one end; the diagonal gauge
 u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and one real
@@ -51,7 +54,13 @@ FRAME_RTOL = 1e-9
 
 
 class PropagationError(RuntimeError):
-    """Evolution failed to meet its norm contract or has no exact frame."""
+    """Evolution failed to meet its norm contract or has no exact frame, or
+    refused its times; a refusal's ``path`` names the config fields at fault
+    (comma-separated, before the ``message``), else it is None."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message if path is None else f"{path}: {message}")
+        self.message, self.path = message, path
 
 
 @dataclass
@@ -120,8 +129,49 @@ def _check_phase_precision(scale: float, times, path: str) -> None:
     rounding, scale * max|t| * eps, exceeds a radian.  path names the times."""
     phase = scale * np.max(np.abs(times), initial=0.0)
     if not phase * np.finfo(float).eps <= 1.0:
-        raise PropagationError(f"{path}: phases reach {phase:.3e} rad, whose rounding alone "
-                               f"({phase * np.finfo(float).eps:.1e} rad) exceeds a radian")
+        raise PropagationError(f"phases reach {phase:.3e} rad, whose rounding alone "
+                               f"({phase * np.finfo(float).eps:.1e} rad) exceeds a radian", path)
+
+
+def _chain_states(diagonal: np.ndarray, hops: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-i G t) psi, one per time, for the chain G with real diagonal
+    and hops G[k, k + 1] = hops[k]: the gauge u_{k+1} = u_k conj(h_k) / |h_k|
+    makes the hops real, and one real tridiagonal eigensolve gives G = (UV) E (UV)^dag."""
+    energies, basis = eigh_tridiagonal(diagonal, np.abs(hops))
+    gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(hops)))))
+    return _eigen_states(energies, gauge[:, None] * basis, psi, times)
+
+
+def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """Rows basis (e^{-i energies t} * basis^dag psi), one per time."""
+    phases = np.exp(np.outer(times, -1j * energies))
+    phases *= basis.conj().T @ psi
+    return phases @ basis.T
+
+
+def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times) -> np.ndarray:
+    """Rows exp(-i block t) psi, one per time, each a seeded exponential action;
+    a time of 0 returns psi."""
+    states = np.empty((times.size, psi.size), dtype=np.complex128)
+    states[times == 0.0] = psi
+    caller = np.random.get_state()
+    try:  # its norm estimates draw from NumPy's global generator: fix their draws
+        for i in np.flatnonzero(times):
+            np.random.seed(0)
+            states[i] = expm_multiply((-1j * times[i]) * block, psi)
+    finally:
+        np.random.set_state(caller)
+    return states
+
+
+def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """states with psi at every time of 0; raises PropagationError when any
+    other row's norm differs from psi's by more than STATIC_NORM_DRIFT_LIMIT."""
+    states[times == 0.0] = psi
+    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
+    if drift > STATIC_NORM_DRIFT_LIMIT:
+        raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
+    return states
 
 
 def _evolve_sectors(G: Operator, amps: np.ndarray, times,
@@ -183,36 +233,60 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     for k in range(size.size):
         pos = slice(bounds[k], bounds[k + 1])
         if not far[k] and size[k] <= CHAIN_SECTOR_LIMIT:
-            h = hop[bounds[k]:bounds[k + 1] - 1]
-            energies, basis = eigh_tridiagonal(diagonal[pos], np.abs(h))
-            gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(h)))))
-            basis = gauge[:, None] * basis
+            states[:, pos] = _chain_states(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1],
+                                           psi[pos], times)
+            continue
+        e = slice(first[k], first[k + 1])
+        r, c = row[e] - bounds[k], col[e] - bounds[k]
+        if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
+            block = np.zeros((size[k], size[k]), dtype=np.complex128)
+            np.add.at(block, (r, c), val[e])
+            states[:, pos] = _eigen_states(*np.linalg.eigh(block), psi[pos], times)
         else:
-            e = slice(first[k], first[k + 1])
-            r, c = row[e] - bounds[k], col[e] - bounds[k]
-            if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
-                block = np.zeros((size[k], size[k]), dtype=np.complex128)
-                np.add.at(block, (r, c), val[e])
-                energies, basis = np.linalg.eigh(block)
-            else:
-                block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
-                caller = np.random.get_state()
-                try:  # its norm estimates draw from NumPy's global generator: fix their draws
-                    for i in np.flatnonzero(times):  # times of 0 are set below
-                        np.random.seed(0)
-                        states[i, pos] = expm_multiply((-1j * times[i]) * block, psi[pos])
-                finally:
-                    np.random.set_state(caller)
-                continue
-        phases = np.exp(np.outer(times, -1j * energies))
-        phases *= basis.conj().T @ psi[pos]
-        states[:, pos] = phases @ basis.T
-    states[times == 0.0] = psi
-    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
-    if drift > STATIC_NORM_DRIFT_LIMIT:
-        raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
+            block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
+            states[:, pos] = _expm_states(block, psi[pos], times)
+    states = _norm_checked(states, psi, times)
     sort = np.argsort(order)
     return order[sort], states[:, sort]
+
+
+def _evolve_band(offset: int, upper: np.ndarray, start: int, times,
+                 path: str = "times") -> tuple[np.ndarray, np.ndarray]:
+    """(keep, states) as ``_evolve_sectors`` returns them for G = band + band^dag,
+    the band holding upper[j] at (j, j + offset), and the Fock state |start>.
+
+    |start> reaches the run start + j offset between the nearest zero hops
+    upper[m] (from m to m + offset) on either side, found by index arithmetic;
+    an offset of 0 has no hops.  The run is ordered from its bottom end, or
+    from the top end when |start> is there: descending, each hop conjugated.
+    Only the band is stored and G = band + band^dag by construction, so no
+    Hermitian check, whole-space matrix or walk is needed.  Raises
+    PropagationError as ``_evolve_sectors`` does.
+    """
+    times = np.asarray(times, dtype=float)
+    if offset:
+        hops, here = upper[start % offset::offset], start // offset
+        zero = np.flatnonzero(hops == 0)
+        low = zero[zero < here].max(initial=-1) + 1
+        high = zero[zero >= here].min(initial=hops.size)
+        keep, hops = start + offset * np.arange(low - here, high - here + 1), hops[low:high]
+    else:
+        keep, hops = np.array([start]), upper[:0]
+    strength = np.abs(hops)  # max|E| <= the largest row sum |h_{k-1}| + |h_k|
+    row_sums = np.concatenate(([0.0], strength)) + np.concatenate((strength, [0.0]))
+    _check_phase_precision(row_sums.max(), times, path)
+    descending = start == keep[-1]
+    if descending:  # 0.0 + clears the sign conj gives a zero imaginary part
+        hops = 0.0 + hops[::-1].conj()
+    psi = np.zeros(keep.size, dtype=np.complex128)
+    psi[0 if descending else np.searchsorted(keep, start)] = 1.0
+    if keep.size <= CHAIN_SECTOR_LIMIT:
+        states = _chain_states(np.zeros(keep.size), hops, psi, times)
+    else:  # the chain as the stored pattern holds it: no zero entry
+        block = sp.diags([0.0 + hops.conj(), hops], [-1, 1], format="csr")
+        states = _expm_states(block, psi, times)
+    states = _norm_checked(states, psi, times)
+    return keep, np.ascontiguousarray(states[:, ::-1]) if descending else states
 
 
 def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:

@@ -29,11 +29,11 @@ from .hamiltonians import (
     PhysicalParams,
     ProcessKind,
     TraversalSpec,
+    _reduced_band,
     effective_xi,
     fit_traversal_alpha,
     full_puc_hamiltonian,
     profile_squeezing_factor,
-    reduced_bilinear_generator,
     resonance_delta,
     two_photon_coupling,
     two_photon_hamiltonian,
@@ -48,7 +48,7 @@ from .hilbert import (
     project_atom,
     vacuum_state,
 )
-from .propagate import _evolve_sectors, evolve_static
+from .propagate import PropagationError, _evolve_band, _evolve_sectors, evolve_static
 
 # Typical microwave-cavity Rydberg numbers used as scenario defaults.
 DEFAULT_COUPLING = 7e5   # s^-1
@@ -388,16 +388,17 @@ def _swap_setup(cfg: ResolvedConfig):
 def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
     """The vacuum evolved under the reduced generator for the last configured time."""
     space = field_space(*cfg.truncation)
-    generator = reduced_bilinear_generator(space, cfg.params)
-    return evolve_static(generator, vacuum_state(space), cfg.times[-1])
+    keep, states = _evolve_band(*_reduced_band(space, cfg.params), 0, [cfg.times[-1]])
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[keep] = states[0]
+    return StateVector(space, amps, copy=False)
 
 
 def _scenario_puc_swap(cfg: ResolvedConfig):
     xi_abs, space = _swap_setup(cfg)
     t_swap = (math.pi / 2.0) / xi_abs
     times = (t_swap, *(cfg.times or ()))
-    keep, states = _evolve_sectors(reduced_bilinear_generator(space, cfg.params),
-                                   fock_state(space, 1, 0).amplitudes, times)
+    keep, states = _evolve_band(*_reduced_band(space, cfg.params), space.flatten(0, 1, 0), times)
     p_10, p_01 = (np.sum(np.abs(states[:, keep == space.flatten(0, *n)]) ** 2, axis=1)
                   for n in ((1, 0), (0, 1)))
     n_a, n_b = space.fock_numbers()
@@ -714,7 +715,14 @@ def _scenario_convergence(cfg: ResolvedConfig):
         target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]})
     except ConfigError as exc:
         raise ConfigError(f"options.target_config.{exc}") from None
-    sweep = _sweep(target_cfg, cfg.options["n_max_list"], "options.n_max_list")
+    try:
+        sweep = _sweep(target_cfg, cfg.options["n_max_list"], "options.n_max_list")
+    except PropagationError as exc:
+        if exc.path is None:  # no field is at fault
+            raise
+        # name the target's fields as this config spells them
+        raise PropagationError(exc.message, ", ".join(
+            f"options.target_config.{name}" for name in exc.path.split(", "))) from None
     metrics = {
         "final_value": sweep["rows"][-1][1],
         "last_increment": sweep["last_increment"],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cavityconv.hamiltonians import (
     PhysicalParams,
     ProcessKind,
     TimeDependentOperator,
+    _reduced_band,
     effective_pdc_hamiltonian,
     effective_puc_hamiltonian,
     effective_xi,
@@ -36,6 +38,7 @@ from cavityconv import propagate
 from cavityconv.observables import fidelity
 from cavityconv.propagate import (
     PropagationError,
+    _evolve_band,
     _evolve_sectors,
     evolve_static,
     evolve_td,
@@ -428,8 +431,85 @@ def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
         return order
 
     monkeypatch.setattr(propagate, "breadth_first_order", counted)
-    run_scenario({"scenario": "pdc_epr", "truncation": [300, 300]}, check_convergence=False)
+    space = field_space(300, 300)
+    _evolve_sectors(reduced_bilinear_generator(space, pdc()), vacuum_state(space).amplitudes,
+                    [2e-4])
     assert 301 <= sum(visited) <= 3 * 301
+
+
+def resonant(params):
+    return replace(params, delta_small=resonance_delta(params))
+
+
+DEGENERATE = resonant(PhysicalParams(LAM, LAM, OMEGA, DELTA, 0.0, ProcessKind.DEGENERATE_PDC))
+
+# (params, truncation, the Fock state (n_a, n_b) at one end of its run)
+BAND_CASES = {
+    "PUC-top": (puc(), (4, 4), (1, 0)),
+    "PUC-bottom": (puc(), (4, 4), (0, 3)),
+    "PUC-complex-lopsided-top": (resonant(puc(lambda_a=3e5 - 4e5j, lambda_b=6e5 + 2e5j)),
+                                 (1, 7), (1, 0)),
+    "PUC-negative-lopsided-top": (puc(omega_cl=-OMEGA), (7, 2), (5, 0)),
+    "PUC-no_room_in_b": (puc(), (6, 0), (1, 0)),  # offset 0: no hops
+    "PDC-vacuum-lopsided": (pdc(lambda_b=5e5 + 2e5j, omega_cl=6e5 + 1e5j), (30, 44), (0, 0)),
+    "PDC-bottom": (pdc(), (9, 12), (0, 3)),
+    "PDC-xi_zero": (pdc(omega_cl=0.0), (6, 6), (0, 0)),
+    "degenerate-vacuum": (DEGENERATE, (90, 0), (0, 0)),
+    "degenerate-odd-lopsided": (DEGENERATE, (9, 2), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("limit", [propagate.CHAIN_SECTOR_LIMIT, 2], ids=["chain", "expm"])
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_band_path_reproduces_the_sector_walk_bit_for_bit(monkeypatch, case, limit):
+    # below the limit the chain eigensolve, above it the exponential action
+    monkeypatch.setattr(propagate, "CHAIN_SECTOR_LIMIT", limit)
+    params, truncation, fock = BAND_CASES[case]
+    space = field_space(*truncation)
+    start, times = space.flatten(0, *fock), [0.0, 1e-4, 0.0, 3e-4]
+    np.random.seed(3)
+    keep, states = _evolve_sectors(reduced_bilinear_generator(space, params),
+                                   fock_state(space, *fock).amplitudes, times)
+    np.random.seed(3)
+    band_keep, band_states = _evolve_band(*_reduced_band(space, params), start, times)
+    assert start in (keep[0], keep[-1])
+    assert np.array_equal(band_keep, keep) and np.array_equal(band_states, states)
+
+
+def test_band_path_from_inside_its_run_matches_the_sector_walk():
+    # the walk orders a run entered in the middle from its far end, the band
+    # path from its bottom end: the same states to round-off
+    space, params = field_space(4, 4), resonant(puc(lambda_a=3e5 - 4e5j))
+    for fock in ((1, 2), (2, 1), (1, 3)):
+        keep, states = _evolve_sectors(reduced_bilinear_generator(space, params),
+                                       fock_state(space, *fock).amplitudes, [0.0, 2e-4])
+        band_keep, band_states = _evolve_band(*_reduced_band(space, params),
+                                               space.flatten(0, *fock), [0.0, 2e-4])
+        assert space.flatten(0, *fock) not in (keep[0], keep[-1])
+        assert np.array_equal(band_keep, keep)
+        assert np.allclose(band_states, states, rtol=0.0, atol=1e-12)
+
+
+def test_band_path_refuses_what_the_sector_walk_refuses():
+    space = field_space(4, 4)
+    with pytest.raises(PropagationError, match=r"^times: phases reach") as refused:
+        _evolve_band(*_reduced_band(space, puc()), space.flatten(0, 1, 0), [0.0, 1e300])
+    assert refused.value.path == "times"
+    with pytest.raises(ValueError, match="off resonance"):
+        _evolve_band(*_reduced_band(space, puc(delta_small=5.0)), 0, [1e-4])
+
+
+def test_reduced_scenarios_build_no_full_space_matrix(monkeypatch):
+    calls = []
+    for owner, name in ((Operator, "__init__"), (Operator, "is_hermitian"),
+                        (propagate, "breadth_first_order")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:
+                            calls.append(_name) or _real(*args, **kwargs))
+    for name in ("pdc_epr", "epr_variances", "degenerate_squeeze", "puc_swap"):
+        run_scenario({"scenario": name})
+    run_scenario({"scenario": "wigner_scan", "options": {"state": "tmsv"}})
+    assert calls == []
 
 
 def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monkeypatch):

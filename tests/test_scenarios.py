@@ -777,6 +777,13 @@ VALIDATION_CASES = [
     bad_config("convergence-target_config", "options.target_config.times", "convergence",
                options={"target": "pdc_epr", "n_max_list": [8, 12],
                         "target_config": {"times": [-1]}}),
+    # a refusal inside the target's runs names the field as this config spells it
+    bad_config("convergence-target_config-no_precision", "options.target_config.times",
+               "convergence", options={"target": "puc_swap", "target_config": {"times": [1e13]}}),
+    bad_config("convergence-target_config-t_end-no_precision",
+               ", ".join(f"options.target_config.{name}" for name in T_END_FIELDS.split(", ")),
+               "convergence", options={"target": "full_vs_effective",
+                                       "target_config": {"params": {"delta_big": 1e13}}}),
     bad_config("bell_prep-times", "times", "bell_prep", times=[2e-4]),
     bad_config("bell_prep-omega_cl", "params.omega_cl", "bell_prep", params={"omega_cl": 0}),
     bad_config("bell_prep-delta_small", "params.delta_small", "bell_prep",
@@ -801,6 +808,20 @@ def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, config, fiel
     err = capsys.readouterr().err
     assert field_path in err
     assert "Traceback" not in err
+
+
+def test_convergence_passes_a_refusal_naming_no_field_through_unchanged(monkeypatch):
+    solve = propagate.eigh_tridiagonal
+
+    def inflated(*args):
+        energies, basis = solve(*args)
+        return energies, (1.0 + 1e-6) * basis
+
+    monkeypatch.setattr(propagate, "eigh_tridiagonal", inflated)
+    with pytest.raises(propagate.PropagationError) as drifted:
+        run_scenario({"scenario": "convergence"})
+    assert drifted.value.path is None
+    assert str(drifted.value).startswith("static evolution drifted the norm by ")
 
 
 def test_detuning_whose_square_overflows_says_so():
