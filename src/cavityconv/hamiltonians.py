@@ -33,8 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .hilbert import (
     HilbertSpace,
     Operator,
@@ -308,7 +306,7 @@ def two_photon_coupling(params: PhysicalParams, kind: str) -> complex:
     raise ValueError(f"kind must be 'BS' or 'TMS', got {kind!r}")
 
 
-def _reduced_band(space: HilbertSpace, params: PhysicalParams) -> tuple[int, np.ndarray]:
+def _reduced_band(space: HilbertSpace, params: PhysicalParams):
     """(offset, upper): the xi half of ``reduced_bilinear_generator``, its
     entries upper[j] at (j, j + offset), offset >= 0, stored as that builder
     stores them.  Raises ValueError off drive resonance."""

@@ -250,8 +250,8 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     return order[sort], states[:, sort]
 
 
-def _evolve_band(offset: int, upper: np.ndarray, start: int, times,
-                 path: str = "times") -> tuple[np.ndarray, np.ndarray]:
+def _evolve_band(offset: int, upper: np.ndarray, start: int,
+                 times) -> tuple[np.ndarray, np.ndarray]:
     """(keep, states) as ``_evolve_sectors`` returns them for G = band + band^dag,
     the band holding upper[j] at (j, j + offset), and the Fock state |start>.
 
@@ -274,7 +274,7 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int, times,
         keep, hops = np.array([start]), upper[:0]
     strength = np.abs(hops)  # max|E| <= the largest row sum |h_{k-1}| + |h_k|
     row_sums = np.concatenate(([0.0], strength)) + np.concatenate((strength, [0.0]))
-    _check_phase_precision(row_sums.max(), times, path)
+    _check_phase_precision(row_sums.max(), times, "times")
     descending = start == keep[-1]
     if descending:  # 0.0 + clears the sign conj gives a zero imaginary part
         hops = 0.0 + hops[::-1].conj()
