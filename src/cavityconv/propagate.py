@@ -2,19 +2,18 @@
 
 A static generator is evolved only on the connected components of its
 sparsity graph that the initial state reaches (nothing couples them to the
-rest): one breadth-first walk from each support state no earlier walk
-reached finds them, so the cost follows the reached states, not the whole
-space; an entry stored on one side only costs one more walk, over the
-symmetrized pattern.  The reduced bilinear generators skip even that: a
-Fock state is evolved straight from their xi band (``_evolve_band``), index
-arithmetic finding the run it reaches, so no whole-space matrix, Hermitian
-check or walk is made.  A component whose off-diagonal graph is a path, such
-as every conserved sector of the bilinear generators and of the full
-models, is ordered from one end; the diagonal gauge
-u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and one real
-tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other component of
-at most DENSE_SECTOR_LIMIT states is diagonalized by one dense eigh.  Either
-way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0); a
+rest), found by one walk per reached component over the symmetrized
+pattern, a whole-space sum on each call; the walks and slices then follow
+the reached states, not the whole space.  The reduced bilinear generators
+skip even that: a Fock state is evolved straight from their xi band
+(``_evolve_band``), index arithmetic finding the run it reaches, so no
+whole-space matrix, Hermitian check or walk is made.  A component whose
+off-diagonal graph is a path, such as every conserved sector of the
+bilinear generators and of the full models, is ordered from one end; the
+diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
+one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
+component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
+eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0); a
 component above its limit takes one matrix-exponential action per time, on
 a fixed seed.  Times whose phases carry no precision, their rounding
 |E| t eps exceeding a radian (|E| bounded by the largest absolute row sum),
@@ -94,27 +93,6 @@ def _walk(pattern: sp.csr_matrix, starts: np.ndarray) -> list[np.ndarray]:
     return walks
 
 
-def _reached_sectors(M: sp.csr_matrix, pattern: sp.csr_matrix, support: np.ndarray):
-    """(sectors, pattern): the connected components of M's sparsity graph
-    that meet support, each as its states in walk order over pattern, M's
-    entries set to 1.  The walks follow stored entries row-wise; unless an
-    entry stored on one side only makes two of them meet or leads into them
-    from a row outside (the entries whose column they hold are not those of
-    their rows), they are the components.  Else the components are walked
-    once more over pattern + pattern.T, which is returned instead; built on
-    every call, that whole-space sum slowed the benchmark workloads by 7-8 %.
-    """
-    sectors = _walk(pattern, support)
-    rows = np.concatenate([support[:0], *sectors])
-    reached = np.zeros(M.shape[0], dtype=bool)
-    reached[rows] = True
-    if (rows.size > np.count_nonzero(reached)
-            or np.count_nonzero(reached[M.indices]) > np.sum(M.indptr[rows + 1] - M.indptr[rows])):
-        pattern = pattern + pattern.T
-        sectors = _walk(pattern, support)
-    return sectors, pattern
-
-
 def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
     """(row, col, value) of every entry of M[order][:, order], rows ascending;
     rank[order] = arange(order.size) and order is closed under M's rows."""
@@ -166,10 +144,11 @@ def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times) -> np.ndarray:
 
 def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     """states with psi at every time of 0; raises PropagationError when any
-    other row's norm differs from psi's by more than STATIC_NORM_DRIFT_LIMIT."""
+    other row's norm differs from psi's by more than STATIC_NORM_DRIFT_LIMIT
+    or is not a number."""
     states[times == 0.0] = psi
     drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
-    if drift > STATIC_NORM_DRIFT_LIMIT:
+    if not drift <= STATIC_NORM_DRIFT_LIMIT:  # NaN fails every comparison
         raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
     return states
 
@@ -179,8 +158,9 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     """(keep, states): the sorted indices of the components of G's sparsity
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
     every other amplitude is exactly 0 and a time of 0 returns amps[keep].
-    The components are walked out from the support of amps and sliced from
-    G once, in walk order, so no step labels or slices the whole space.
+    The components are found by one walk per reached component over the
+    symmetrized pattern, a whole-space sum on each call, and sliced from G
+    once, in walk order, so no step labels or slices the whole space.
     Raises ValueError for a non-Hermitian G, PropagationError on norm drift
     or, naming path, on times whose phases carry no precision.
     """
@@ -190,7 +170,8 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     M = G.matrix
     # a float pattern: csgraph would drop the imaginary part of G
     pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-    sectors, pattern = _reached_sectors(M, pattern, np.flatnonzero(amps != 0))
+    pattern = pattern + pattern.T  # an entry stored on one side only joins both
+    sectors = _walk(pattern, np.flatnonzero(amps != 0))
     if not sectors:  # the zero state
         return np.empty(0, dtype=np.intp), np.empty((times.size, 0), dtype=np.complex128)
     size = np.array([s.size for s in sectors])
@@ -217,8 +198,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
         for k in inside:
             walk = breadth_first_order(pattern, order[bounds[k + 1] - 1],
                                        return_predecessors=False)
-            if walk.size == size[k]:  # else an entry stored on one side only cuts it
-                position[rank[walk]] = np.arange(bounds[k], bounds[k + 1])
+            position[rank[walk]] = np.arange(bounds[k], bounds[k + 1])
         row, col = position[row], position[col]
         order[position] = order.copy()
     far = beyond(1)

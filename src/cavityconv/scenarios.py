@@ -71,7 +71,12 @@ GATE_STEP = 4
 
 
 class ConfigError(ValueError):
-    """Invalid or unknown scenario configuration."""
+    """Invalid or unknown scenario configuration; ``path`` names the config
+    fields at fault (comma-separated, before the ``message``), else it is None."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message if path is None else f"{path}: {message}")
+        self.message, self.path = message, path
 
 
 class ConvergenceGateError(RuntimeError):
@@ -223,16 +228,16 @@ def _parse(path: str, parse: Callable, value):
     try:
         return parse(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(str(exc), path) from None
 
 
 def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
     where = prefix[:-1] or "config"
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+        raise ConfigError(f"expected an object, got {raw!r}", where)
     unknown = sorted(f"{prefix}{key}" for key in set(raw) - set(defaults))
     if unknown:
-        raise ConfigError(f"{', '.join(unknown)}: unknown in {where} (allowed: {sorted(defaults)})")
+        raise ConfigError(f"unknown in {where} (allowed: {sorted(defaults)})", ", ".join(unknown))
     values = {}
     for key, default in defaults.items():
         path = prefix + key
@@ -258,7 +263,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
     if "params" in values:
         process, modelled = values["params"]["process"].value, defaults["params"]["process"]
         if process != modelled:
-            raise ConfigError(f"params.process: {name} models {modelled} only, not {process}")
+            raise ConfigError(f"{name} models {modelled} only, not {process}", "params.process")
         values["params"] = _physical_params(values["params"])
     return ResolvedConfig(scenario=name, **values)
 
@@ -272,15 +277,15 @@ def _physical_params(fields: dict) -> PhysicalParams:
     if not params.dispersive:
         strongest = max(abs(params.lambda_a), abs(params.lambda_b), abs(params.omega_cl))
         raise ConfigError(
-            "params.lambda_a, params.lambda_b, params.omega_cl, params.delta_big: every "
-            "model here assumes the dispersive regime |delta_big| >= 10x every coupling, "
-            f"got |delta_big| = {abs(params.delta_big):.6g} and a coupling of {strongest:.6g}"
-        )
+            "every model here assumes the dispersive regime |delta_big| >= 10x every coupling, "
+            f"got |delta_big| = {abs(params.delta_big):.6g} and a coupling of {strongest:.6g}",
+            "params.lambda_a, params.lambda_b, params.omega_cl, params.delta_big")
     # conversion needs the drive on resonance; the two-photon processes leave it off
     if params.process in _DRIVEN:
         if not cmath.isfinite(effective_xi(params)):
-            raise ConfigError("params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big: "
-                              "omega_cl lambda_a lambda_b overflows the coupling xi")
+            raise ConfigError(
+                "omega_cl lambda_a lambda_b overflows the coupling xi",
+                "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big")
         return replace(params, delta_small=resonance_delta(params))
     return params
 
@@ -377,11 +382,10 @@ def _swap_setup(cfg: ResolvedConfig):
     xi_abs = abs(effective_xi(cfg.params))
     if xi_abs == 0.0 or math.isinf((math.pi / 2.0) / xi_abs):
         raise ConfigError(
-            "params.omega_cl, params.lambda_a, params.lambda_b: the effective "
-            f"coupling |xi| = {xi_abs!r} gives no finite conversion time scale"
-        )
+            f"the effective coupling |xi| = {xi_abs!r} gives no finite conversion time scale",
+            "params.omega_cl, params.lambda_a, params.lambda_b")
     if min(cfg.truncation) < 1:
-        raise ConfigError("truncation: the swap |1,0> -> |0,1> needs n_max >= 1 in both modes")
+        raise ConfigError("the swap |1,0> -> |0,1> needs n_max >= 1 in both modes", "truncation")
     return xi_abs, field_space(*cfg.truncation)
 
 
@@ -456,11 +460,10 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
         spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(xi))
         if math.tanh(r) == 1.0:
             raise ConfigError(
-                f"times, params: the squeeze parameter r = |xi| t = {r:.6g} at t = {tau!r} "
+                f"the squeeze parameter r = |xi| t = {r:.6g} at t = {tau!r} "
                 f"(|xi| = {xi_abs:.6g}) has tanh r = 1 in double precision, so the "
                 "truncated pair state holds none of its probability; shorten times or "
-                "reduce the effective coupling"
-            )
+                "reduce the effective coupling", "times, params")
         numeric = obs.epr_metrics(obs.tmsv_analytic(spec, space)).quality
         rows.append([
             tau,
@@ -519,17 +522,17 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
     # |i;1,0> reaches |i;1,0>, |i;0,1> and the g and e states with n_a + n_b = 2
     reached = 2 + 2 * sum(2 - cfg.truncation[1] <= n_a <= cfg.truncation[0] for n_a in range(3))
     if (n_points + DENSE_SCAN_POINTS - 1) * reached > DIM_CAP:
-        raise ConfigError(f"{'times' if cfg.times else 'options.grid_points'}: {n_points} points "
-                          f"plus the {DENSE_SCAN_POINTS - 1}-point dense scan, times {reached} "
-                          f"reached states, exceed cap {DIM_CAP}")
+        raise ConfigError(f"{n_points} points plus the {DENSE_SCAN_POINTS - 1}-point dense scan, "
+                          f"times {reached} reached states, exceed cap {DIM_CAP}",
+                          "times" if cfg.times else "options.grid_points")
     t_end = (math.pi / 2.0) / xi_abs
     times = np.array(cfg.times) if cfg.times else np.linspace(0.0, t_end, n_points)
 
     atom_space = make_space(3, *cfg.truncation)
     h_full = full_puc_hamiltonian(atom_space, params)
     if h_full.max_frequency() != 0.0:
-        raise ConfigError("params.lambda_a, params.lambda_b: full_vs_effective requires "
-                          "symmetric couplings (static full model)")
+        raise ConfigError("full_vs_effective requires symmetric couplings (static full model)",
+                          "params.lambda_a, params.lambda_b")
 
     # the full model on its reached sector, also at the dense diagnostic sweep
     # that gives the continuous-time leakage envelope
@@ -579,13 +582,13 @@ def _scenario_gaussian_profile(cfg: ResolvedConfig):
     waist, alpha = cfg.traversal["waist_w"], cfg.traversal["alpha"]
     fit_tau = cfg.options["fit_tau"]
     if cfg.times[0] <= 0.0:
-        raise ConfigError("times: a crossing takes a positive time")
+        raise ConfigError("a crossing takes a positive time", "times")
     fitted = alpha is None
     if fitted:
         try:
             alpha = fit_traversal_alpha(params, waist, fit_tau, cfg.options["fit_target_r"])
         except ValueError as exc:
-            raise ConfigError(f"options.fit_target_r: {exc}") from None
+            raise ConfigError(str(exc), "options.fit_target_r") from None
     rows = []
     for tau in cfg.times:
         spec = TraversalSpec(waist_w=waist, alpha=alpha, tau=tau)
@@ -640,7 +643,7 @@ def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
 
 def _scenario_bell_prep(cfg: ResolvedConfig):
     if min(cfg.truncation) < 1:
-        raise ConfigError("truncation: the Bell pairs need n_max >= 1 in both modes")
+        raise ConfigError("the Bell pairs need n_max >= 1 in both modes", "truncation")
     metrics = {}
     transcripts = {}
     slug = {"psi+": "psi_plus", "psi-": "psi_minus", "phi+": "phi_plus", "phi-": "phi_minus"}
@@ -648,7 +651,7 @@ def _scenario_bell_prep(cfg: ResolvedConfig):
         try:
             _, transcript = prepare_bell(target, cfg.params, cfg.truncation)
         except ValueError as exc:
-            raise ConfigError(f"params.lambda_a, params.lambda_b: {exc}") from None
+            raise ConfigError(str(exc), "params.lambda_a, params.lambda_b") from None
         metrics[f"fidelity_{slug[target]}"] = transcript["bell_fidelity"]
         metrics[f"success_prob_{slug[target]}"] = transcript["success_probability"]
         transcripts[target] = transcript
@@ -668,15 +671,16 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
     over = [f"{n_points} x {size} {what}" for what, size in sizes.items()
             if n_points * size > DIM_CAP]
     if over:
-        raise ConfigError(f"options.grid_points: {n_points} per axis exceeds cap {DIM_CAP} "
-                          f"with {', '.join(over)}")
+        raise ConfigError(f"{n_points} per axis exceeds cap {DIM_CAP} with {', '.join(over)}",
+                          "options.grid_points")
     try:
         pulse_time = tomo.parity_pulse_time(abs(cfg.params.lambda_a), cfg.params.delta_big)
     except ValueError as exc:
-        raise ConfigError(f"params.lambda_a: {exc}") from None
+        raise ConfigError(str(exc), "params.lambda_a") from None
     choice, space = cfg.options["state"], field_space(*cfg.truncation)
     if choice == "one_photon" and cfg.truncation[0] < 1:
-        raise ConfigError("truncation, options.state: the one_photon state |1,0> needs n_max_a >= 1")
+        raise ConfigError("the one_photon state |1,0> needs n_max_a >= 1",
+                          "truncation, options.state")
     if choice == "tmsv":
         state = _evolved_vacuum(cfg)
     else:
@@ -688,7 +692,7 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
         w_direct = tomo.wigner_direct(state, grid)
         w_proto, signal = tomo.wigner_via_protocol(state, grid)
     except tomo.TruncationError as exc:
-        raise ConfigError(f"truncation, options.grid_extent: {exc}") from None
+        raise ConfigError(str(exc), "truncation, options.grid_extent") from None
     origin = tomo.wigner_direct(state, tomo.PhaseSpaceGrid(((0.0, 0.0),)))[0]
     metrics = {
         "w_origin": float(origin),
@@ -711,18 +715,16 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
 
 def _scenario_convergence(cfg: ResolvedConfig):
     target = cfg.options["target"]
-    try:  # name the field as this config spells it, before any sweep entry runs
-        target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]})
-    except ConfigError as exc:
-        raise ConfigError(f"options.target_config.{exc}") from None
     try:
-        sweep = _sweep(target_cfg, cfg.options["n_max_list"], "options.n_max_list")
-    except PropagationError as exc:
+        target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]})
+        sweep = _sweep(target_cfg, cfg.options["n_max_list"], "truncation")
+    except (ConfigError, PropagationError) as exc:
         if exc.path is None:  # no field is at fault
             raise
-        # name the target's fields as this config spells them
-        raise PropagationError(exc.message, ", ".join(
-            f"options.target_config.{name}" for name in exc.path.split(", "))) from None
+        # name the target's fields as this config spells them: n_max_list sets its truncation
+        raise type(exc)(exc.message, ", ".join(
+            "options.n_max_list" if name == "truncation" else f"options.target_config.{name}"
+            for name in exc.path.split(", "))) from None
     metrics = {
         "final_value": sweep["rows"][-1][1],
         "last_increment": sweep["last_increment"],
@@ -860,9 +862,7 @@ def run_scenario(config: dict, check_convergence: bool = True) -> dict:
         unknown = set(cfg.outputs) - set(metrics)
         if unknown:
             raise ConfigError(
-                f"outputs: unknown metrics {sorted(unknown)} "
-                f"(available: {sorted(metrics)})"
-            )
+                f"unknown metrics {sorted(unknown)} (available: {sorted(metrics)})", "outputs")
         shown = {k: v for k, v in metrics.items() if k in cfg.outputs}
     doc = {
         "scenario": cfg.scenario,

@@ -34,7 +34,7 @@ from cavityconv.hilbert import (
     project_atom,
     vacuum_state,
 )
-from cavityconv import propagate
+from cavityconv import propagate, scenarios
 from cavityconv.observables import fidelity
 from cavityconv.propagate import (
     PropagationError,
@@ -360,7 +360,7 @@ def with_one_sided_entry(gen, row, col):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", ["mid-path", "two-seeds", "tree", "cycle", "isolated",
-                                  "one-sided", "walks-meet", "full-support"])
+                                  "one-sided", "walks-meet", "one-sided-path", "full-support"])
 def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
     gen, states = scattered_generator(seed)
     space = gen.space
@@ -372,6 +372,7 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
         "isolated": states["isolated"][[1, 2]],
         "one-sided": states["pair"][[0]],
         "walks-meet": np.sort([states["pair"][0], states["path"][0]]),
+        "one-sided-path": states["path"][[3]],
         "full-support": np.arange(space.total_dim),
     }[case]
     if case == "one-sided":
@@ -383,6 +384,9 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
             gen = with_one_sided_entry(gen, states["path"][5], states["pair"][1])
         else:
             gen = with_one_sided_entry(gen, states["pair"][1], states["path"][5])
+    if case == "one-sided-path":
+        # joins the path's end to the pair: one 9-state path, entered in its middle
+        gen = with_one_sided_entry(gen, states["path"][6], states["pair"][0])
     amps = amplitudes_on(space, support, seed)
     psi0 = StateVector(space, amps)
     times = np.array([0.0, 2e-4, 1e-3])
@@ -390,30 +394,29 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
     walks = counted_walks(monkeypatch)
     keep, states_out = _evolve_sectors(gen, amps, times)
     assert_matches_dense_expm(gen, psi0, times, keep, states_out)
-    if case == "mid-path":  # walked again from an end: still one tridiagonal
+    if case in ("mid-path", "one-sided-path"):  # walked again from an end: one tridiagonal
         assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
-    if case in ("one-sided", "walks-meet"):
+    if case in ("one-sided", "walks-meet", "one-sided-path"):
         assert set(states["path"]) | set(states["pair"]) == set(keep)
-        # exactly one more walk, over the symmetrized pattern
-        assert len(walks) == 2
-        assert (walks[1] != walks[0] + walks[0].T).nnz == 0
-    else:
-        assert len(walks) == 1
+    # exactly one walk, over the symmetrized pattern
+    assert len(walks) == 1 and (walks[0] != walks[0].T).nnz == 0
 
 
 def test_program_paths_walk_once_per_evolution(monkeypatch):
-    # every default scenario, gate on and off: one walk per evolution over
-    # the pattern it was given, so no transposed pattern is ever built
+    # every default scenario, gate on and off: one walk per evolution, over
+    # a symmetric pattern
     walks, evolutions = counted_walks(monkeypatch), []
-    reached_sectors = propagate._reached_sectors
+    evolve_sectors = propagate._evolve_sectors
 
-    def checked(M, pattern, support):
+    def checked(*args, **kwargs):
         before = len(walks)
-        sectors, walked = reached_sectors(M, pattern, support)
-        evolutions.append((len(walks) - before, walked is pattern))
-        return sectors, walked
+        result = evolve_sectors(*args, **kwargs)
+        evolutions.append((len(walks) - before,
+                           all((walked != walked.T).nnz == 0 for walked in walks[before:])))
+        return result
 
-    monkeypatch.setattr(propagate, "_reached_sectors", checked)
+    monkeypatch.setattr(propagate, "_evolve_sectors", checked)
+    monkeypatch.setattr(scenarios, "_evolve_sectors", checked)
     for name in SCENARIOS:
         for gated in (True, False):
             run_scenario({"scenario": name}, check_convergence=gated)
@@ -583,6 +586,19 @@ def test_forced_norm_drift_raises(monkeypatch, limit):
     effective = frame_generator(effective_puc_hamiltonian(space, puc(delta_small=1e4)))
     with pytest.raises(PropagationError, match="norm"):
         evolve_static(effective, basis_state(space, "g", 0, 3), 3e-5)
+
+
+def test_a_nan_amplitude_is_refused():
+    # a NaN norm drift fails every comparison, so it is tested as "not <= limit"
+    space = field_space(4, 4)
+    gen = reduced_bilinear_generator(space, puc())
+    amps = fock_state(space, 1, 0).amplitudes.copy()
+    amps[space.flatten(0, 0, 1)] = np.nan
+    psi0 = StateVector(space, amps)
+    with pytest.raises(PropagationError, match="norm"):
+        evolve_static(gen, psi0, 2e-4)
+    with pytest.raises(PropagationError, match="norm"):
+        evolve_td(TimeDependentOperator(gen), psi0, [0.0, 2e-4])
 
 
 def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):

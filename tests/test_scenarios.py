@@ -54,6 +54,11 @@ XI_OVERFLOW = {"delta_big": 1e150, "lambda_a": 1e148, "lambda_b": 1e148, "omega_
 # full_vs_effective without times runs to t_end = (pi/2) / |xi|, set by these
 FAR_DETUNED = {"scenario": "full_vs_effective", "params": {"delta_big": 1e8}}
 T_END_FIELDS = "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big"
+CONVERGENCE_SUBNORMAL = {"target": "puc_swap", "target_config": {"params": {"omega_cl": 1e-320}}}
+CONVERGENCE_SUBNORMAL_FIELDS = ", ".join(f"options.target_config.params.{name}"
+                                         for name in ("omega_cl", "lambda_a", "lambda_b"))
+CONVERGENCE_ONE_PHOTON = {"target": "wigner_scan", "n_max_list": [0, 2],
+                          "target_config": {"options": {"state": "one_photon"}}}
 
 
 def two_photon_params():
@@ -440,9 +445,16 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
     ({"scenario": "puc_swap", "times": [1e13]}, "times"),
     ({"scenario": "full_vs_effective", "times": [0, 1e300]}, "times"),
     (FAR_DETUNED | {"params": {"delta_big": 1e12}}, T_END_FIELDS),
+    ({"scenario": "convergence", "options": CONVERGENCE_SUBNORMAL}, CONVERGENCE_SUBNORMAL_FIELDS),
+    ({"scenario": "convergence", "options": CONVERGENCE_ONE_PHOTON},
+     "options.n_max_list, options.target_config.options.state"),
+    ({"scenario": "convergence", "options": {"target": "puc_swap", "n_max_list": [0, 2]}},
+     "options.n_max_list"),
 ], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap",
         "puc_swap-times-no_precision", "puc_swap-times-1e13",
-        "full_vs_effective-times-no_precision", "full_vs_effective-t_end-no_precision"])
+        "full_vs_effective-times-no_precision", "full_vs_effective-t_end-no_precision",
+        "convergence-target_config-subnormal", "convergence-one_photon-one_mode",
+        "convergence-puc_swap-one_mode"])
 def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
                                                                     field_path):
     # VALIDATION_CASES runs each with the gate off
@@ -784,6 +796,19 @@ VALIDATION_CASES = [
                ", ".join(f"options.target_config.{name}" for name in T_END_FIELDS.split(", ")),
                "convergence", options={"target": "full_vs_effective",
                                        "target_config": {"params": {"delta_big": 1e13}}}),
+    # a refusal in the target's body names its fields as this config spells them,
+    # its truncation as the n_max_list that sets it
+    bad_config("convergence-target_config-subnormal", CONVERGENCE_SUBNORMAL_FIELDS, "convergence",
+               options=CONVERGENCE_SUBNORMAL),
+    bad_config("convergence-one_photon-one_mode",
+               "options.n_max_list, options.target_config.options.state", "convergence",
+               options=CONVERGENCE_ONE_PHOTON),
+    bad_config("convergence-puc_swap-one_mode", "options.n_max_list", "convergence",
+               options={"target": "puc_swap", "n_max_list": [0, 2]}),
+    bad_config("convergence-target_config-dispersive",
+               ", ".join(f"options.target_config.{name}" for name in DISPERSIVE_FIELDS.split(", ")),
+               "convergence", options={"target": "pdc_epr",
+                                       "target_config": {"params": {"lambda_a": [0, -5e6]}}}),
     bad_config("bell_prep-times", "times", "bell_prep", times=[2e-4]),
     bad_config("bell_prep-omega_cl", "params.omega_cl", "bell_prep", params={"omega_cl": 0}),
     bad_config("bell_prep-delta_small", "params.delta_small", "bell_prep",
