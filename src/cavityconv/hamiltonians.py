@@ -343,6 +343,14 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
     return _band_operator(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
 
 
+def _two_photon_band(space: HilbertSpace, params: PhysicalParams, kind: str):
+    """(offset, upper): the h.c. half of ``two_photon_hamiltonian``, entries
+    upper[j] at (j, j + offset); offset > 0 when n_max >= 1 in both modes."""
+    coupling = two_photon_coupling(params, kind)
+    offset, entries = _band(space, "g", "e", -1, 1 if kind == "BS" else -1)
+    return offset, 0.0 + coupling.conjugate() * entries
+
+
 def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:
     """Atom-correlated exchange Hamiltonians with the classical drive off.
 
@@ -350,12 +358,11 @@ def two_photon_hamiltonian(space: HilbertSpace, params: PhysicalParams, kind: st
     'TMS': kappa a b sig_eg + h.c.,     kappa = lambda_a lambda_b / Delta
 
     The diagonal Stark terms are deliberately omitted; they are available
-    through the effective builders.
+    through the effective builders.  ``bell_prep`` evolves straight from the
+    h.c. band (``_two_photon_band``); the evolution writes its rows in place.
     """
-    coupling = two_photon_coupling(params, kind)
-    d_b = -1 if kind == "BS" else 1
-    return _band_operator(space, [(coupling, _band(space, "e", "g", 1, d_b)),
-                                  (coupling.conjugate(), _band(space, "g", "e", -1, -d_b))])
+    offset, upper = _two_photon_band(space, params, kind)
+    return _band_operator(space, [(1.0, (-offset, upper.conj())), (1.0, (offset, upper))])
 
 
 # --- transverse Gaussian mode profile ----------------------------------------

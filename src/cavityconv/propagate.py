@@ -5,17 +5,18 @@ sparsity graph that the initial state reaches (nothing couples them to the
 rest), found by one walk per reached component over the symmetrized
 pattern, a whole-space sum on each call; the walks and slices then follow
 the reached states, not the whole space.  The reduced bilinear generators
-skip even that: a Fock state is evolved straight from their xi band
-(``_evolve_band``), index arithmetic finding the run it reaches, so no
-whole-space matrix, Hermitian check or walk is made.  A component whose
+and the two-photon exchange skip even that: a Fock state is evolved straight
+from one of their bands (``_evolve_band``), index arithmetic finding its run,
+so no whole-space matrix, Hermitian check or walk is made.  A component whose
 off-diagonal graph is a path, such as every conserved sector of the
 bilinear generators and of the full models, is ordered from one end; the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
 one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
 component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
-eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0); a
-component above its limit takes one matrix-exponential action per time, on
-a fixed seed.  Times whose phases carry no precision, their rounding
+eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0),
+written in place; a component above its limit takes one matrix-exponential
+action per time, on a fixed seed.  Each row's norm is checked in one real
+pass.  Times whose phases carry no precision, their rounding
 |E| t eps exceeding a radian (|E| bounded by the largest absolute row sum),
 are refused.  Every oscillating Hamiltonian built here is static in a
 diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
@@ -111,20 +112,22 @@ def _check_phase_precision(scale: float, times, path: str) -> None:
                                f"({phase * np.finfo(float).eps:.1e} rad) exceeds a radian", path)
 
 
-def _chain_states(diagonal: np.ndarray, hops: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
-    """Rows exp(-i G t) psi, one per time, for the chain G with real diagonal
-    and hops G[k, k + 1] = hops[k]: the gauge u_{k+1} = u_k conj(h_k) / |h_k|
-    makes the hops real, and one real tridiagonal eigensolve gives G = (UV) E (UV)^dag."""
+def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, UV) with G = (UV) E (UV)^dag for the chain G with real diagonal and
+    hops G[k, k + 1] = hops[k]: the gauge u_{k+1} = u_k conj(h_k) / |h_k|
+    makes the hops real, and one real tridiagonal eigensolve gives E and V."""
     energies, basis = eigh_tridiagonal(diagonal, np.abs(hops))
     gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(hops)))))
-    return _eigen_states(energies, gauge[:, None] * basis, psi, times)
+    return energies, gauge[:, None] * basis
 
 
-def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
-    """Rows basis (e^{-i energies t} * basis^dag psi), one per time."""
-    phases = np.exp(np.outer(times, -1j * energies))
+def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, times,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Rows basis (e^{-i energies t} * basis^dag psi), one per time, into out if given."""
+    phases = np.outer(times, -1j * energies)
+    np.exp(phases, out=phases)
     phases *= basis.conj().T @ psi
-    return phases @ basis.T
+    return np.matmul(phases, basis.T, out=out)
 
 
 def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times) -> np.ndarray:
@@ -147,7 +150,8 @@ def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     other row's norm differs from psi's by more than STATIC_NORM_DRIFT_LIMIT
     or is not a number."""
     states[times == 0.0] = psi
-    drift = np.max(np.abs(np.linalg.norm(states, axis=1) - np.linalg.norm(psi)), initial=0.0)
+    v = states.view(np.float64)  # every row's norm in one real pass
+    drift = np.max(np.abs(np.sqrt(np.einsum("ij,ij->i", v, v)) - np.linalg.norm(psi)), initial=0.0)
     if not drift <= STATIC_NORM_DRIFT_LIMIT:  # NaN fails every comparison
         raise PropagationError(f"static evolution drifted the norm by {drift:.3e}")
     return states
@@ -213,15 +217,15 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     for k in range(size.size):
         pos = slice(bounds[k], bounds[k + 1])
         if not far[k] and size[k] <= CHAIN_SECTOR_LIMIT:
-            states[:, pos] = _chain_states(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1],
-                                           psi[pos], times)
+            _eigen_states(*_chain_eigh(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1]),
+                          psi[pos], times, states[:, pos])
             continue
         e = slice(first[k], first[k + 1])
         r, c = row[e] - bounds[k], col[e] - bounds[k]
         if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
             block = np.zeros((size[k], size[k]), dtype=np.complex128)
             np.add.at(block, (r, c), val[e])
-            states[:, pos] = _eigen_states(*np.linalg.eigh(block), psi[pos], times)
+            _eigen_states(*np.linalg.eigh(block), psi[pos], times, states[:, pos])
         else:
             block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
             states[:, pos] = _expm_states(block, psi[pos], times)
@@ -261,7 +265,7 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int,
     psi = np.zeros(keep.size, dtype=np.complex128)
     psi[0 if descending else np.searchsorted(keep, start)] = 1.0
     if keep.size <= CHAIN_SECTOR_LIMIT:
-        states = _chain_states(np.zeros(keep.size), hops, psi, times)
+        states = _eigen_states(*_chain_eigh(np.zeros(keep.size), hops), psi, times)
     else:  # the chain as the stored pattern holds it: no zero entry
         block = sp.diags([0.0 + hops.conj(), hops], [-1, 1], format="csr")
         states = _expm_states(block, psi, times)

@@ -30,13 +30,13 @@ from .hamiltonians import (
     ProcessKind,
     TraversalSpec,
     _reduced_band,
+    _two_photon_band,
     effective_xi,
     fit_traversal_alpha,
     full_puc_hamiltonian,
     profile_squeezing_factor,
     resonance_delta,
     two_photon_coupling,
-    two_photon_hamiltonian,
 )
 from .hilbert import (
     DIM_CAP,
@@ -48,7 +48,7 @@ from .hilbert import (
     project_atom,
     vacuum_state,
 )
-from .propagate import PropagationError, _evolve_band, _evolve_sectors, evolve_static
+from .propagate import PropagationError, _evolve_band, _evolve_sectors
 
 # Typical microwave-cavity Rydberg numbers used as scenario defaults.
 DEFAULT_COUPLING = 7e5   # s^-1
@@ -231,13 +231,13 @@ def _parse(path: str, parse: Callable, value):
         raise ConfigError(str(exc), path) from None
 
 
-def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
-    where = prefix[:-1] or "config"
+def _resolve(defaults: dict, raw, prefix: str = "", within: str = "") -> dict:
     if not isinstance(raw, dict):
-        raise ConfigError(f"expected an object, got {raw!r}", where)
+        raise ConfigError(f"expected an object, got {raw!r}", prefix[:-1] or "config")
     unknown = sorted(f"{prefix}{key}" for key in set(raw) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown in {where} (allowed: {sorted(defaults)})", ", ".join(unknown))
+    if unknown:  # within + prefix spells the container as the outer config does
+        raise ConfigError(f"unknown in {(within + prefix)[:-1] or 'config'} "
+                          f"(allowed: {sorted(defaults)})", ", ".join(unknown))
     values = {}
     for key, default in defaults.items():
         path = prefix + key
@@ -245,12 +245,13 @@ def _resolve(defaults: dict, raw, prefix: str = "") -> dict:
             value = raw.get(key)
             values[key] = _parse(path, _FIELDS[path], default if value is None else value)
         else:
-            values[key] = _resolve(default, raw.get(key, {}), path + ".")
+            values[key] = _resolve(default, raw.get(key, {}), path + ".", within)
     return values
 
 
-def resolve_config(raw: dict) -> ResolvedConfig:
-    """Validate a raw config dict against its scenario's registry defaults."""
+def resolve_config(raw: dict, within: str = "") -> ResolvedConfig:
+    """Validate a raw config dict against its scenario's registry defaults;
+    within is the dotted prefix of a config nested in another."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     name = raw.get("scenario")
@@ -259,7 +260,7 @@ def resolve_config(raw: dict) -> ResolvedConfig:
             f"unknown scenario {name!r}; registered: {', '.join(sorted(SCENARIOS))}"
         )
     defaults = SCENARIOS[name].defaults
-    values = _resolve(defaults, {k: v for k, v in raw.items() if k != "scenario"})
+    values = _resolve(defaults, {k: v for k, v in raw.items() if k != "scenario"}, within=within)
     if "params" in values:
         process, modelled = values["params"]["process"].value, defaults["params"]["process"]
         if process != modelled:
@@ -324,15 +325,12 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
     if math.isinf(t_quarter):
         raise ValueError(f"two-photon coupling {coupling!r} gives no finite interaction time")
 
+    if min(n_max) < 1:
+        raise ValueError(f"the Bell pairs need n_max >= 1 in both modes, got {n_max}")
     space = make_space(3, *n_max)
-    hamiltonian = two_photon_hamiltonian(space, params, kind)
-    if kind == "BS":
-        initial = basis_state(space, "g", 1, 0)
-        initial_label = "|g;1,0>"
-    else:
-        initial = basis_state(space, "e", 0, 0)
-        initial_label = "|e;0,0>"
-    evolved = evolve_static(hamiltonian, initial, t_quarter)
+    level, n_a, initial_label = ("g", 1, "|g;1,0>") if kind == "BS" else ("e", 0, "|e;0,0>")
+    start = space.flatten(space.level_index(level), n_a, 0)
+    evolved = _band_state(space, _two_photon_band(space, params, kind), start, t_quarter)
 
     sign = +1.0 if target.endswith("+") else -1.0
     phi_g = project_atom(evolved, "g")
@@ -389,13 +387,18 @@ def _swap_setup(cfg: ResolvedConfig):
     return xi_abs, field_space(*cfg.truncation)
 
 
-def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
-    """The vacuum evolved under the reduced generator for the last configured time."""
-    space = field_space(*cfg.truncation)
-    keep, states = _evolve_band(*_reduced_band(space, cfg.params), 0, [cfg.times[-1]])
+def _band_state(space, band, start: int, t: float) -> StateVector:
+    """The basis state at index start evolved for time t under band + band^dag."""
+    keep, states = _evolve_band(*band, start, [t])
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     amps[keep] = states[0]
     return StateVector(space, amps, copy=False)
+
+
+def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
+    """The vacuum evolved under the reduced generator for the last configured time."""
+    space = field_space(*cfg.truncation)
+    return _band_state(space, _reduced_band(space, cfg.params), 0, cfg.times[-1])
 
 
 def _scenario_puc_swap(cfg: ResolvedConfig):
@@ -714,16 +717,16 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
 
 
 def _scenario_convergence(cfg: ResolvedConfig):
-    target = cfg.options["target"]
+    target, within = cfg.options["target"], "options.target_config."
     try:
-        target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]})
+        target_cfg = resolve_config({"scenario": target, **cfg.options["target_config"]}, within)
         sweep = _sweep(target_cfg, cfg.options["n_max_list"], "truncation")
     except (ConfigError, PropagationError) as exc:
         if exc.path is None:  # no field is at fault
             raise
         # name the target's fields as this config spells them: n_max_list sets its truncation
         raise type(exc)(exc.message, ", ".join(
-            "options.n_max_list" if name == "truncation" else f"options.target_config.{name}"
+            "options.n_max_list" if name == "truncation" else within + name
             for name in exc.path.split(", "))) from None
     metrics = {
         "final_value": sweep["rows"][-1][1],

@@ -1,10 +1,15 @@
 """Write the reference documents of the tier-1 golden corpus.
 
-    PYTHONPATH=src python tests/make_golden_corpus.py
+    PYTHONPATH=src python tests/make_golden_corpus.py [--check]
 
 Runs every config in ``CONFIGS`` with the convergence gate on and off and
 stores each result document, as ``result_to_json`` renders it, in
-``tests/golden/<name>.gate_on.json`` and ``<name>.gate_off.json``.  The
+``tests/golden/<name>.gate_on.json`` and ``<name>.gate_off.json``.  With
+``--check`` it writes nothing: it prints the name of each stored document
+whose text differs from the regenerated one and exits 1 if any differ.  The
+documents keep round-off entries at 12 significant digits, so a byte check
+holds on one platform and is no cross-platform gate; ``test_golden_corpus``
+compares with a tolerance.  The
 configs go beyond the defaults that ``perfbench/golden`` pins: complex and
 asymmetric couplings, lopsided truncations, ``times`` ranges and lists,
 ``outputs`` filters, a chain above ``propagate.CHAIN_SECTOR_LIMIT``, and the
@@ -15,6 +20,7 @@ alter a result, and name the entries that moved when it does.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -97,12 +103,24 @@ def document(config: dict, check_convergence: bool) -> str:
     return result_to_json(run_scenario(config, check_convergence=check_convergence))
 
 
-def main() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print(f"usage: {Path(__file__).name} [--check]", file=sys.stderr)
+        return 2
+    if not check:
+        GOLDEN_DIR.mkdir(exist_ok=True)
+    differ = False
     for name, config in CONFIGS.items():
         for suffix, gated in GATES.items():
-            (GOLDEN_DIR / f"{name}.{suffix}.json").write_text(document(config, gated))
+            path, text = GOLDEN_DIR / f"{name}.{suffix}.json", document(config, gated)
+            if not check:
+                path.write_text(text)
+            elif not path.is_file() or path.read_text() != text:
+                print(path.name)
+                differ = True
+    return int(differ)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

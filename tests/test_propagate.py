@@ -11,6 +11,7 @@ from cavityconv.hamiltonians import (
     ProcessKind,
     TimeDependentOperator,
     _reduced_band,
+    _two_photon_band,
     effective_pdc_hamiltonian,
     effective_puc_hamiltonian,
     effective_xi,
@@ -403,8 +404,8 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
 
 
 def test_program_paths_walk_once_per_evolution(monkeypatch):
-    # every default scenario, gate on and off: one walk per evolution, over
-    # a symmetric pattern
+    # every default scenario, gate on and off, and evolve_td on each oscillating
+    # builder: one walk per evolution, over a symmetric pattern
     walks, evolutions = counted_walks(monkeypatch), []
     evolve_sectors = propagate._evolve_sectors
 
@@ -420,7 +421,17 @@ def test_program_paths_walk_once_per_evolution(monkeypatch):
     for name in SCENARIOS:
         for gated in (True, False):
             run_scenario({"scenario": name}, check_convergence=gated)
-    assert len(evolutions) > len(SCENARIOS) and set(evolutions) == {(1, True)}
+    scenario_evolutions = len(evolutions)
+    builders = [(full_puc_hamiltonian, puc(delta_small=1.2e5)),
+                (effective_puc_hamiltonian, puc(delta_small=-1.2e5)),
+                (full_pdc_hamiltonian, pdc(delta_small=1.2e5)),
+                (effective_pdc_hamiltonian, pdc(delta_small=-1.2e5))]
+    for k, (builder, params) in enumerate(builders):
+        space = make_space(3, 2, 3)
+        evolve_td(builder(space, params), random_state(space, k), np.linspace(0.0, 4e-7, 5))
+    # full_vs_effective evolves through _evolve_sectors, gate on and off
+    assert scenario_evolutions >= 2 and len(evolutions) == scenario_evolutions + len(builders)
+    assert set(evolutions) == {(1, True)}
 
 
 def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
@@ -502,17 +513,44 @@ def test_band_path_refuses_what_the_sector_walk_refuses():
         _evolve_band(*_reduced_band(space, puc(delta_small=5.0)), 0, [1e-4])
 
 
-def test_reduced_scenarios_build_no_full_space_matrix(monkeypatch):
+def test_band_scenarios_build_no_full_space_matrix(monkeypatch):
+    # the reduced scenarios and bell_prep, gate on
     calls = []
     for owner, name in ((Operator, "__init__"), (Operator, "is_hermitian"),
-                        (propagate, "breadth_first_order")):
+                        (propagate, "breadth_first_order"), (propagate, "_evolve_sectors"),
+                        (scenarios, "_evolve_sectors")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:
                             calls.append(_name) or _real(*args, **kwargs))
-    for name in ("pdc_epr", "epr_variances", "degenerate_squeeze", "puc_swap"):
+    for name in ("pdc_epr", "epr_variances", "degenerate_squeeze", "puc_swap", "bell_prep"):
         run_scenario({"scenario": name})
     run_scenario({"scenario": "wigner_scan", "options": {"state": "tmsv"}})
     assert calls == []
+
+
+TWO_PHOTON = {
+    "real": PhysicalParams(LAM, LAM, 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS),
+    "complex": PhysicalParams(4.2e5 - 5.6e5j, 3e5 + 5e5j, 0.0, -1.3e7, 0.0,
+                              ProcessKind.TWO_PHOTON_TMS),
+}
+
+
+@pytest.mark.parametrize("truncation", [(1, 1), (2, 2), (3, 4)])
+@pytest.mark.parametrize("kind", ["BS", "TMS"])
+@pytest.mark.parametrize("coupling", list(TWO_PHOTON))
+def test_two_photon_band_reproduces_the_sector_walk_bit_for_bit(coupling, kind, truncation):
+    # from every basis state: the runs of this band hold at most two states
+    params, space = TWO_PHOTON[coupling], make_space(3, *truncation)
+    times = [0.0, 2e-6, 1e-5]
+    generator = two_photon_hamiltonian(space, params, kind)
+    for start in range(space.total_dim):
+        amps = np.zeros(space.total_dim, dtype=np.complex128)
+        amps[start] = 1.0
+        keep, states = _evolve_sectors(generator, amps, times)
+        band_keep, band_states = _evolve_band(*_two_photon_band(space, params, kind),
+                                               start, times)
+        assert np.array_equal(band_keep, keep)
+        assert band_states.shape == states.shape and band_states.tobytes() == states.tobytes()
 
 
 def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monkeypatch):
@@ -586,6 +624,39 @@ def test_forced_norm_drift_raises(monkeypatch, limit):
     effective = frame_generator(effective_puc_hamiltonian(space, puc(delta_small=1e4)))
     with pytest.raises(PropagationError, match="norm"):
         evolve_static(effective, basis_state(space, "g", 0, 3), 3e-5)
+
+
+@pytest.mark.parametrize("branch", ["chain", "dense"])
+@pytest.mark.parametrize("case", ["one_time", "20101_times", "one_of_two_sectors"])
+def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
+    # a basis scaled by 1 + 1e-8 moves its sector's norms by about 2e-8,
+    # 20 times the limit: the check sees it at any number of times, and in
+    # one reached sector while the other keeps its norm
+    if branch == "chain":  # the beam splitter's n_a + n_b = 1 and 3 sectors
+        space = field_space(4, 4)
+        gen = reduced_bilinear_generator(space, puc())
+        kept, drifted, size = fock_state(space, 1, 0), fock_state(space, 2, 1), 4
+        owner, name = propagate, "eigh_tridiagonal"
+    else:  # two of the effective model's components that are not paths
+        space = make_space(3, 3, 3)
+        gen = effective_puc_hamiltonian(space, puc()).at(0.0)
+        kept, drifted, size = basis_state(space, "g", 0, 1), basis_state(space, "g", 0, 3), 8
+        owner, name = np.linalg, "eigh"
+    solve, sizes = getattr(owner, name), []
+
+    def off(*args):
+        energies, basis = solve(*args)
+        sizes.append(energies.size)
+        return energies, (1.0 + 1e-8) * basis if energies.size == size else basis
+
+    monkeypatch.setattr(owner, name, off)
+    psi0 = drifted.amplitudes
+    if case == "one_of_two_sectors":
+        psi0 = (kept.amplitudes + drifted.amplitudes) / math.sqrt(2.0)
+    times = [2e-5] if case == "one_time" else np.linspace(0.0, 2e-4, 20101)
+    with pytest.raises(PropagationError, match="norm"):
+        _evolve_sectors(gen, psi0, times)
+    assert size in sizes and (case != "one_of_two_sectors" or len(set(sizes)) == 2)
 
 
 def test_a_nan_amplitude_is_refused():

@@ -564,6 +564,9 @@ def test_prepare_bell_validation():
         prepare_bell("sigma+", two_photon_params())
     with pytest.raises(ValueError):
         prepare_bell("psi+", PhysicalParams(7e5, 7e5, 7e5, 1e7, 0.0, ProcessKind.PUC))
+    for n_max in ((0, 2), (2, 0)):  # refused before the band path sees a one-level mode
+        with pytest.raises(ValueError, match="n_max >= 1 in both modes"):
+            prepare_bell("phi+", two_photon_params(), n_max)
 
 
 # --- determinism and serialization -----------------------------------------------------------
@@ -809,6 +812,13 @@ VALIDATION_CASES = [
                ", ".join(f"options.target_config.{name}" for name in DISPERSIVE_FIELDS.split(", ")),
                "convergence", options={"target": "pdc_epr",
                                        "target_config": {"params": {"lambda_a": [0, -5e6]}}}),
+    # an unknown field of the target, its container named as its path names it
+    bad_config("convergence-target_config-unknown",
+               "options.target_config.foo: unknown in options.target_config (allowed", "convergence",
+               options={"target": "pdc_epr", "target_config": {"foo": 1}}),
+    bad_config("convergence-target_config-params-unknown",
+               "options.target_config.params.foo: unknown in options.target_config.params (allowed",
+               "convergence", options={"target": "pdc_epr", "target_config": {"params": {"foo": 1}}}),
     bad_config("bell_prep-times", "times", "bell_prep", times=[2e-4]),
     bad_config("bell_prep-omega_cl", "params.omega_cl", "bell_prep", params={"omega_cl": 0}),
     bad_config("bell_prep-delta_small", "params.delta_small", "bell_prep",
