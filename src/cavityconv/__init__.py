@@ -35,9 +35,6 @@ from .hilbert import (
     annihilation,
     atomic_sigma,
     basis_state,
-    creation,
-    embed_atom,
-    expectation,
     field_space,
     fock_state,
     make_space,
@@ -64,7 +61,6 @@ from .propagate import (
     Trajectory,
     evolve_static,
     evolve_td,
-    frame_transform,
 )
 from .scenarios import (
     ConfigError,

@@ -95,13 +95,6 @@ class HilbertSpace:
             raise ValueError(f"index ({level}, {n_a}, {n_b}) outside space")
         return (level * self.dim_a + n_a) * self.dim_b + n_b
 
-    def unflatten(self, k: int) -> tuple[int, int, int]:
-        if not 0 <= k < self.total_dim:
-            raise ValueError(f"flat index {k} outside space")
-        k, n_b = divmod(k, self.dim_b)
-        level, n_a = divmod(k, self.dim_a)
-        return level, n_a, n_b
-
     def fock_numbers(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-basis-index photon numbers (n_a[k], n_b[k]) as int arrays."""
         _, n_a, n_b = np.indices(self.shape).reshape(3, -1)
@@ -188,11 +181,6 @@ class Operator:
 
     def dag(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
-
-    def apply(self, state: "StateVector") -> "StateVector":
-        if self.space != state.space:
-            raise SpaceMismatchError("operator and state live on different spaces")
-        return StateVector(self.space, self.matrix @ state.amplitudes, copy=False)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -306,21 +294,24 @@ def annihilation(space: HilbertSpace, mode: str) -> Operator:
     return _band_operator(space, [(1.0, _band(space, None, None, *powers))])
 
 
-def creation(space: HilbertSpace, mode: str) -> Operator:
-    return annihilation(space, mode).dag()
+def _mode_numbers(space: HilbertSpace, keep: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
+    """Photon numbers of one mode at the flat indices keep, and its flat step."""
+    axis = _mode_axis(mode)
+    stride = space.dim_b if axis == 1 else 1
+    return keep // stride % space.shape[axis], stride
 
 
-def _ladder(state: StateVector, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Flat a|psi> and a^dag|psi> of one mode with no operator built: shifts by
-    one along the mode's axis of the amplitude array, weighted by sqrt(n),
-    that drop the top level exactly as the truncated a and a^dag do."""
-    psi = state.amplitudes.reshape(state.space.shape)
-    lowered, raised = np.zeros_like(psi), np.zeros_like(psi)
-    src, low, up = (np.moveaxis(x, _mode_axis(mode), -1) for x in (psi, lowered, raised))
-    root = np.sqrt(np.arange(1, src.shape[-1]))
-    low[..., :-1] = root * src[..., 1:]
-    up[..., 1:] = root * src[..., :-1]
-    return lowered.ravel(), raised.ravel()
+def _ladder(space: HilbertSpace, keep: np.ndarray, mode: str):
+    """a and a^dag of one mode on the basis states keep, with no operator built:
+    a|k> = sqrt(n)|k - stride> and a^dag|k> = sqrt(n + 1)|k + stride>, n the
+    mode's photon number at k.  Each is (at, target, factor) over the positions
+    at of keep whose step stays in 0..n_max; the truncated a and a^dag send the
+    others to 0 exactly."""
+    n, stride = _mode_numbers(space, keep, mode)
+    low = np.flatnonzero(n)
+    up = np.flatnonzero(n < space.shape[_mode_axis(mode)] - 1)
+    return ((low, keep[low] - stride, np.sqrt(n[low])),
+            (up, keep[up] + stride, np.sqrt(n[up] + 1)))
 
 
 def number_operator(space: HilbertSpace, mode: str) -> Operator:
@@ -368,22 +359,3 @@ def project_atom(state: StateVector, level: int | str) -> StateVector:
     li = space.level_index(level)
     block = state.amplitudes[li * space.field_dim:(li + 1) * space.field_dim]
     return StateVector(space.field_subspace(), block)
-
-
-def embed_atom(field_state: StateVector, space: HilbertSpace, level: int | str) -> StateVector:
-    """Tensor a two-mode state with a definite atomic level: |level> (x) |psi>."""
-    if field_state.space.atom_levels != 1:
-        raise ValueError("embed_atom expects a field-space state")
-    if (field_state.space.n_max_a, field_state.space.n_max_b) != (space.n_max_a, space.n_max_b):
-        raise SpaceMismatchError("field truncations do not match the target space")
-    li = space.level_index(level)
-    amps = np.zeros(space.total_dim, dtype=np.complex128)
-    amps[li * space.field_dim:(li + 1) * space.field_dim] = field_state.amplitudes
-    return StateVector(space, amps, copy=False)
-
-
-def expectation(op: Operator, state: StateVector) -> complex:
-    """<psi| O |psi>."""
-    if op.space != state.space:
-        raise SpaceMismatchError("operator and state live on different spaces")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))

@@ -4,9 +4,13 @@ states, photon statistics, and state overlaps.
 Quadratures use the half convention x = (a + a^dag)/2, p = -i(a - a^dag)/2,
 so the vacuum variance is 1/4 and the ideal pair-correlated state built by
 the down-conversion generator satisfies <(x_a - x_b)^2> = <(p_a + p_b)^2> =
-e^{-2r}/2 with r the squeeze parameter.  Each variance is ||X psi||^2 (X is
-Hermitian in the truncated space), with X psi built from ladder shifts of the
-amplitude array: no operator on the full space.
+e^{-2r}/2 with r the squeeze parameter.
+
+Each observable reads a state as a support (space, keep, amps), the sorted
+flat indices and amplitudes of all its nonzeros: a StateVector's, or a band
+evolution's reached chain, so no observable touches the rest of the space.
+Each variance is ||X psi||^2 (X Hermitian in the truncated space), its ladder
+terms moving each kept index k to k -/+ stride.
 """
 
 from __future__ import annotations
@@ -16,18 +20,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HilbertSpace, StateVector, _ladder, _mode_axis
+from .hilbert import (HilbertSpace, SpaceMismatchError, StateVector, _ladder, _mode_axis,
+                      _mode_numbers)
+
+# Above this many space entries per ladder target a variance ranks its targets
+# by one sort instead of scanning the space (measured crossover ~55, CHANGES.md).
+SPARSE_TARGETS = 50
 
 
-def _variance(doubled: np.ndarray) -> float:
-    """<X^2> = ||X psi||^2 from the flat array 2 X psi."""
-    return 0.25 * float(np.vdot(doubled, doubled).real)
+def _support(state) -> tuple:
+    """A support (space, keep, amps) as given, or a StateVector's nonzero entries."""
+    if not isinstance(state, StateVector):
+        return state
+    keep = np.flatnonzero(state.amplitudes)
+    return state.space, keep, state.amplitudes[keep]
 
 
-def quadrature_variances(state: StateVector, mode: str) -> tuple[float, float]:
+def _variances(support, modes: str, signs) -> list[float]:
+    """||sum_j s_j L_j psi||^2 / 4 for each row s of signs (s_j = +/-1), the L_j
+    being a and a^dag of each of the modes in turn.  Each term is one indexed
+    update (its targets are distinct), in order, as full-space shifts add them:
+    indexed by flat index, the doubled vector is theirs bit for bit; by rank
+    among the distinct targets when the space is sparse in them."""
+    space, keep, amps = support
+    terms = [term for mode in modes for term in _ladder(space, keep, mode)]
+    targets, length = [to for _, to, _ in terms], space.total_dim
+    if length > SPARSE_TARGETS * sum(to.size for to in targets):
+        distinct = np.unique(np.concatenate(targets))
+        targets, length = [np.searchsorted(distinct, to) for to in targets], distinct.size
+    shifted = [factor * amps[at] for at, _, factor in terms]
+    out = []
+    for row in signs:
+        doubled = np.zeros(length, dtype=np.complex128)
+        for sign, to, value in zip(row, targets, shifted):
+            doubled[to] += value if sign > 0 else -value
+        out.append(0.25 * float(np.vdot(doubled, doubled).real))
+    return out
+
+
+def quadrature_variances(state, mode: str) -> tuple[float, float]:
     """<x^2> and <p^2> of one mode (each 1/4 on the vacuum)."""
-    a, a_dag = _ladder(state, mode)
-    return _variance(a + a_dag), _variance(a - a_dag)  # 2x psi, 2i p psi
+    return tuple(_variances(_support(state), mode, [(1, 1), (1, -1)]))  # 2x psi, 2i p psi
 
 
 @dataclass(frozen=True)
@@ -39,16 +72,16 @@ class EprMetrics:
     quality: float
 
 
-def epr_metrics(state: StateVector) -> EprMetrics:
+def epr_metrics(state) -> EprMetrics:
     """<(x_a - x_b)^2>, <(p_a + p_b)^2> and quality on a two-mode state.
 
     A separable double vacuum gives variance sum 1 and quality 0.
     """
-    if state.space.atom_levels != 1:
+    support = _support(state)
+    if support[0].atom_levels != 1:
         raise ValueError("epr_metrics expects a two-mode field state; project the atom first")
-    (a, a_dag), (b, b_dag) = _ladder(state, "a"), _ladder(state, "b")
-    var_x = _variance(a + a_dag - b - b_dag)  # 2 (x_a - x_b) psi
-    var_p = _variance(a - a_dag + b - b_dag)  # 2i (p_a + p_b) psi
+    # 2 (x_a - x_b) psi and 2i (p_a + p_b) psi from a, a^dag, b, b^dag
+    var_x, var_p = _variances(support, "ab", [(1, 1, -1, -1), (1, -1, 1, -1)])
     return EprMetrics(var_x, var_p, 1.0 - (var_x + var_p))
 
 
@@ -75,6 +108,16 @@ def tmsv_tail_mass(spec: TmsvSpec, n_max: int) -> float:
     return math.tanh(spec.squeeze_param) ** (2 * (n_max + 1))
 
 
+def _tmsv_support(spec: TmsvSpec, space: HilbertSpace) -> tuple:
+    """The support of :func:`tmsv_analytic`: the diagonal |n, n>."""
+    if space.atom_levels != 1:
+        raise ValueError("tmsv_analytic expects a two-mode field space")
+    n = np.arange(min(space.n_max_a, space.n_max_b) + 1)
+    unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
+    coeffs = (unit * math.tanh(spec.squeeze_param)) ** n
+    return space, n * (space.dim_b + 1), coeffs / np.linalg.norm(coeffs)
+
+
 def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     """Diagonal expansion sum_n c_n |n, n> cut at the smaller mode
     truncation, renormalized.
@@ -85,15 +128,9 @@ def tmsv_analytic(spec: TmsvSpec, space: HilbertSpace) -> StateVector:
     factor is left to the renormalization, so any finite r is accepted.  Use
     :func:`tmsv_tail_mass` for the discarded probability.
     """
-    if space.atom_levels != 1:
-        raise ValueError("tmsv_analytic expects a two-mode field space")
-    r = spec.squeeze_param
-    n = np.arange(min(space.n_max_a, space.n_max_b) + 1)
-    unit = np.exp(-1j * (spec.phase + math.pi / 2.0))
-    coeffs = (unit * math.tanh(r)) ** n
+    _, keep, coeffs = _tmsv_support(spec, space)
     amps = np.zeros(space.total_dim, dtype=np.complex128)
-    amps.reshape(space.shape)[0, n, n] = coeffs
-    amps /= np.linalg.norm(amps)
+    amps[keep] = coeffs
     return StateVector(space, amps, copy=False)
 
 
@@ -102,15 +139,20 @@ def squeezed_variance(r: float) -> float:
     return math.exp(-2.0 * r) / 4.0
 
 
-def fidelity(s1: StateVector, s2: StateVector) -> float:
+def fidelity(s1, s2) -> float:
     """|<s1|s2>|^2 (global-phase insensitive)."""
-    return abs(s1.inner(s2)) ** 2
+    (space, keep, amps), (space_2, keep_2, amps_2) = _support(s1), _support(s2)
+    if space != space_2:
+        raise SpaceMismatchError("states live on different spaces")
+    _, at, at_2 = np.intersect1d(keep, keep_2, assume_unique=True, return_indices=True)
+    return abs(complex(np.vdot(amps[at], amps_2[at_2]))) ** 2
 
 
-def photon_number_distribution(state: StateVector, mode: str) -> np.ndarray:
+def photon_number_distribution(state, mode: str) -> np.ndarray:
     """Marginal Fock distribution of one mode (sums to the squared norm)."""
-    probs = np.abs(state.amplitudes.reshape(state.space.shape)) ** 2
-    return probs.sum(axis=(0, 3 - _mode_axis(mode)))  # every axis but the mode's
+    space, keep, amps = _support(state)
+    n, _ = _mode_numbers(space, keep, mode)
+    return np.bincount(n, np.abs(amps) ** 2, minlength=space.shape[_mode_axis(mode)])
 
 
 _BELL_COMPONENTS = {
@@ -143,11 +185,12 @@ def bell_state_fidelity(state: StateVector, which: str) -> float:
     return fidelity(bell_state(state.space, which), state)
 
 
-def mean_photon_number(state: StateVector, mode: str) -> float:
+def mean_photon_number(state, mode: str) -> float:
     dist = photon_number_distribution(state, mode)
     return float(np.arange(dist.size) @ dist)
 
 
-def vacuum_probability(state: StateVector) -> float:
+def vacuum_probability(state) -> float:
     """Probability of the lowest basis state (both modes empty)."""
-    return float(np.abs(state.amplitudes[0]) ** 2)
+    _, keep, amps = _support(state)
+    return float(np.sum(np.abs(amps[keep == 0]) ** 2))

@@ -286,21 +286,6 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.space, amps, copy=False)
 
 
-def frame_transform(
-    state: StateVector,
-    chi_a: float,
-    chi_b: float,
-    t: float,
-    sign: int = +1,
-) -> StateVector:
-    """Diagonal frame change exp(-i sign t (chi_a n_a + chi_b n_b))."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n_a, n_b = state.space.fock_numbers()
-    phases = np.exp(-1j * sign * t * (chi_a * n_a + chi_b * n_b))
-    return StateVector(state.space, phases * state.amplitudes, copy=False)
-
-
 def _rotating_frame(H: TimeDependentOperator) -> np.ndarray:
     """Diagonal d_k = omega_level + nu_a n_a + nu_b n_b with
     e^{iDt} H(t) e^{-iDt} = H(0) for all t.

@@ -395,10 +395,12 @@ def _band_state(space, band, start: int, t: float) -> StateVector:
     return StateVector(space, amps, copy=False)
 
 
-def _evolved_vacuum(cfg: ResolvedConfig) -> StateVector:
-    """The vacuum evolved under the reduced generator for the last configured time."""
+def _evolved_vacuum(cfg: ResolvedConfig) -> tuple:
+    """The vacuum evolved under the reduced generator for the last configured
+    time, as the observables' support (space, keep, amps) of its chain."""
     space = field_space(*cfg.truncation)
-    return _band_state(space, _reduced_band(space, cfg.params), 0, cfg.times[-1])
+    keep, states = _evolve_band(*_reduced_band(space, cfg.params), 0, [cfg.times[-1]])
+    return space, keep, states[0]
 
 
 def _scenario_puc_swap(cfg: ResolvedConfig):
@@ -434,7 +436,7 @@ def _scenario_pdc_epr(cfg: ResolvedConfig):
     xi_abs = abs(xi)
     r = xi_abs * tau
     spec = obs.TmsvSpec(squeeze_param=r, phase=cmath.phase(xi))
-    analytic = obs.tmsv_analytic(spec, state.space)
+    analytic = obs._tmsv_support(spec, state[0])
     metrics_obj = obs.epr_metrics(state)
     metrics = {
         "xi_abs": xi_abs,
@@ -467,7 +469,7 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
                 f"(|xi| = {xi_abs:.6g}) has tanh r = 1 in double precision, so the "
                 "truncated pair state holds none of its probability; shorten times or "
                 "reduce the effective coupling", "times, params")
-        numeric = obs.epr_metrics(obs.tmsv_analytic(spec, space)).quality
+        numeric = obs.epr_metrics(obs._tmsv_support(spec, space)).quality
         rows.append([
             tau,
             r,
@@ -497,11 +499,10 @@ def _scenario_epr_quality(cfg: ResolvedConfig):
 
 def _scenario_epr_variances(cfg: ResolvedConfig):
     tau = cfg.times[-1]
-    state = _evolved_vacuum(cfg)
     xi_abs = abs(effective_xi(cfg.params))
     r = xi_abs * tau
     expected = math.exp(-2.0 * r) / 2.0
-    m = obs.epr_metrics(state)
+    m = obs.epr_metrics(_evolved_vacuum(cfg))
     spec = obs.TmsvSpec(squeeze_param=r)
     metrics = {
         "xi_abs": xi_abs,
@@ -628,8 +629,7 @@ def _scenario_degenerate_squeeze(cfg: ResolvedConfig):
     xi_abs = abs(effective_xi(params))
     r = 2.0 * xi_abs * tau
 
-    state = _evolved_vacuum(cfg)
-    var_x, var_p = obs.quadrature_variances(state, "a")
+    var_x, var_p = obs.quadrature_variances(_evolved_vacuum(cfg), "a")
     numeric = min(var_x, var_p)
     metrics = {
         "xi_abs": xi_abs,
@@ -685,21 +685,19 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
         raise ConfigError("the one_photon state |1,0> needs n_max_a >= 1",
                           "truncation, options.state")
     if choice == "tmsv":
-        state = _evolved_vacuum(cfg)
+        state = _band_state(space, _reduced_band(space, cfg.params), 0, cfg.times[-1])
     else:
         state = vacuum_state(space) if choice == "vacuum" else fock_state(space, 1, 0)
     extent = cfg.options["grid_extent"]
     axis = np.linspace(-extent, extent, n_points)
     grid = tomo.PhaseSpaceGrid.two_mode_real(axis, axis)
-    try:
-        w_direct = tomo.wigner_direct(state, grid)
-        w_proto, signal = tomo.wigner_via_protocol(state, grid)
+    try:  # one readout for the direct and protocol values, the origin's last
+        w_direct, w_proto, signal = tomo._scan(state, (*grid.points, (0.0, 0.0)))
     except tomo.TruncationError as exc:
         raise ConfigError(str(exc), "truncation, options.grid_extent") from None
-    origin = tomo.wigner_direct(state, tomo.PhaseSpaceGrid(((0.0, 0.0),)))[0]
     metrics = {
-        "w_origin": float(origin),
-        "max_protocol_deviation": float(np.max(np.abs(w_proto - w_direct))),
+        "w_origin": float(w_direct[-1]),
+        "max_protocol_deviation": float(np.max(np.abs(w_proto - w_direct)[:-1])),
         "grid_points": n_points * n_points,
         "parity_pulse_time": pulse_time,
     }

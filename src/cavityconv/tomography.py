@@ -183,13 +183,6 @@ def displace(state: StateVector, eta_a: complex, eta_b: complex) -> StateVector:
     return StateVector(state.space, d_a[0] @ psi @ d_b[0].T, copy=False)
 
 
-def conditional_phase_expectation(state: StateVector, phi: float) -> complex:
-    """<e^{i phi (n_a + n_b)}> on a field state (the probe's closed form)."""
-    n_a, n_b = state.space.fock_numbers()
-    phases = np.exp(1j * phi * (n_a + n_b))
-    return complex(np.vdot(state.amplitudes, phases * state.amplitudes))
-
-
 def probe_protocol(state: StateVector, phi: float) -> ProbeOutcome:
     """Simulate the probe sequence step by step and return (P_i, P_f).
 
@@ -224,6 +217,13 @@ def parity_pulse_time(coupling_abs: float, delta_big: float) -> float:
     return t
 
 
+def _probe_wigner(norm: np.ndarray, conditional: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, raw_signal) from the readouts ||Phi||^2 and Re<Phi|e^{i phi N}|Phi>:
+    raw_signal = P_f - P_i with P_{i,f} = (||Phi||^2 +/- Re<...>)/2."""
+    signal = (norm - conditional) / 2.0 - (norm + conditional) / 2.0
+    return -TWO_MODE_NORM * signal, signal
+
+
 def wigner_direct(state: StateVector, grid: PhaseSpaceGrid) -> np.ndarray:
     """Displaced-parity Wigner values, one per grid point: the separable
     readout with parity weights (-1)^n on both modes."""
@@ -247,8 +247,13 @@ def wigner_via_protocol(
     if state.space.atom_levels != 1:
         raise ValueError("wigner_via_protocol expects a two-mode field state")
     weights = [np.ones_like, lambda n: np.exp(1j * phi * n)]
-    norm, conditional = _separable_readout(state, grid.points, weights).real
-    p_i = (norm + conditional) / 2.0
-    p_f = (norm - conditional) / 2.0
-    signal = p_f - p_i
-    return -TWO_MODE_NORM * signal, signal
+    return _probe_wigner(*_separable_readout(state, grid.points, weights).real)
+
+
+def _scan(state: StateVector, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(:func:`wigner_direct`, :func:`wigner_via_protocol` at phi = pi) of a
+    field state at every point, from one separable readout: one set of
+    displacements for the weights (-1)^n, 1 and e^{i pi n}."""
+    weights = [lambda n: (-1.0) ** n, np.ones_like, lambda n: np.exp(1j * math.pi * n)]
+    parity, *probe = _separable_readout(state, points, weights).real
+    return (TWO_MODE_NORM * parity, *_probe_wigner(*probe))

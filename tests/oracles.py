@@ -1,7 +1,10 @@
 """Sparse full-space operators that the library no longer builds, kept as
-independent oracles for the array-based observables and tomography and for
-the band-built Hamiltonians; the random states they are compared on; and
-the whole-graph labelling of the sectors a state reaches."""
+independent oracles for the support-based observables and tomography and for
+the band-built Hamiltonians; full-space state maps (ladder shifts of the
+amplitude array, operator action and expectation, atom embedding, diagonal
+frame changes, index unflattening) that the library no longer needs; the
+random states they are compared on; and the whole-graph labelling of the
+sectors a state reaches."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +21,7 @@ from cavityconv.hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    _mode_axis,
     annihilation,
     atomic_sigma,
 )
@@ -43,6 +47,61 @@ def atom_block(op: Operator, level: int | str) -> Operator:
 
 def identity_operator(space: HilbertSpace) -> Operator:
     return Operator(space, sp.identity(space.total_dim, format="csr"))
+
+
+def unflatten(space: HilbertSpace, k: int) -> tuple[int, int, int]:
+    """(level, n_a, n_b) of the flat index k, by division."""
+    k, n_b = divmod(k, space.dim_b)
+    level, n_a = divmod(k, space.dim_a)
+    return level, n_a, n_b
+
+
+def apply(op: Operator, state: StateVector) -> StateVector:
+    assert op.space == state.space
+    return StateVector(op.space, op.matrix @ state.amplitudes, copy=False)
+
+
+def expectation(op: Operator, state: StateVector) -> complex:
+    """<psi| O |psi>."""
+    assert op.space == state.space
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+
+
+def embed_atom(field_state: StateVector, space: HilbertSpace, level) -> StateVector:
+    """|level> (x) |psi> of a two-mode state with the same truncations."""
+    assert field_state.space == space.field_subspace()
+    li = space.level_index(level)
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[li * space.field_dim:(li + 1) * space.field_dim] = field_state.amplitudes
+    return StateVector(space, amps, copy=False)
+
+
+def frame_transform(state: StateVector, chi_a: float, chi_b: float, t: float,
+                    sign: int = +1) -> StateVector:
+    """Diagonal frame change exp(-i sign t (chi_a n_a + chi_b n_b))."""
+    n_a, n_b = state.space.fock_numbers()
+    phases = np.exp(-1j * sign * t * (chi_a * n_a + chi_b * n_b))
+    return StateVector(state.space, phases * state.amplitudes, copy=False)
+
+
+def conditional_phase_expectation(state: StateVector, phi: float) -> complex:
+    """<e^{i phi (n_a + n_b)}> on a field state (the probe's closed form)."""
+    n_a, n_b = state.space.fock_numbers()
+    phases = np.exp(1j * phi * (n_a + n_b))
+    return complex(np.vdot(state.amplitudes, phases * state.amplitudes))
+
+
+def ladder(state: StateVector, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Flat a|psi> and a^dag|psi> of one mode over the whole space: shifts by
+    one along the mode's axis of the amplitude array, weighted by sqrt(n),
+    that drop the top level exactly as the truncated a and a^dag do."""
+    psi = state.amplitudes.reshape(state.space.shape)
+    lowered, raised = np.zeros_like(psi), np.zeros_like(psi)
+    src, low, up = (np.moveaxis(x, _mode_axis(mode), -1) for x in (psi, lowered, raised))
+    root = np.sqrt(np.arange(1, src.shape[-1]))
+    low[..., :-1] = root * src[..., 1:]
+    up[..., 1:] = root * src[..., :-1]
+    return lowered.ravel(), raised.ravel()
 
 
 def random_state(space: HilbertSpace, seed: int) -> StateVector:

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+
+from cavityconv import observables
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -12,8 +15,9 @@ from cavityconv.hamiltonians import (
 )
 from cavityconv.hilbert import (
     Operator,
+    SpaceMismatchError,
+    StateVector,
     annihilation,
-    expectation,
     field_space,
     fock_state,
     make_space,
@@ -22,20 +26,24 @@ from cavityconv.hilbert import (
 )
 from cavityconv.observables import (
     TmsvSpec,
+    _tmsv_support,
     bell_state,
     bell_state_fidelity,
     epr_metrics,
     fidelity,
+    mean_photon_number,
     photon_number_distribution,
     quadrature_variances,
     squeezed_variance,
     tmsv_analytic,
     tmsv_quality,
     tmsv_tail_mass,
+    vacuum_probability,
 )
 from cavityconv.propagate import evolve_static, evolve_td
+from cavityconv.scenarios import _evolved_vacuum, resolve_config
 from cavityconv.hamiltonians import TimeDependentOperator
-from oracles import quadrature_operator, random_state
+from oracles import expectation, ladder, quadrature_operator, random_state
 
 LAM = 7e5
 
@@ -134,6 +142,114 @@ def test_variances_build_no_full_space_operator(monkeypatch):
     assert built == []
     annihilation(psi.space, "a")  # the counter sees an operator that is built
     assert len(built) == 1
+
+
+# --- support observables against the full-space oracle ------------------------------
+
+# lopsided truncations, a one-level mode b and a one-level mode a
+SUPPORT_SPACES = [field_space(6, 4), field_space(2, 9), field_space(7, 0), field_space(0, 5),
+                  field_space(1, 1)]
+
+
+def random_support(space, seed):
+    """A sorted random support (space, keep, amps) holding half the space and
+    every other state at the top truncation edge of either mode."""
+    rng = np.random.default_rng(seed)
+    n_a, n_b = space.fock_numbers()
+    edge = np.flatnonzero((n_a == space.n_max_a) | (n_b == space.n_max_b))[::2]
+    keep = np.union1d(rng.choice(space.total_dim, (space.total_dim + 1) // 2, replace=False), edge)
+    amps = rng.normal(size=keep.size) + 1j * rng.normal(size=keep.size)
+    return space, keep, amps / np.linalg.norm(amps)
+
+
+def full_state(support):
+    space, keep, amps = support
+    psi = np.zeros(space.total_dim, dtype=np.complex128)
+    psi[keep] = amps
+    return StateVector(space, psi)
+
+
+def oracle_variances(state, modes, signs):
+    """||sum_j s_j L_j psi||^2 / 4 from full-space shifts of the amplitude array."""
+    shifts = [shift for mode in modes for shift in ladder(state, mode)]
+    doubled = [sum(s * shift for s, shift in zip(row, shifts)) for row in signs]
+    return np.array([0.25 * float(np.vdot(d, d).real) for d in doubled])
+
+
+EPR_SIGNS = [(1, 1, -1, -1), (1, -1, 1, -1)]
+
+
+def assert_matches(got, want, exact):
+    # flat targets rebuild the full-space vector, bit for bit; ranked targets
+    # reorder the final sum only
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if exact:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("sparse_targets", [0, 10**9], ids=["ranked", "flat"])
+@pytest.mark.parametrize("space", SUPPORT_SPACES + [make_space(3, 3, 2)], ids=str)
+def test_support_variances_match_the_full_space_oracle(monkeypatch, space, sparse_targets):
+    monkeypatch.setattr(observables, "SPARSE_TARGETS", sparse_targets)
+    for seed in range(4):
+        support = random_support(space, seed)
+        state = full_state(support)
+        for mode in "ab":
+            want = oracle_variances(state, mode, [(1, 1), (1, -1)])
+            assert_matches(quadrature_variances(support, mode), want, sparse_targets > 0)
+            assert_matches(quadrature_variances(state, mode), want, sparse_targets > 0)
+        if space.atom_levels == 1:
+            want = oracle_variances(state, "ab", EPR_SIGNS)
+            for m in (epr_metrics(support), epr_metrics(state)):
+                assert_matches((m.var_x_minus, m.var_p_plus), want, sparse_targets > 0)
+
+
+@pytest.mark.parametrize("space", SUPPORT_SPACES + [make_space(3, 3, 2)], ids=str)
+def test_support_photon_statistics_and_overlaps_match_the_full_space_oracle(space):
+    for seed in range(4):
+        support, other = random_support(space, seed), random_support(space, seed + 10)
+        state = full_state(support)
+        probs = np.abs(state.amplitudes.reshape(space.shape)) ** 2
+        for axis, mode in ((1, "a"), (2, "b")):
+            want = probs.sum(axis=(0, 3 - axis))
+            for given in (support, state):
+                dist = photon_number_distribution(given, mode)
+                assert dist.shape == want.shape
+                assert np.all(np.abs(dist - want) <= 1e-15 * want)
+                assert mean_photon_number(given, mode) == pytest.approx(
+                    float(np.arange(want.size) @ want), rel=1e-15, abs=0.0)
+        assert vacuum_probability(support) == vacuum_probability(state) == probs.flat[0]
+        want = abs(np.vdot(state.amplitudes, full_state(other).amplitudes)) ** 2
+        for pair in ((support, other), (state, full_state(other)), (support, full_state(other))):
+            assert fidelity(*pair) == pytest.approx(want, rel=0.0, abs=1e-15)
+    with pytest.raises(SpaceMismatchError):
+        fidelity(support, vacuum_state(field_space(space.n_max_a + 1, space.n_max_b)))
+    for observable in (quadrature_variances, photon_number_distribution):
+        with pytest.raises(ValueError, match="mode"):
+            observable(support, "c")
+
+
+def test_pair_chain_at_800_matches_the_full_space_oracle():
+    cfg = resolve_config({"scenario": "pdc_epr", "truncation": [800, 800]})
+    support = _evolved_vacuum(cfg)
+    space, keep, _ = support
+    assert keep.size == 801 and space.total_dim > observables.SPARSE_TARGETS * 4 * 800
+    state = full_state(support)
+    m = epr_metrics(support)
+    assert_matches((m.var_x_minus, m.var_p_plus), oracle_variances(state, "ab", EPR_SIGNS), False)
+    xi = effective_xi(cfg.params)
+    spec = TmsvSpec(squeeze_param=abs(xi) * cfg.times[-1], phase=cmath.phase(xi))
+    want = abs(np.vdot(tmsv_analytic(spec, space).amplitudes, state.amplitudes)) ** 2
+    assert fidelity(_tmsv_support(spec, space), support) == pytest.approx(want, rel=0.0, abs=1e-15)
+    # one nonzero per photon number: the marginals are the full-space sums exactly
+    probs = np.abs(state.amplitudes.reshape(space.shape)) ** 2
+    for axis, mode in ((1, "a"), (2, "b")):
+        want = probs.sum(axis=(0, 3 - axis))
+        np.testing.assert_array_equal(photon_number_distribution(support, mode), want)
+        assert mean_photon_number(support, mode) == float(np.arange(want.size) @ want)
+    assert vacuum_probability(support) == probs.flat[0]
 
 
 def test_quality_values_at_paper_interaction_strengths():

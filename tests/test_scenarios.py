@@ -396,6 +396,38 @@ def test_wigner_scan_emits_grid_table():
     assert center[4] == pytest.approx(4.0 / math.pi**2, abs=1e-9)
 
 
+def test_wigner_scan_displaces_once_per_run(monkeypatch):
+    # the direct scan, the protocol scan and the origin share one readout
+    calls = []
+    real = tomography._checked_displacements
+    monkeypatch.setattr(tomography, "_checked_displacements",
+                        lambda *args: calls.append(args) or real(*args))
+    for grid_points in (5, 4):  # the origin on the grid and off it
+        calls.clear()
+        doc = run_scenario({"scenario": "wigner_scan", "options": {"grid_points": grid_points}},
+                           check_convergence=False)
+        assert len(calls) == 1
+        assert len(doc["tables"]["wigner"]["rows"]) == grid_points**2
+
+
+def test_pair_scenarios_read_their_chain_without_a_full_space_state(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a full-space state was built")
+
+    built = []
+    real_init = StateVector.__init__
+    monkeypatch.setattr(scenarios, "_band_state", never)
+    monkeypatch.setattr(StateVector, "__init__",
+                        lambda self, *args, **kwargs: built.append(args)
+                        or real_init(self, *args, **kwargs))
+    for name in ("pdc_epr", "epr_variances", "epr_quality", "degenerate_squeeze"):
+        run_scenario({"scenario": name})
+    run_scenario({"scenario": "pdc_epr", "truncation": [800, 800]}, check_convergence=False)
+    assert built == []
+    with pytest.raises(AssertionError, match="full-space state"):  # the patch is seen
+        run_scenario({"scenario": "wigner_scan"})
+
+
 def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatch):
     # 10^10 point tuples would be built by the grid; the check comes first
     def never(*args, **kwargs):

@@ -14,7 +14,6 @@ from cavityconv.hamiltonians import (
 from cavityconv.hilbert import (
     StateVector,
     annihilation,
-    expectation,
     field_space,
     fock_state,
     make_space,
@@ -32,14 +31,19 @@ from cavityconv.tomography import (
     PhaseSpaceGrid,
     TruncationError,
     _mode_displacements,
-    conditional_phase_expectation,
+    _scan,
     displace,
     parity_pulse_time,
     probe_protocol,
     wigner_direct,
     wigner_via_protocol,
 )
-from oracles import parity_operator, quadrature_operator
+from oracles import (
+    conditional_phase_expectation,
+    expectation,
+    parity_operator,
+    quadrature_operator,
+)
 
 TWO_MODE_NORM = 4.0 / math.pi**2
 
@@ -263,6 +267,23 @@ def test_protocol_equals_direct_on_grid():
         w_proto, signal = wigner_via_protocol(psi, grid)
         assert np.max(np.abs(w_proto - w_direct)) < 1e-9
         assert np.allclose(signal, -w_direct / TWO_MODE_NORM, atol=1e-9)
+
+
+@pytest.mark.parametrize("grid_points", [5, 4])
+def test_one_scan_readout_gives_both_scans_bit_for_bit(grid_points):
+    axis = np.linspace(-0.8, 0.8, grid_points)
+    space = field_space(30, 30)
+    for psi in (vacuum_state(space), tmsv_analytic(TmsvSpec(squeeze_param=0.68), space),
+                damped_random_state(field_space(24, 20), 3)):
+        grid = PhaseSpaceGrid((*PhaseSpaceGrid.two_mode_real(axis, axis).points, (0.0, 0.0)))
+        direct, w, signal = _scan(psi, grid.points)
+        np.testing.assert_array_equal(direct, wigner_direct(psi, grid))
+        w_proto, signal_proto = wigner_via_protocol(psi, grid)
+        np.testing.assert_array_equal(w, w_proto)
+        np.testing.assert_array_equal(signal, signal_proto)
+        # the origin read off the scan and on its own differ in the summation order only
+        origin = wigner_direct(psi, PhaseSpaceGrid(((0.0, 0.0),)))[0]
+        assert direct[-1] == pytest.approx(origin, rel=0.0, abs=1e-15)
 
 
 def per_point_wigner(state, grid):
