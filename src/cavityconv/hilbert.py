@@ -304,14 +304,12 @@ def _mode_numbers(space: HilbertSpace, keep: np.ndarray, mode: str) -> tuple[np.
 def _ladder(space: HilbertSpace, keep: np.ndarray, mode: str):
     """a and a^dag of one mode on the basis states keep, with no operator built:
     a|k> = sqrt(n)|k - stride> and a^dag|k> = sqrt(n + 1)|k + stride>, n the
-    mode's photon number at k.  Each is (at, target, factor) over the positions
-    at of keep whose step stays in 0..n_max; the truncated a and a^dag send the
-    others to 0 exactly."""
+    mode's photon number at k.  Each is (target, factor) over all of keep; a
+    step out of 0..n_max has factor 0, as the truncated a and a^dag send it to
+    0 exactly, and its target may lie up to dim_b outside 0..total_dim - 1."""
     n, stride = _mode_numbers(space, keep, mode)
-    low = np.flatnonzero(n)
-    up = np.flatnonzero(n < space.shape[_mode_axis(mode)] - 1)
-    return ((low, keep[low] - stride, np.sqrt(n[low])),
-            (up, keep[up] + stride, np.sqrt(n[up] + 1)))
+    top = space.shape[_mode_axis(mode)] - 1
+    return (keep - stride, np.sqrt(n)), (keep + stride, np.sqrt((n + 1) * (n < top)))
 
 
 def number_operator(space: HilbertSpace, mode: str) -> Operator:

@@ -8,9 +8,9 @@ e^{-2r}/2 with r the squeeze parameter.
 
 Each observable reads a state as a support (space, keep, amps), the sorted
 flat indices and amplitudes of all its nonzeros: a StateVector's, or a band
-evolution's reached chain, so no observable touches the rest of the space.
+evolution's reached chain, so no observable reads the rest of the space.
 Each variance is ||X psi||^2 (X Hermitian in the truncated space), its ladder
-terms moving each kept index k to k -/+ stride.
+terms moving each kept index k to k -/+ stride of one zeroed flat vector.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 
 from .hilbert import (HilbertSpace, SpaceMismatchError, StateVector, _ladder, _mode_axis,
                       _mode_numbers)
-
-# Above this many space entries per ladder target a variance ranks its targets
-# by one sort instead of scanning the space (measured crossover ~55, CHANGES.md).
-SPARSE_TARGETS = 50
 
 
 def _support(state) -> tuple:
@@ -39,21 +35,23 @@ def _support(state) -> tuple:
 def _variances(support, modes: str, signs) -> list[float]:
     """||sum_j s_j L_j psi||^2 / 4 for each row s of signs (s_j = +/-1), the L_j
     being a and a^dag of each of the modes in turn.  Each term is one indexed
-    update (its targets are distinct), in order, as full-space shifts add them:
-    indexed by flat index, the doubled vector is theirs bit for bit; by rank
-    among the distinct targets when the space is sparse in them."""
+    update by flat index (its targets are distinct), the first an assignment,
+    in order, as full-space shifts add them, so the doubled vector is theirs
+    bit for bit.  dim_b slots past the end take the zero-factor steps that
+    leave the space, a negative target wrapping round into them."""
     space, keep, amps = support
-    terms = [term for mode in modes for term in _ladder(space, keep, mode)]
-    targets, length = [to for _, to, _ in terms], space.total_dim
-    if length > SPARSE_TARGETS * sum(to.size for to in targets):
-        distinct = np.unique(np.concatenate(targets))
-        targets, length = [np.searchsorted(distinct, to) for to in targets], distinct.size
-    shifted = [factor * amps[at] for at, _, factor in terms]
+    (to, value), *terms = [(to, factor * amps) for mode in modes
+                           for to, factor in _ladder(space, keep, mode)]
     out = []
-    for row in signs:
-        doubled = np.zeros(length, dtype=np.complex128)
-        for sign, to, value in zip(row, targets, shifted):
-            doubled[to] += value if sign > 0 else -value
+    for first, *row in signs:
+        doubled = np.zeros(space.total_dim + space.dim_b, dtype=np.complex128)
+        doubled[to] = value if first > 0 else -value
+        for sign, (to_j, value_j) in zip(row, terms):
+            if sign > 0:
+                doubled[to_j] += value_j
+            else:
+                doubled[to_j] -= value_j
+        doubled = doubled[:space.total_dim]
         out.append(0.25 * float(np.vdot(doubled, doubled).real))
     return out
 

@@ -20,6 +20,7 @@ from cavityconv.hamiltonians import (
 from cavityconv.hilbert import (
     HilbertSpace,
     Operator,
+    SpaceMismatchError,
     StateVector,
     _mode_axis,
     annihilation,
@@ -57,13 +58,15 @@ def unflatten(space: HilbertSpace, k: int) -> tuple[int, int, int]:
 
 
 def apply(op: Operator, state: StateVector) -> StateVector:
-    assert op.space == state.space
+    if op.space != state.space:
+        raise SpaceMismatchError("operator and state live on different spaces")
     return StateVector(op.space, op.matrix @ state.amplitudes, copy=False)
 
 
 def expectation(op: Operator, state: StateVector) -> complex:
     """<psi| O |psi>."""
-    assert op.space == state.space
+    if op.space != state.space:
+        raise SpaceMismatchError("operator and state live on different spaces")
     return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
 
 

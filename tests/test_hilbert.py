@@ -241,11 +241,24 @@ def test_expectation_number_and_identity():
     assert abs(expectation(identity_operator(space), psi) - 1.0) < 1e-12
 
 
+def test_expectation_hermitian_is_real():
+    space = field_space(4, 4)
+    a = annihilation(space, "a")
+    herm = a + a.dag()
+    psi = random_state(space, 11)
+    val = expectation(herm, psi)
+    assert abs(val.imag) < 1e-12
+
+
 def test_space_mismatch_rejected():
     s1 = field_space(3, 3)
     s2 = field_space(4, 3)
     with pytest.raises(SpaceMismatchError):
         annihilation(s1, "a") + annihilation(s2, "a")
+    with pytest.raises(SpaceMismatchError):
+        apply(annihilation(s1, "a"), vacuum_state(s2))
+    with pytest.raises(SpaceMismatchError):
+        expectation(annihilation(s1, "a"), vacuum_state(s2))
 
 
 def test_hermiticity_computed_once_per_operator(monkeypatch):

@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from cavityconv import observables
-
 from cavityconv.hamiltonians import (
     PhysicalParams,
     ProcessKind,
@@ -179,31 +177,24 @@ def oracle_variances(state, modes, signs):
 EPR_SIGNS = [(1, 1, -1, -1), (1, -1, 1, -1)]
 
 
-def assert_matches(got, want, exact):
-    # flat targets rebuild the full-space vector, bit for bit; ranked targets
-    # reorder the final sum only
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    if exact:
-        np.testing.assert_array_equal(got, want)
-    else:
-        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (got, want)
+def assert_matches(got, want):
+    # the indexed updates rebuild the full-space vector, bit for bit
+    np.testing.assert_array_equal(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
 
 
-@pytest.mark.parametrize("sparse_targets", [0, 10**9], ids=["ranked", "flat"])
 @pytest.mark.parametrize("space", SUPPORT_SPACES + [make_space(3, 3, 2)], ids=str)
-def test_support_variances_match_the_full_space_oracle(monkeypatch, space, sparse_targets):
-    monkeypatch.setattr(observables, "SPARSE_TARGETS", sparse_targets)
+def test_support_variances_match_the_full_space_oracle(space):
     for seed in range(4):
         support = random_support(space, seed)
         state = full_state(support)
         for mode in "ab":
             want = oracle_variances(state, mode, [(1, 1), (1, -1)])
-            assert_matches(quadrature_variances(support, mode), want, sparse_targets > 0)
-            assert_matches(quadrature_variances(state, mode), want, sparse_targets > 0)
+            assert_matches(quadrature_variances(support, mode), want)
+            assert_matches(quadrature_variances(state, mode), want)
         if space.atom_levels == 1:
             want = oracle_variances(state, "ab", EPR_SIGNS)
             for m in (epr_metrics(support), epr_metrics(state)):
-                assert_matches((m.var_x_minus, m.var_p_plus), want, sparse_targets > 0)
+                assert_matches((m.var_x_minus, m.var_p_plus), want)
 
 
 @pytest.mark.parametrize("space", SUPPORT_SPACES + [make_space(3, 3, 2)], ids=str)
@@ -235,10 +226,10 @@ def test_pair_chain_at_800_matches_the_full_space_oracle():
     cfg = resolve_config({"scenario": "pdc_epr", "truncation": [800, 800]})
     support = _evolved_vacuum(cfg)
     space, keep, _ = support
-    assert keep.size == 801 and space.total_dim > observables.SPARSE_TARGETS * 4 * 800
+    assert keep.size == 801
     state = full_state(support)
     m = epr_metrics(support)
-    assert_matches((m.var_x_minus, m.var_p_plus), oracle_variances(state, "ab", EPR_SIGNS), False)
+    assert_matches((m.var_x_minus, m.var_p_plus), oracle_variances(state, "ab", EPR_SIGNS))
     xi = effective_xi(cfg.params)
     spec = TmsvSpec(squeeze_param=abs(xi) * cfg.times[-1], phase=cmath.phase(xi))
     want = abs(np.vdot(tmsv_analytic(spec, space).amplitudes, state.amplitudes)) ** 2

@@ -959,6 +959,30 @@ def test_time_grid_must_increase():
         evolve_td(h, vacuum_state(space), np.array([0.0, 1e-5, 1e-5]))
 
 
+def test_frame_transform_identity_and_phases():
+    space = field_space(2, 2)
+    psi = fock_state(space, 1, 1)
+    assert np.allclose(
+        frame_transform(psi, 1e4, 2e4, 0.0).amplitudes, psi.amplitudes
+    )
+    t, chi_a, chi_b = 3e-5, 1e4, 2e4
+    plus = frame_transform(psi, chi_a, chi_b, t, sign=+1)
+    idx = space.flatten(0, 1, 1)
+    assert plus.amplitudes[idx] == pytest.approx(np.exp(-1j * t * (chi_a + chi_b)))
+    minus = frame_transform(psi, chi_a, chi_b, t, sign=-1)
+    assert minus.amplitudes[idx] == pytest.approx(np.exp(+1j * t * (chi_a + chi_b)))
+
+
+def test_frame_transform_preserves_norm():
+    rng = np.random.default_rng(5)
+    space = field_space(3, 3)
+    for seed in range(4):
+        amps = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+        psi = StateVector(space, amps / np.linalg.norm(amps))
+        out = frame_transform(psi, 3e4, 7e4, 1.7e-4, sign=-1)
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
 def test_records_every_grid_point_with_observables():
     space = field_space(3, 3)
     gen = reduced_bilinear_generator(space, puc())

@@ -434,7 +434,7 @@ def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatc
         raise AssertionError("the scan must be refused before this is built")
 
     monkeypatch.setattr(tomography.PhaseSpaceGrid, "two_mode_real", classmethod(never))
-    monkeypatch.setattr(scenarios, "_evolved_vacuum", never)
+    monkeypatch.setattr(scenarios, "_band_state", never)  # the default tmsv state
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="options.grid_points: 100000 per axis exceeds cap "
                                           "2000000 with 100000 x 100000 points"):
