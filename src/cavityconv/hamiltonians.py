@@ -30,18 +30,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .hilbert import (
-    HilbertSpace,
-    Operator,
-    _band,
-    _band_operator,
-    annihilation,
-    atomic_sigma,
-    number_operator,
-)
+import numpy as np
+
+from .hilbert import HilbertSpace, Operator, _band, _band_operator
 
 
 class ProcessKind(str, Enum):
@@ -88,18 +82,20 @@ class PhysicalParams:
         return abs(self.delta_big) >= 10.0 * strongest
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeDependentOperator:
     """H(t) = static + sum_j (O_j e^{i nu_j t} + O_j^dag e^{-i nu_j t}).
 
     Each oscillating pair is Hermitian at every t, so H(t) is Hermitian for
-    all t exactly when the static part is.
+    all t exactly when the static part is; that is checked here, once, and
+    the frozen parts (a tuple) keep it true.
     """
 
     static_part: Operator
-    oscillating_parts: list[tuple[Operator, complex]] = field(default_factory=list)
+    oscillating_parts: tuple[tuple[Operator, complex], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "oscillating_parts", tuple(self.oscillating_parts))
         for op, _ in self.oscillating_parts:
             if op.space != self.static_part.space:
                 raise ValueError("oscillating part lives on a different space")
@@ -111,11 +107,12 @@ class TimeDependentOperator:
         return self.static_part.space
 
     def at(self, t: float) -> Operator:
-        h = self.static_part
+        """H(t), the parts' matrices summed into one Operator."""
+        matrix = self.static_part.matrix
         for op, nu in self.oscillating_parts:
             phase = cmath.exp(1j * nu * t)
-            h = h + phase * op + phase.conjugate() * op.dag()
-        return h
+            matrix = matrix + phase * op.matrix + phase.conjugate() * op.matrix.conj().T
+        return Operator(self.space, matrix)
 
     def max_frequency(self) -> float:
         if not self.oscillating_parts:
@@ -171,14 +168,33 @@ def full_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
                                  [(_band_operator(space, [term]), nu) for term, nu in parts])
 
 
-def _stark_operators(space: HilbertSpace, params: PhysicalParams):
-    """Shared pieces of the second-order builders."""
-    n_a = number_operator(space, "a")
-    n_b = number_operator(space, "b")
-    la2 = abs(params.lambda_a) ** 2
-    lb2 = abs(params.lambda_b) ** 2
-    weighted = la2 * n_a + lb2 * n_b
-    return n_a, n_b, la2, lb2, weighted
+def _effective_hamiltonian(space: HilbertSpace, params: PhysicalParams, d_b: int,
+                           lam_ab: complex, sign: float) -> TimeDependentOperator:
+    """The second-order generator of both processes, summed from bands: sign
+    times the up-conversion static part, whose exchange pairs a b^d_b sig_eg
+    (d_b = -1: b^dag) with its conjugate, and one drive part for both."""
+    delta = params.delta_big
+    la2, lb2 = abs(params.lambda_a) ** 2, abs(params.lambda_b) ** 2
+    n_a, n_b = np.ogrid[:space.dim_a, :space.dim_b]
+    stark = la2 * n_a + lb2 * n_b  # intensity-dependent Stark weight of each field state
+    # level shifts + Stark terms, then the atom-correlated exchange and its conjugate
+    static = _band_operator(space, [
+        (-sign, _band(space, "e", "e", 0, 0, (delta + lb2 / delta) + lb2 * n_b / delta)),
+        (-sign, _band(space, "g", "g", 0, 0, (delta + la2 / delta) + la2 * n_a / delta)),
+        (sign, _band(space, "i", "i", 0, 0, (la2 + lb2) / delta + stark / delta)),
+        (-sign * lam_ab / delta, _band(space, "e", "g", 1, d_b)),
+        (-sign * lam_ab.conjugate() / delta, _band(space, "g", "e", -1, -d_b)),
+    ])
+    # everything multiplying e^{-i delta t}: dressed drive, drive Stark
+    # correction, and the drive-assisted bilinear exchange on each level
+    drive = params.omega_cl / delta**2
+    dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta**2))
+    osc = _band_operator(space, [
+        (1.0, _band(space, "g", "e", 0, 0, dressed - drive * stark)),
+        *((level_sign * drive * lam_ab, _band(space, level, level, 1, d_b))
+          for level, level_sign in (("i", 1.0), ("g", -1.0), ("e", -1.0))),
+    ])
+    return TimeDependentOperator(static, [(osc, -params.delta_small)])
 
 
 def effective_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
@@ -188,37 +204,8 @@ def effective_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> Ti
     """
     _require(params, ProcessKind.PUC)
     _warn_if_not_dispersive(params, "the effective up-conversion Hamiltonian")
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    sgg = atomic_sigma(space, "g", "g")
-    see = atomic_sigma(space, "e", "e")
-    sii = atomic_sigma(space, "i", "i")
-    sge = atomic_sigma(space, "g", "e")
-    seg = atomic_sigma(space, "e", "g")
-    n_a, n_b, la2, lb2, weighted = _stark_operators(space, params)
-    delta_b = params.delta_big
-    lam_ab = params.lambda_a * params.lambda_b.conjugate()
-
-    # level shifts + intensity-dependent Stark terms
-    static = (
-        -(delta_b + lb2 / delta_b) * see
-        - (delta_b + la2 / delta_b) * sgg
-        + ((la2 + lb2) / delta_b) * sii
-        + (1.0 / delta_b) * (weighted @ sii - la2 * (n_a @ sgg) - lb2 * (n_b @ see))
-    )
-    # atom-correlated exchange a b^dag sig_eg + h.c.
-    exchange = -(1.0 / delta_b) * (lam_ab * (a @ b.dag() @ seg))
-    static = static + exchange + exchange.dag()
-
-    # everything multiplying e^{-i delta t}: dressed drive, drive Stark
-    # correction, and the drive-assisted bilinear exchange
-    dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta_b**2))
-    osc = (
-        dressed * sge
-        - (params.omega_cl / delta_b**2) * (weighted @ sge)
-        + (params.omega_cl / delta_b**2) * lam_ab * (a @ b.dag() @ (sii - sgg - see))
-    )
-    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+    return _effective_hamiltonian(space, params, -1,
+                                  params.lambda_a * params.lambda_b.conjugate(), 1.0)
 
 
 def effective_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
@@ -231,33 +218,7 @@ def effective_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> Ti
     """
     _require(params, ProcessKind.PDC)
     _warn_if_not_dispersive(params, "the effective down-conversion Hamiltonian")
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    sgg = atomic_sigma(space, "g", "g")
-    see = atomic_sigma(space, "e", "e")
-    sii = atomic_sigma(space, "i", "i")
-    sge = atomic_sigma(space, "g", "e")
-    seg = atomic_sigma(space, "e", "g")
-    n_a, n_b, la2, lb2, weighted = _stark_operators(space, params)
-    delta_b = params.delta_big
-    lam_ab = params.lambda_a * params.lambda_b
-
-    static = (
-        (delta_b + la2 / delta_b) * sgg
-        + (delta_b + lb2 / delta_b) * see
-        - ((la2 + lb2) / delta_b) * sii
-        + (1.0 / delta_b) * (la2 * (n_a @ sgg) + lb2 * (n_b @ see) - weighted @ sii)
-    )
-    pair = (1.0 / delta_b) * (lam_ab * (a @ b @ seg))
-    static = static + pair + pair.dag()
-
-    dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta_b**2))
-    osc = (
-        dressed * sge
-        - (params.omega_cl / delta_b**2) * (weighted @ sge)
-        - (params.omega_cl / delta_b**2) * lam_ab * (a @ b @ (see - sii + sgg))
-    )
-    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+    return _effective_hamiltonian(space, params, 1, params.lambda_a * params.lambda_b, -1.0)
 
 
 def resonance_delta(params: PhysicalParams) -> float:

@@ -7,13 +7,15 @@ amplitudes reshape to.  Atomic levels are ordered (g, e, i); the tomography
 probe's auxiliary level f is tracked by ``tomography.probe_protocol`` without
 a space of its own.
 
-The ladder and transition operators, and every Hamiltonian outside the
-effective builders, sum bands |k><l| (x) a^d_a (x) b^d_b of the flat basis
-from one primitive: a photon of mode b is a step of 1, of mode a a step of
-dim_b, and |k><l| moves a whole field block.  All operators are sparse
-complex matrices tagged with their space; operators on different spaces
-never combine.  Only exact zeros are dropped from a matrix,
-so a coupling keeps its entries at any scale.
+The ladder and transition operators, and every Hamiltonian, sum bands
+|k><l| (x) a^d_a (x) b^d_b of the flat basis from one primitive: a photon of
+mode b is a step of 1, of mode a a step of dim_b, and |k><l| moves a whole
+field block; a band may carry a weight per field state (the Stark terms).
+All operators are sparse complex matrices tagged with their space; operators
+on different spaces never combine.  The library builds none by operator
+arithmetic; ``Operator``'s sum, product and adjoint serve the tests' product
+forms.  Only exact zeros are dropped from a matrix, so a coupling keeps its
+entries at any scale.
 """
 
 from __future__ import annotations
@@ -227,12 +229,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.space, self.amplitudes / n, copy=False)
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if self.space != other.space:
-            raise SpaceMismatchError("states live on different spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def __repr__(self) -> str:
         return f"StateVector(dim={self.space.total_dim}, norm={self.norm():.6f})"
 
@@ -257,16 +253,19 @@ def _ladder_factor(n: np.ndarray, power: int, n_max: int) -> np.ndarray:
     return factor * (n - power <= n_max)
 
 
-def _band(space: HilbertSpace, k, l, d_a: int, d_b: int) -> tuple[int, np.ndarray]:
+def _band(space: HilbertSpace, k, l, d_a: int, d_b: int,
+          weight=1.0) -> tuple[int, np.ndarray]:
     """Offset (column minus row) and ``sp.diags`` entries of |k><l| (x) a^d_a
     (x) b^d_b, a negative power meaning the creation operator and k = l = None
     the identity on the atom: at each source state the operator product's
-    entry, 0 exactly where a step leaves a mode's truncation."""
+    entry, times weight[n_a, n_b] of its field state (a scalar, or an array
+    that broadcasts to (dim_a, dim_b)), 0 exactly where a step leaves a mode's
+    truncation."""
     atom, offset = np.ones(space.atom_levels), d_a * space.dim_b + d_b
     if k is not None:
         k, l = space.level_index(k), space.level_index(l)
         atom, offset = np.arange(space.atom_levels) == l, offset + (l - k) * space.field_dim
-    entries = np.multiply.outer(atom, np.outer(
+    entries = np.multiply.outer(atom, weight * np.outer(
         _ladder_factor(np.arange(space.dim_a), d_a, space.n_max_a),
         _ladder_factor(np.arange(space.dim_b), d_b, space.n_max_b))).ravel()
     # entry j of the band sits in column j + offset above the diagonal, column j below it

@@ -7,7 +7,7 @@ pattern, a whole-space sum on each call; the walks and slices then follow
 the reached states, not the whole space.  The reduced bilinear generators
 and the two-photon exchange skip even that: a Fock state is evolved straight
 from one of their bands (``_evolve_band``), index arithmetic finding its run,
-so no whole-space matrix, Hermitian check or walk is made.  A component whose
+so no whole-space matrix or walk is made.  A component whose
 off-diagonal graph is a path, such as every conserved sector of the
 bilinear generators and of the full models, is ordered from one end; the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
@@ -21,6 +21,11 @@ pass.  Times whose phases carry no precision, their rounding
 are refused.  Every oscillating Hamiltonian built here is static in a
 diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
 phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
+
+Every builder writes each term next to its conjugate, and a
+``TimeDependentOperator`` checks its static part once when it is built, so
+neither evolution checks Hermiticity again; only ``evolve_static``, the one
+entry that takes an operator from outside, checks its whole matrix.
 """
 
 from __future__ import annotations
@@ -165,11 +170,10 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     The components are found by one walk per reached component over the
     symmetrized pattern, a whole-space sum on each call, and sliced from G
     once, in walk order, so no step labels or slices the whole space.
-    Raises ValueError for a non-Hermitian G, PropagationError on norm drift
-    or, naming path, on times whose phases carry no precision.
+    G is trusted to be Hermitian, as every builder makes it.  Raises
+    PropagationError on norm drift or, naming path, on times whose phases
+    carry no precision.
     """
-    if not G.is_hermitian():
-        raise ValueError("static evolution requires a Hermitian generator")
     times = np.asarray(times, dtype=float)
     M = G.matrix
     # a float pattern: csgraph would drop the imaginary part of G
@@ -277,9 +281,12 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t)|psi0>, evolved only on the components of H's sparsity graph
     that meet the support of psi0 (for the bilinear generators, the conserved
     photon-number sectors it occupies); every other amplitude stays exactly 0.
+    Raises ValueError for a non-Hermitian H, checked over the whole space.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
+    if not H.is_hermitian():
+        raise ValueError("static evolution requires a Hermitian generator")
     keep, states = _evolve_sectors(H, psi0.amplitudes, [t])
     amps = np.zeros_like(psi0.amplitudes)
     amps[keep] = states[0]

@@ -25,6 +25,7 @@ from cavityconv.hilbert import (
     _mode_axis,
     annihilation,
     atomic_sigma,
+    number_operator,
 )
 
 
@@ -171,6 +172,82 @@ def full_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDe
         (params.omega_cl * atomic_sigma(space, "g", "e"), -params.delta_small),
     ]
     return TimeDependentOperator(zero, parts)
+
+
+def _stark_operators(space: HilbertSpace, params: PhysicalParams):
+    """Shared pieces of the effective product forms."""
+    n_a = number_operator(space, "a")
+    n_b = number_operator(space, "b")
+    la2 = abs(params.lambda_a) ** 2
+    lb2 = abs(params.lambda_b) ** 2
+    weighted = la2 * n_a + lb2 * n_b
+    return n_a, n_b, la2, lb2, weighted
+
+
+def effective_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+    """The second-order up-conversion Hamiltonian multiplied out from the
+    sparse operators: level shifts, Stark terms, the exchange a b^dag sig_eg
+    + h.c., and the drive part at -delta."""
+    a = annihilation(space, "a")
+    b = annihilation(space, "b")
+    sgg = atomic_sigma(space, "g", "g")
+    see = atomic_sigma(space, "e", "e")
+    sii = atomic_sigma(space, "i", "i")
+    sge = atomic_sigma(space, "g", "e")
+    seg = atomic_sigma(space, "e", "g")
+    n_a, n_b, la2, lb2, weighted = _stark_operators(space, params)
+    delta_b = params.delta_big
+    lam_ab = params.lambda_a * params.lambda_b.conjugate()
+
+    static = (
+        -(delta_b + lb2 / delta_b) * see
+        - (delta_b + la2 / delta_b) * sgg
+        + ((la2 + lb2) / delta_b) * sii
+        + (1.0 / delta_b) * (weighted @ sii - la2 * (n_a @ sgg) - lb2 * (n_b @ see))
+    )
+    exchange = -(1.0 / delta_b) * (lam_ab * (a @ b.dag() @ seg))
+    static = static + exchange + exchange.dag()
+
+    dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta_b**2))
+    osc = (
+        dressed * sge
+        - (params.omega_cl / delta_b**2) * (weighted @ sge)
+        + (params.omega_cl / delta_b**2) * lam_ab * (a @ b.dag() @ (sii - sgg - see))
+    )
+    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+
+
+def effective_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+    """The second-order down-conversion Hamiltonian multiplied out from the
+    sparse operators: flipped shifts, the pair a b sig_eg + h.c., and the
+    drive part at -delta."""
+    a = annihilation(space, "a")
+    b = annihilation(space, "b")
+    sgg = atomic_sigma(space, "g", "g")
+    see = atomic_sigma(space, "e", "e")
+    sii = atomic_sigma(space, "i", "i")
+    sge = atomic_sigma(space, "g", "e")
+    seg = atomic_sigma(space, "e", "g")
+    n_a, n_b, la2, lb2, weighted = _stark_operators(space, params)
+    delta_b = params.delta_big
+    lam_ab = params.lambda_a * params.lambda_b
+
+    static = (
+        (delta_b + la2 / delta_b) * sgg
+        + (delta_b + lb2 / delta_b) * see
+        - ((la2 + lb2) / delta_b) * sii
+        + (1.0 / delta_b) * (la2 * (n_a @ sgg) + lb2 * (n_b @ see) - weighted @ sii)
+    )
+    pair = (1.0 / delta_b) * (lam_ab * (a @ b @ seg))
+    static = static + pair + pair.dag()
+
+    dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta_b**2))
+    osc = (
+        dressed * sge
+        - (params.omega_cl / delta_b**2) * (weighted @ sge)
+        - (params.omega_cl / delta_b**2) * lam_ab * (a @ b @ (see - sii + sgg))
+    )
+    return TimeDependentOperator(static, [(osc, -params.delta_small)])
 
 
 def two_photon_product_form(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,8 @@ from oracles import (
     assert_identical,
     atom_block,
     bilinear_generator_product_form,
+    effective_pdc_product_form,
+    effective_puc_product_form,
     full_pdc_product_form,
     full_puc_product_form,
     identity_operator,
@@ -82,6 +85,16 @@ def test_time_dependent_operator_rejects_non_hermitian():
     a = annihilation(space, "a")
     with pytest.raises(ValueError):
         TimeDependentOperator(a)  # static part alone is not Hermitian
+
+
+def test_time_dependent_operator_is_frozen():
+    # evolve_td trusts the check made at construction: no part can be swapped in later
+    h = full_puc_hamiltonian(make_space(3, 1, 1), puc_params(delta_small=3e4))
+    assert isinstance(h.oscillating_parts, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.static_part = annihilation(h.space, "a")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.oscillating_parts = ()
 
 
 # --- full Lambda (up-conversion) Hamiltonian -----------------------------------
@@ -342,7 +355,7 @@ def test_reduced_puc_is_beam_splitter():
     gen = reduced_bilinear_generator(space, params)
     out = apply(gen, fock_state(space, 1, 0))
     xi = effective_xi(params)
-    assert abs(fock_state(space, 0, 1).inner(out) - xi) < 1e-9
+    assert abs(out.amplitudes[space.flatten(0, 0, 1)] - xi) < 1e-9
     assert abs(out.norm() - abs(xi)) < 1e-9
 
 
@@ -351,7 +364,7 @@ def test_reduced_pdc_creates_one_pair_from_vacuum():
     space = field_space(2, 2)
     out = apply(reduced_bilinear_generator(space, params), fock_state(space, 0, 0))
     xi = effective_xi(params)
-    assert abs(fock_state(space, 1, 1).inner(out) - xi.conjugate()) < 1e-9
+    assert abs(out.amplitudes[space.flatten(0, 1, 1)] - xi.conjugate()) < 1e-9
     assert abs(out.norm() - abs(xi)) < 1e-9
 
 
@@ -363,7 +376,7 @@ def test_reduced_degenerate_creates_photon_pairs():
     gen = reduced_bilinear_generator(space, params)
     out = apply(gen, fock_state(space, 0, 0))
     xi = effective_xi(params)
-    assert abs(fock_state(space, 2, 0).inner(out) - math.sqrt(2) * xi.conjugate()) < 1e-9
+    assert abs(out.amplitudes[space.flatten(0, 2, 0)] - math.sqrt(2) * xi.conjugate()) < 1e-9
 
 
 @pytest.mark.parametrize("n_max", [(0, 0), (3, 0), (0, 3), (1, 0), (7, 5), (6, 9)])
@@ -402,6 +415,31 @@ def test_band_builders_equal_their_operator_products_bit_for_bit(n_max, coupling
     for kind in ("BS", "TMS"):
         assert_identical(two_photon_hamiltonian(space, two_photon, kind),
                          two_photon_product_form(space, two_photon, kind).matrix)
+
+
+def assert_close_to_product(got: Operator, want: Operator) -> None:
+    """Equal nnz and every entry within 4 eps of the product form's largest."""
+    assert got.matrix.nnz == want.matrix.nnz
+    scale = np.abs(want.matrix.data).max(initial=0.0)
+    assert np.abs(got.to_dense() - want.to_dense()).max() <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("delta_big", [DELTA, -1.3e7])
+@pytest.mark.parametrize("couplings", [*BAND_COUPLINGS, (LAM * np.exp(0.3j), -0.4 * LAM, 0.0)],
+                         ids=str)  # the last one has the drive off
+@pytest.mark.parametrize("n_max", BAND_TRUNCATIONS, ids=str)
+def test_effective_builders_match_their_operator_products(n_max, couplings, delta_big):
+    space = make_space(3, *n_max)
+    fields = dict(zip(("lambda_a", "lambda_b", "omega_cl"), couplings),
+                  delta_big=delta_big, delta_small=3e3)
+    for build, oracle, params in (
+            (effective_puc_hamiltonian, effective_puc_product_form, puc_params(**fields)),
+            (effective_pdc_hamiltonian, effective_pdc_product_form, pdc_params(**fields))):
+        built, want = build(space, params), oracle(space, params)
+        assert_close_to_product(built.static_part, want.static_part)
+        assert [nu for _, nu in built.oscillating_parts] == [nu for _, nu in want.oscillating_parts]
+        for (op, _), (ref, _) in zip(built.oscillating_parts, want.oscillating_parts):
+            assert_close_to_product(op, ref)
 
 
 def test_reduced_generator_rejects_off_resonance():

@@ -267,7 +267,7 @@ def test_tmsv_zero_squeezing_is_vacuum():
 def test_tmsv_vacuum_amplitude_closed_form():
     space = field_space(40, 40)
     state = tmsv_analytic(TmsvSpec(squeeze_param=0.68), space)
-    p00 = abs(vacuum_state(space).inner(state)) ** 2
+    p00 = abs(state.amplitudes[space.flatten(0, 0, 0)]) ** 2
     assert p00 == pytest.approx(1.0 / math.cosh(0.68) ** 2, abs=1e-12)
 
 

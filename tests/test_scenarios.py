@@ -552,8 +552,8 @@ def test_prepare_bell_pre_measurement_amplitudes():
     h = two_photon_hamiltonian(space, params, "TMS")
     t = (math.pi / 4.0) / abs(kappa)
     psi = evolve_static(h, basis_state(space, "e", 0, 0), t)
-    amp_e00 = basis_state(space, "e", 0, 0).inner(psi)
-    amp_g11 = basis_state(space, "g", 1, 1).inner(psi)
+    amp_e00 = psi.amplitudes[space.flatten(space.level_index("e"), 0, 0)]
+    amp_g11 = psi.amplitudes[space.flatten(space.level_index("g"), 1, 1)]
     assert amp_e00 == pytest.approx(math.cos(math.pi / 4), abs=1e-9)
     assert amp_g11 == pytest.approx(-1j * math.sin(math.pi / 4), abs=1e-9)
 
