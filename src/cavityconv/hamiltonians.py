@@ -82,42 +82,52 @@ class PhysicalParams:
         return abs(self.delta_big) >= 10.0 * strongest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TimeDependentOperator:
-    """H(t) = static + sum_j (O_j e^{i nu_j t} + O_j^dag e^{-i nu_j t}).
+    """H(t) = static + sum_j (O_j e^{i nu_j t} + O_j^dag e^{-i nu_j t}) from
+    labelled bands: a term (coefficient, k, l, d_a, d_b[, weight]) is
+    coefficient |k><l| (x) a^d_a (x) b^d_b as ``hilbert._band`` takes it.
 
-    Each oscillating pair is Hermitian at every t, so H(t) is Hermitian for
-    all t exactly when the static part is; that is checked here, once, and
-    the frozen parts (a tuple) keep it true.
-    """
+    ``terms`` keeps (nu, ((coefficient, (k, l, d_a, d_b), band), ...)) per
+    part, the static part first at nu = 0, each band made once;
+    ``static_part`` and ``oscillating_parts`` are the parts' Operators.  As
+    each oscillating term enters with its adjoint, H(t) is Hermitian for all
+    t exactly when the static part is: checked here, once."""
 
+    space: HilbertSpace
+    terms: tuple
     static_part: Operator
-    oscillating_parts: tuple[tuple[Operator, complex], ...] = ()
+    oscillating_parts: tuple[tuple[Operator, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "oscillating_parts", tuple(self.oscillating_parts))
-        for op, _ in self.oscillating_parts:
-            if op.space != self.static_part.space:
-                raise ValueError("oscillating part lives on a different space")
-        if not self.static_part.is_hermitian():
+    def __init__(self, space: HilbertSpace, static=(), oscillating=()):
+        terms = tuple((float(nu), tuple((c, (k, l, d_a, d_b), _band(space, k, l, d_a, d_b, *w))
+                                        for c, k, l, d_a, d_b, *w in part))
+                      for part, nu in [(static, 0.0), *oscillating])
+        static_part, *parts = (_band_operator(space, [(c, band) for c, _, band in part])
+                               for _, part in terms)
+        for name, value in (("space", space), ("terms", terms), ("static_part", static_part),
+                            ("oscillating_parts", tuple(zip(parts, [nu for nu, _ in terms[1:]])))):
+            object.__setattr__(self, name, value)
+        if not static_part.is_hermitian():
             raise ValueError("the static part of H(t) is not Hermitian")
 
-    @property
-    def space(self) -> HilbertSpace:
-        return self.static_part.space
+    def _bands(self, t: float) -> list:
+        """(coefficient, band) of every term of H(t): the static terms, then per
+        oscillating part its terms at their phase and their adjoints
+        (conj(coefficient), (-offset, conj(entries)))."""
+        bands = [(c, band) for c, _, band in self.terms[0][1]]
+        for nu, part in self.terms[1:]:
+            phase = cmath.exp(1j * nu * t)
+            bands += [(phase * c, band) for c, _, band in part]
+            bands += [((phase * c).conjugate(), (-o, e.conj())) for c, _, (o, e) in part]
+        return bands
 
     def at(self, t: float) -> Operator:
-        """H(t), the parts' matrices summed into one Operator."""
-        matrix = self.static_part.matrix
-        for op, nu in self.oscillating_parts:
-            phase = cmath.exp(1j * nu * t)
-            matrix = matrix + phase * op.matrix + phase.conjugate() * op.matrix.conj().T
-        return Operator(self.space, matrix)
+        """H(t), its bands summed into one Operator."""
+        return _band_operator(self.space, self._bands(t))
 
     def max_frequency(self) -> float:
-        if not self.oscillating_parts:
-            return 0.0
-        return max(abs(nu) for _, nu in self.oscillating_parts)
+        return max((abs(nu) for nu, _ in self.terms[1:]), default=0.0)
 
 
 def _require(params: PhysicalParams, *kinds: ProcessKind) -> None:
@@ -144,14 +154,11 @@ def full_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
     """
     _require(params, ProcessKind.PUC)
     lam_a, lam_b = params.lambda_a, params.lambda_b
-    static = _band_operator(space, [
-        (lam_a, _band(space, "i", "g", 1, 0)), (lam_a.conjugate(), _band(space, "g", "i", -1, 0)),
-        (lam_b, _band(space, "i", "e", 0, 1)), (lam_b.conjugate(), _band(space, "e", "i", 0, -1)),
-        (-params.delta_big, _band(space, "e", "e", 0, 0)),
-        (-params.delta_big, _band(space, "g", "g", 0, 0)),
-    ])
-    drive = _band_operator(space, [(params.omega_cl, _band(space, "g", "e", 0, 0))])
-    return TimeDependentOperator(static, [(drive, -params.delta_small)])
+    static = [(lam_a, "i", "g", 1, 0), (lam_a.conjugate(), "g", "i", -1, 0),
+              (lam_b, "i", "e", 0, 1), (lam_b.conjugate(), "e", "i", 0, -1),
+              (-params.delta_big, "e", "e", 0, 0), (-params.delta_big, "g", "g", 0, 0)]
+    return TimeDependentOperator(space, static,
+                                 [([(params.omega_cl, "g", "e", 0, 0)], -params.delta_small)])
 
 
 def full_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
@@ -159,13 +166,10 @@ def full_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
     free Hamiltonian; the optical frequencies drop out and the three
     couplings oscillate at -Delta, +Delta and -delta respectively."""
     _require(params, ProcessKind.PDC)
-    parts = [
-        ((params.lambda_a, _band(space, "i", "g", 1, 0)), -params.delta_big),
-        ((params.lambda_b, _band(space, "e", "i", 0, 1)), +params.delta_big),
-        ((params.omega_cl, _band(space, "g", "e", 0, 0)), -params.delta_small),
-    ]
-    return TimeDependentOperator(_band_operator(space, []),
-                                 [(_band_operator(space, [term]), nu) for term, nu in parts])
+    parts = [((params.lambda_a, "i", "g", 1, 0), -params.delta_big),
+             ((params.lambda_b, "e", "i", 0, 1), +params.delta_big),
+             ((params.omega_cl, "g", "e", 0, 0), -params.delta_small)]
+    return TimeDependentOperator(space, [], [([term], nu) for term, nu in parts])
 
 
 def _effective_hamiltonian(space: HilbertSpace, params: PhysicalParams, d_b: int,
@@ -178,23 +182,19 @@ def _effective_hamiltonian(space: HilbertSpace, params: PhysicalParams, d_b: int
     n_a, n_b = np.ogrid[:space.dim_a, :space.dim_b]
     stark = la2 * n_a + lb2 * n_b  # intensity-dependent Stark weight of each field state
     # level shifts + Stark terms, then the atom-correlated exchange and its conjugate
-    static = _band_operator(space, [
-        (-sign, _band(space, "e", "e", 0, 0, (delta + lb2 / delta) + lb2 * n_b / delta)),
-        (-sign, _band(space, "g", "g", 0, 0, (delta + la2 / delta) + la2 * n_a / delta)),
-        (sign, _band(space, "i", "i", 0, 0, (la2 + lb2) / delta + stark / delta)),
-        (-sign * lam_ab / delta, _band(space, "e", "g", 1, d_b)),
-        (-sign * lam_ab.conjugate() / delta, _band(space, "g", "e", -1, -d_b)),
-    ])
+    static = [(-sign, "e", "e", 0, 0, (delta + lb2 / delta) + lb2 * n_b / delta),
+              (-sign, "g", "g", 0, 0, (delta + la2 / delta) + la2 * n_a / delta),
+              (sign, "i", "i", 0, 0, (la2 + lb2) / delta + stark / delta),
+              (-sign * lam_ab / delta, "e", "g", 1, d_b),
+              (-sign * lam_ab.conjugate() / delta, "g", "e", -1, -d_b)]
     # everything multiplying e^{-i delta t}: dressed drive, drive Stark
     # correction, and the drive-assisted bilinear exchange on each level
     drive = params.omega_cl / delta**2
     dressed = params.omega_cl * (1.0 - (la2 + lb2) / (2.0 * delta**2))
-    osc = _band_operator(space, [
-        (1.0, _band(space, "g", "e", 0, 0, dressed - drive * stark)),
-        *((level_sign * drive * lam_ab, _band(space, level, level, 1, d_b))
-          for level, level_sign in (("i", 1.0), ("g", -1.0), ("e", -1.0))),
-    ])
-    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+    osc = [(1.0, "g", "e", 0, 0, dressed - drive * stark),
+           *((level_sign * drive * lam_ab, level, level, 1, d_b)
+             for level, level_sign in (("i", 1.0), ("g", -1.0), ("e", -1.0)))]
+    return TimeDependentOperator(space, static, [(osc, -params.delta_small)])
 
 
 def effective_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:

@@ -3,7 +3,7 @@
 A static generator is evolved only on the connected components of its
 sparsity graph that the initial state reaches (nothing couples them to the
 rest), found by one walk per reached component over the symmetrized
-pattern, a whole-space sum on each call; the walks and slices then follow
+pattern, a whole-space union on each call; the walks and slices then follow
 the reached states, not the whole space.  The reduced bilinear generators
 and the two-photon exchange skip even that: a Fock state is evolved straight
 from one of their bands (``_evolve_band``), index arithmetic finding its run,
@@ -21,6 +21,8 @@ pass.  Times whose phases carry no precision, their rounding
 are refused.  Every oscillating Hamiltonian built here is static in a
 diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
 phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
+D is solved from one equation per labelled band term, and H(0) - D is those
+bands, their adjoints and -D summed in one ``sp.diags`` call.
 
 Every builder writes each term next to its conjugate, and a
 ``TimeDependentOperator`` checks its static part once when it is built, so
@@ -39,7 +41,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
-from .hilbert import Operator, StateVector
+from .hilbert import Operator, StateVector, _band_operator
 
 # Largest norm change a static evolution accepts in any returned state.
 STATIC_NORM_DRIFT_LIMIT = 1e-9
@@ -168,7 +170,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
     every other amplitude is exactly 0 and a time of 0 returns amps[keep].
     The components are found by one walk per reached component over the
-    symmetrized pattern, a whole-space sum on each call, and sliced from G
+    symmetrized pattern, a whole-space union on each call, and sliced from G
     once, in walk order, so no step labels or slices the whole space.
     G is trusted to be Hermitian, as every builder makes it.  Raises
     PropagationError on norm drift or, naming path, on times whose phases
@@ -178,7 +180,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     M = G.matrix
     # a float pattern: csgraph would drop the imaginary part of G
     pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-    pattern = pattern + pattern.T  # an entry stored on one side only joins both
+    pattern = pattern.maximum(pattern.T)  # the union: an entry stored on one side joins both
     sectors = _walk(pattern, np.flatnonzero(amps != 0))
     if not sectors:  # the zero state
         return np.empty(0, dtype=np.intp), np.empty((times.size, 0), dtype=np.complex128)
@@ -293,36 +295,35 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.space, amps, copy=False)
 
 
-def _rotating_frame(H: TimeDependentOperator) -> np.ndarray:
-    """Diagonal d_k = omega_level + nu_a n_a + nu_b n_b with
-    e^{iDt} H(t) e^{-iDt} = H(0) for all t.
+def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, Operator]:
+    """(d, H(0) - D): the diagonal d_k = omega_level + nu_a n_a + nu_b n_b with
+    e^{iDt} H(t) e^{-iDt} = H(0) for all t, and H(0)'s bands and -D summed.
 
-    Every nonzero element (m, n) of a part oscillating at nu (or of the
-    static part, nu = 0) needs d_m - d_n = -nu.  The unknowns (one energy per
-    atomic level, nu_a, nu_b) are solved by least squares over the distinct
-    (level, n_a, n_b) changes of those elements; a residual above
-    FRAME_RTOL * max(max|nu|, 1) means no static frame exists.
-    """
+    Each term c |k><l| a^d_a b^d_b at nu (the static part at 0) whose
+    c * entries holds a nonzero gives d_m - d_n = -nu at its elements (m, n),
+    one equation [e_k - e_l, -d_a, -d_b | -nu] in the unknowns (one energy
+    per level, nu_a, nu_b); the distinct ones are solved by least squares,
+    and a residual above FRAME_RTOL * max(max|nu|, 1) means no frame."""
     space = H.space
-    level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
-    coords = np.column_stack([np.eye(space.atom_levels)[level], n_a, n_b])
-    equations = []
-    for op, nu in [(H.static_part, 0.0), *H.oscillating_parts]:
-        m, n = op.matrix.nonzero()
-        equations.append(
-            np.column_stack([coords[m] - coords[n], np.full(m.size, -np.real(nu))])
-        )
-    system = np.unique(np.vstack(equations), axis=0)
+    atom = np.eye(space.atom_levels)
+    equations = [np.concatenate((0.0 * atom[0] if k is None  # the identity on the atom
+                                 else atom[space.level_index(k)] - atom[space.level_index(l)],
+                                 [-d_a, -d_b, -nu]))
+                 for nu, part in H.terms for c, (k, l, d_a, d_b), (_, entries) in part
+                 if (c * entries).any()]
+    system = np.unique(np.reshape(equations, (-1, space.atom_levels + 3)), axis=0)
     a_mat, b_vec = system[:, :-1], system[:, -1]
-    if not b_vec.any():
-        return np.zeros(space.total_dim)
-    x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
-    residual = float(np.max(np.abs(a_mat @ x - b_vec)))
-    if residual > FRAME_RTOL * max(H.max_frequency(), 1.0):
-        raise PropagationError(
-            f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
-        )
-    return coords @ x
+    d = np.zeros(space.total_dim)
+    if b_vec.any():
+        x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+        residual = float(np.max(np.abs(a_mat @ x - b_vec)))
+        if residual > FRAME_RTOL * max(H.max_frequency(), 1.0):
+            raise PropagationError(
+                f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
+            )
+        level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
+        d = np.column_stack([atom[level], n_a, n_b]) @ x
+    return d, _band_operator(space, [*H._bands(0.0), (-1.0, (0, d))])
 
 
 def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory:
@@ -343,8 +344,7 @@ def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    d = _rotating_frame(H)
-    generator = Operator(H.space, H.at(0.0).matrix - sp.diags(d))
+    d, generator = _rotating_frame(H)
     phi0 = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
     keep, phi = _evolve_sectors(generator, phi0, t_grid - t_grid[0])
     _check_phase_precision(np.abs(d[keep]).max(initial=0.0), t_grid, "times")

@@ -1,10 +1,15 @@
 """Sparse full-space operators that the library no longer builds, kept as
 independent oracles for the support-based observables and tomography and for
-the band-built Hamiltonians; full-space state maps (ladder shifts of the
+the band-built Hamiltonians; oscillating Hamiltonians as sums of sparse
+parts, with the element-wise rotating frame solved from their nonzeros;
+full-space state maps (ladder shifts of the
 amplitude array, operator action and expectation, atom embedding, diagonal
 frame changes, index unflattening) that the library no longer needs; the
 random states they are compared on; and the whole-graph labelling of the
 sectors a state reaches."""
+
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +18,6 @@ from scipy.sparse.csgraph import connected_components
 from cavityconv.hamiltonians import (
     PhysicalParams,
     ProcessKind,
-    TimeDependentOperator,
     effective_xi,
     two_photon_coupling,
 )
@@ -27,6 +31,7 @@ from cavityconv.hilbert import (
     atomic_sigma,
     number_operator,
 )
+from cavityconv.propagate import FRAME_RTOL, PropagationError
 
 
 def assert_identical(got: Operator, reference) -> None:
@@ -145,7 +150,58 @@ def bilinear_generator_product_form(space: HilbertSpace, params: PhysicalParams)
     return half + half.dag()
 
 
-def full_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+@dataclass(frozen=True)
+class SparseTimeDependent:
+    """H(t) = static + sum_j (O_j e^{i nu_j t} + O_j^dag e^{-i nu_j t}) from
+    sparse Operators, with no band labels."""
+
+    static_part: Operator
+    oscillating_parts: tuple[tuple[Operator, float], ...] = ()
+
+    @property
+    def space(self) -> HilbertSpace:
+        return self.static_part.space
+
+    def at(self, t: float) -> Operator:
+        """H(t), the parts' matrices summed."""
+        matrix = self.static_part.matrix
+        for op, nu in self.oscillating_parts:
+            phase = cmath.exp(1j * nu * t)
+            matrix = matrix + phase * op.matrix + phase.conjugate() * op.matrix.conj().T
+        return Operator(self.space, matrix)
+
+    def max_frequency(self) -> float:
+        return max((abs(nu) for _, nu in self.oscillating_parts), default=0.0)
+
+
+def rotating_frame_elementwise(H) -> np.ndarray:
+    """The diagonal frame D of an oscillating H(t), one equation
+    d_m - d_n = -nu per nonzero element (m, n) of every part (the static
+    part at nu = 0), the distinct equations solved by least squares; raises
+    PropagationError when they miss by more than FRAME_RTOL * max(max|nu|, 1)."""
+    space = H.space
+    level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
+    coords = np.column_stack([np.eye(space.atom_levels)[level], n_a, n_b])
+    equations = []
+    for op, nu in [(H.static_part, 0.0), *H.oscillating_parts]:
+        m, n = op.matrix.nonzero()
+        equations.append(
+            np.column_stack([coords[m] - coords[n], np.full(m.size, -np.real(nu))])
+        )
+    system = np.unique(np.vstack(equations), axis=0)
+    a_mat, b_vec = system[:, :-1], system[:, -1]
+    if not b_vec.any():
+        return np.zeros(space.total_dim)
+    x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+    residual = float(np.max(np.abs(a_mat @ x - b_vec)))
+    if residual > FRAME_RTOL * max(H.max_frequency(), 1.0):
+        raise PropagationError(
+            f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
+        )
+    return coords @ x
+
+
+def full_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> SparseTimeDependent:
     """lambda_a a sig_ig + lambda_b b sig_ie + h.c. - Delta (sig_ee + sig_gg),
     drive omega_cl sig_ge at -delta, multiplied out from the sparse operators."""
     a = annihilation(space, "a")
@@ -157,10 +213,10 @@ def full_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDe
         atomic_sigma(space, "e", "e") + atomic_sigma(space, "g", "g")
     )
     drive = params.omega_cl * atomic_sigma(space, "g", "e")
-    return TimeDependentOperator(static, [(drive, -params.delta_small)])
+    return SparseTimeDependent(static, [(drive, -params.delta_small)])
 
 
-def full_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+def full_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> SparseTimeDependent:
     """lambda_a a sig_ig at -Delta, lambda_b b sig_ei at +Delta and omega_cl
     sig_ge at -delta on a zero static part, from the sparse operators."""
     a = annihilation(space, "a")
@@ -171,7 +227,7 @@ def full_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDe
         (params.lambda_b * (b @ atomic_sigma(space, "e", "i")), +params.delta_big),
         (params.omega_cl * atomic_sigma(space, "g", "e"), -params.delta_small),
     ]
-    return TimeDependentOperator(zero, parts)
+    return SparseTimeDependent(zero, parts)
 
 
 def _stark_operators(space: HilbertSpace, params: PhysicalParams):
@@ -184,7 +240,7 @@ def _stark_operators(space: HilbertSpace, params: PhysicalParams):
     return n_a, n_b, la2, lb2, weighted
 
 
-def effective_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+def effective_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> SparseTimeDependent:
     """The second-order up-conversion Hamiltonian multiplied out from the
     sparse operators: level shifts, Stark terms, the exchange a b^dag sig_eg
     + h.c., and the drive part at -delta."""
@@ -214,10 +270,10 @@ def effective_puc_product_form(space: HilbertSpace, params: PhysicalParams) -> T
         - (params.omega_cl / delta_b**2) * (weighted @ sge)
         + (params.omega_cl / delta_b**2) * lam_ab * (a @ b.dag() @ (sii - sgg - see))
     )
-    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+    return SparseTimeDependent(static, [(osc, -params.delta_small)])
 
 
-def effective_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> TimeDependentOperator:
+def effective_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> SparseTimeDependent:
     """The second-order down-conversion Hamiltonian multiplied out from the
     sparse operators: flipped shifts, the pair a b sig_eg + h.c., and the
     drive part at -delta."""
@@ -247,7 +303,7 @@ def effective_pdc_product_form(space: HilbertSpace, params: PhysicalParams) -> T
         - (params.omega_cl / delta_b**2) * (weighted @ sge)
         - (params.omega_cl / delta_b**2) * lam_ab * (a @ b @ (see - sii + sgg))
     )
-    return TimeDependentOperator(static, [(osc, -params.delta_small)])
+    return SparseTimeDependent(static, [(osc, -params.delta_small)])
 
 
 def two_photon_product_form(space: HilbertSpace, params: PhysicalParams, kind: str) -> Operator:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import erf
 
 from cavityconv.hamiltonians import (
@@ -32,6 +33,7 @@ from cavityconv.hilbert import (
     make_space,
     number_operator,
 )
+from cavityconv.propagate import _rotating_frame
 
 from oracles import (
     apply,
@@ -43,6 +45,7 @@ from oracles import (
     full_pdc_product_form,
     full_puc_product_form,
     identity_operator,
+    rotating_frame_elementwise,
     two_photon_product_form,
 )
 
@@ -82,9 +85,8 @@ def test_params_require_finite():
 
 def test_time_dependent_operator_rejects_non_hermitian():
     space = field_space(2, 2)
-    a = annihilation(space, "a")
     with pytest.raises(ValueError):
-        TimeDependentOperator(a)  # static part alone is not Hermitian
+        TimeDependentOperator(space, [(1.0, None, None, 1, 0)])  # a alone is not Hermitian
 
 
 def test_time_dependent_operator_is_frozen():
@@ -95,6 +97,8 @@ def test_time_dependent_operator_is_frozen():
         h.static_part = annihilation(h.space, "a")
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.oscillating_parts = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.terms = ()
 
 
 # --- full Lambda (up-conversion) Hamiltonian -----------------------------------
@@ -429,6 +433,8 @@ def assert_close_to_product(got: Operator, want: Operator) -> None:
                          ids=str)  # the last one has the drive off
 @pytest.mark.parametrize("n_max", BAND_TRUNCATIONS, ids=str)
 def test_effective_builders_match_their_operator_products(n_max, couplings, delta_big):
+    # a complex omega_cl makes the drive band's Stark weight complex: H(t) and
+    # the frame generator need the adjoint of its entries, not only of its coefficient
     space = make_space(3, *n_max)
     fields = dict(zip(("lambda_a", "lambda_b", "omega_cl"), couplings),
                   delta_big=delta_big, delta_small=3e3)
@@ -440,6 +446,11 @@ def test_effective_builders_match_their_operator_products(n_max, couplings, delt
         assert [nu for _, nu in built.oscillating_parts] == [nu for _, nu in want.oscillating_parts]
         for (op, _), (ref, _) in zip(built.oscillating_parts, want.oscillating_parts):
             assert_close_to_product(op, ref)
+        for t in (0.0, 1.7e-4):
+            assert_close_to_product(built.at(t), want.at(t))
+        d = rotating_frame_elementwise(want)
+        assert_close_to_product(_rotating_frame(built)[1],
+                                Operator(space, want.at(0.0).matrix - sp.diags(d)))
 
 
 def test_reduced_generator_rejects_off_resonance():

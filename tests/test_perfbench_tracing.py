@@ -11,6 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavityconv
@@ -53,3 +54,19 @@ def test_workload_pass_runs_and_checks(monkeypatch, tmp_path, workload):
     assert ops
     for op in ops:
         assert op.check(op.run()) is None, op.label
+
+
+@pytest.mark.parametrize("builder", ["full_puc", "full_pdc", "effective_puc", "effective_pdc"])
+def test_built_hamiltonians_keep_the_shape_the_benchmark_reads(monkeypatch, builder):
+    # tracing._nnz reads static_part.matrix and (op, nu) pairs of
+    # oscillating_parts; workloads._td_oracle reads H.space and H.at(t).to_dense()
+    tracing = load_perfbench(monkeypatch, "tracing")
+    process = builder.rsplit("_", 1)[1].upper()
+    params = cavityconv.PhysicalParams(7e5, 5e5j, 6e5, 1e7, 1.2e5, process)
+    H = getattr(cavityconv, f"{builder}_hamiltonian")(cavityconv.make_space(3, 2, 3), params)
+    parts = [H.static_part, *(op for op, _ in H.oscillating_parts)]
+    assert tracing._nnz((), H) == sum(op.matrix.nnz for op in parts) > 0
+    dim = H.space.total_dim
+    for t in (0.0, 2e-6):
+        dense = H.at(t).to_dense()
+        assert dense.shape == (dim, dim) and np.allclose(dense, dense.conj().T, rtol=0, atol=1e-9)

@@ -51,6 +51,7 @@ from oracles import (
     identity_operator,
     random_state,
     reached_components,
+    rotating_frame_elementwise,
 )
 
 LAM = 7e5
@@ -254,7 +255,15 @@ def test_chain_branch_makes_hops_of_any_phase_real(monkeypatch, params):
 
 def frame_generator(h_td):
     """H(0) - D in the solved static rotating frame of an oscillating H(t)."""
-    return Operator(h_td.space, h_td.at(0.0).matrix - sp.diags(propagate._rotating_frame(h_td)))
+    return propagate._rotating_frame(h_td)[1]
+
+
+def labelled_bilinear(space, params):
+    """The reduced generator xi a b^dag + h.c. (PUC) or xi a b + h.c. (PDC)
+    as labelled bands of a TimeDependentOperator with no oscillating part."""
+    xi, d_b = effective_xi(params), -1 if params.process is ProcessKind.PUC else 1
+    return TimeDependentOperator(space, [(xi, None, None, 1, d_b),
+                                         (xi.conjugate(), None, None, -1, -d_b)])
 
 
 @pytest.mark.parametrize("builder, params, dense_calls", [
@@ -275,6 +284,27 @@ def test_frame_generators_take_the_chain_branch_exactly_on_paths(monkeypatch, bu
     assert keep.size == space.total_dim
     assert calls["eigh"] == dense_calls and calls["expm"] == 0 and calls["tridiagonal"] > 0
     assert_matches_dense_expm(gen, psi0, times, keep, states)
+
+
+FRAME_TRUNCATIONS = [(0, 0), (3, 0), (0, 3), (1, 2), (4, 3)]
+# the drive off, a coupling off, and complex couplings and drives
+FRAME_COUPLINGS = [(LAM, LAM, OMEGA), (LAM, 0.7 * LAM, 0.0), (0.0, LAM, OMEGA),
+                   (LAM * np.exp(0.3j), -0.4j * LAM, OMEGA * np.exp(-2.0j))]
+
+
+@pytest.mark.parametrize("delta_small", [1.2e5, -3e4, 0.0])
+@pytest.mark.parametrize("couplings", FRAME_COUPLINGS, ids=str)
+@pytest.mark.parametrize("n_max", FRAME_TRUNCATIONS, ids=str)
+def test_termwise_frame_equals_the_elementwise_frame_bit_for_bit(n_max, couplings, delta_small):
+    # one equation per term with a nonzero entry solves the same system as one
+    # per nonzero element; a band a one-level mode empties adds no equation
+    space = make_space(3, *n_max)
+    fields = dict(zip(("lambda_a", "lambda_b", "omega_cl"), couplings), delta_small=delta_small)
+    for build, params in ((full_puc_hamiltonian, puc), (full_pdc_hamiltonian, pdc),
+                          (effective_puc_hamiltonian, puc), (effective_pdc_hamiltonian, pdc)):
+        h = build(space, params(**fields))
+        d = propagate._rotating_frame(h)[0]
+        assert d.tobytes() == rotating_frame_elementwise(h).tobytes()
 
 
 def test_a_branched_tree_takes_the_dense_branch(monkeypatch):
@@ -548,12 +578,23 @@ def test_builders_and_evolutions_do_no_operator_arithmetic(monkeypatch):
     oscillating = [build(space, params(delta_small=1.2e5)) for build, params in (
         (full_puc_hamiltonian, puc), (full_pdc_hamiltonian, pdc),
         (effective_puc_hamiltonian, puc), (effective_pdc_hamiltonian, pdc))]
-    checks = []
-    is_hermitian = Operator.is_hermitian
-    monkeypatch.setattr(Operator, "is_hermitian",
-                        lambda self: checks.append(self) or is_hermitian(self))
-    for h in oscillating:
-        assert evolve_td(h, random_state(space, 5), [0.0, 5e-8, 1e-7]).ok
+    checks, made = [], []
+    is_hermitian, init = Operator.is_hermitian, Operator.__init__
+
+    def sparse_arithmetic(*args, **kwargs):
+        raise AssertionError("sparse matrix arithmetic in evolve_td")
+
+    with monkeypatch.context() as m:  # evolve_td sums H(0) - D as one band sum
+        m.setattr(Operator, "is_hermitian", lambda self: checks.append(self) or is_hermitian(self))
+        m.setattr(Operator, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+        for owner in {*sp.csr_matrix.__mro__, *sp.csr_array.__mro__}:
+            for name in ("__add__", "__sub__", "__rmul__"):
+                if name in vars(owner):
+                    m.setattr(owner, name, sparse_arithmetic)
+        for h in oscillating:
+            made.clear()
+            assert evolve_td(h, random_state(space, 5), [0.0, 5e-8, 1e-7]).ok
+            assert len(made) == 1
     assert checks == []
     run_scenario({"scenario": "full_vs_effective"})
 
@@ -690,7 +731,7 @@ def test_a_nan_amplitude_is_refused():
     with pytest.raises(PropagationError, match="norm"):
         evolve_static(gen, psi0, 2e-4)
     with pytest.raises(PropagationError, match="norm"):
-        evolve_td(TimeDependentOperator(gen), psi0, [0.0, 2e-4])
+        evolve_td(labelled_bilinear(space, puc()), psi0, [0.0, 2e-4])
 
 
 def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
@@ -727,7 +768,7 @@ def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
 def test_constant_td_reproduces_static():
     space = field_space(4, 4)
     gen = reduced_bilinear_generator(space, puc())
-    h_td = TimeDependentOperator(gen)
+    h_td = labelled_bilinear(space, puc())
     psi0 = fock_state(space, 1, 0)
     t_end = 3e-4
     traj = evolve_td(h_td, psi0, np.linspace(0.0, t_end, 7))
@@ -780,7 +821,7 @@ def test_oscillating_evolution_norm_and_cross_method_agreement():
 def test_energy_conserved_for_static_hamiltonian():
     space = field_space(6, 6)
     gen = reduced_bilinear_generator(space, pdc())
-    h_td = TimeDependentOperator(gen)
+    h_td = labelled_bilinear(space, pdc())
     psi0 = fock_state(space, 2, 1)
     traj = evolve_td(h_td, psi0, np.linspace(0.0, 2e-4, 9))
     energies = np.array([expectation(gen, s).real for s in traj.states])
@@ -915,11 +956,8 @@ def test_single_interval_spans_many_drive_periods():
 
 def test_element_oscillating_at_two_frequencies_has_no_frame():
     space = field_space(1, 1)
-    a = annihilation(space, "a")
-    b = annihilation(space, "b")
-    exchange = 1e4 * (a @ b.dag())
-    h = TimeDependentOperator(0.0 * identity_operator(space),
-                              [(exchange, 1e5), (exchange, 2e5)])
+    exchange = [(1e4, None, None, 1, -1)]  # 1e4 a b^dag
+    h = TimeDependentOperator(space, [], [(exchange, 1e5), (exchange, 2e5)])
     with pytest.raises(PropagationError, match="no static rotating frame"):
         evolve_td(h, fock_state(space, 1, 0), np.array([0.0, 1e-5]))
 
@@ -959,7 +997,7 @@ def test_recorded_grid_states_are_the_frame_phases_times_the_evolved_amplitudes(
     psi0 = embed_atom(vacuum_state(field_space(3, 3)), space, "i")
     grid = np.linspace(0.0, 1e-4, 5)
     traj = evolve_td(h, psi0, grid)
-    d = propagate._rotating_frame(h)
+    d = propagate._rotating_frame(h)[0]
     generator = Operator(space, h.at(0.0).matrix - sp.diags(d))
     keep, phi = _evolve_sectors(generator, psi0.amplitudes, grid)
     for t, phi_t, state, norm in zip(grid, phi, traj.states, traj.norms):
@@ -971,7 +1009,7 @@ def test_recorded_grid_states_are_the_frame_phases_times_the_evolved_amplitudes(
 
 def test_time_grid_must_increase():
     space = field_space(1, 1)
-    h = TimeDependentOperator(0.0 * identity_operator(space))
+    h = TimeDependentOperator(space)
     with pytest.raises(ValueError):
         evolve_td(h, vacuum_state(space), np.array([0.0, 1e-5, 1e-5]))
 
@@ -1002,8 +1040,7 @@ def test_frame_transform_preserves_norm():
 
 def test_records_every_grid_point_with_observables():
     space = field_space(3, 3)
-    gen = reduced_bilinear_generator(space, puc())
-    h = TimeDependentOperator(gen)
+    h = labelled_bilinear(space, puc())
     n_a = number_operator(space, "a")
     traj = evolve_td(h, fock_state(space, 1, 0), np.linspace(0.0, 4e-4, 6))
     assert traj.times.size == 6
