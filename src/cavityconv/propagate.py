@@ -14,9 +14,12 @@ diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
 one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
 component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
 eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0),
-written in place; a component above its limit takes one matrix-exponential
-action per time, on a fixed seed.  Each row's norm is checked in one real
-pass.  Times whose phases carry no precision, their rounding
+written in place; an appended uniform scan t = k step, k = 1..count, takes its
+phases from two tables of about sqrt(count) rows, so it costs about
+2 sqrt(count) exponentials per eigenvalue, not count.  A component above its
+limit takes one matrix-exponential action per time, on a fixed seed.  Each
+row's norm, scan rows included, is checked in one real pass.  Times whose
+phases carry no precision, their rounding
 |E| t eps exceeding a radian (|E| bounded by the largest absolute row sum),
 are refused.  Every oscillating Hamiltonian built here is static in a
 diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
@@ -32,6 +35,7 @@ entry that takes an operator from outside, checks its whole matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +133,29 @@ def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, times,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Rows basis (e^{-i energies t} * basis^dag psi), one per time, into out if given."""
-    phases = np.outer(times, -1j * energies)
-    np.exp(phases, out=phases)
-    phases *= basis.conj().T @ psi
+                  out: np.ndarray | None = None, grid: tuple[float, int] = (0.0, 0)) -> np.ndarray:
+    """Rows basis (e^{-i energies t} * basis^dag psi), one per time and then one
+    per grid time k step, k = 1..count for grid = (step, count), into out if given.
+
+    The grid rows' phases are coarse[q] * fine[r] with k - 1 = q m + r and
+    m = ceil(sqrt(count)): two tables of about sqrt(count) exponentials,
+    coarse[q] at q m step (carrying basis^dag psi) and fine[r] at (r + 1) step,
+    multiplied into the tail of the one phase buffer, block by block."""
+    step, count = grid
+    rate, coeff = -1j * energies, basis.conj().T @ psi
+    phases = np.empty((len(times) + count, energies.size), dtype=np.complex128)
+    head, tail = phases[:len(times)], phases[len(times):]
+    np.outer(times, rate, out=head)
+    np.exp(head, out=head)
+    head *= coeff
+    if count:
+        m = math.isqrt(count - 1) + 1
+        blocks, rest = divmod(count, m)
+        fine = np.exp(np.outer(np.arange(1, m + 1) * step, rate))
+        coarse = np.exp(np.outer(np.arange(blocks + (rest > 0)) * m * step, rate))
+        coarse *= coeff
+        np.multiply(coarse[:blocks, None], fine, out=tail[:blocks * m].reshape(blocks, m, -1))
+        np.multiply(coarse[blocks:], fine[:rest], out=tail[blocks * m:])
     return np.matmul(phases, basis.T, out=out)
 
 
@@ -164,26 +186,30 @@ def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     return states
 
 
-def _evolve_sectors(G: Operator, amps: np.ndarray, times,
-                    path: str = "times") -> tuple[np.ndarray, np.ndarray]:
+def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
+                    grid: tuple[float, int] = (0.0, 0)) -> tuple[np.ndarray, np.ndarray]:
     """(keep, states): the sorted indices of the components of G's sparsity
     graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
     every other amplitude is exactly 0 and a time of 0 returns amps[keep].
+    grid = (step, count) appends the rows at k step, k = 1..count, after the
+    times rows, their phases factored (see ``_eigen_states``).
     The components are found by one walk per reached component over the
     symmetrized pattern, a whole-space union on each call, and sliced from G
     once, in walk order, so no step labels or slices the whole space.
     G is trusted to be Hermitian, as every builder makes it.  Raises
     PropagationError on norm drift or, naming path, on times whose phases
-    carry no precision.
+    carry no precision, grid rows included.
     """
     times = np.asarray(times, dtype=float)
+    step, count = grid
+    every = np.concatenate((times, np.arange(1, count + 1) * step)) if count else times
     M = G.matrix
     # a float pattern: csgraph would drop the imaginary part of G
     pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
     pattern = pattern.maximum(pattern.T)  # the union: an entry stored on one side joins both
     sectors = _walk(pattern, np.flatnonzero(amps != 0))
     if not sectors:  # the zero state
-        return np.empty(0, dtype=np.intp), np.empty((times.size, 0), dtype=np.complex128)
+        return np.empty(0, dtype=np.intp), np.empty((every.size, 0), dtype=np.complex128)
     size = np.array([s.size for s in sectors])
     bounds = np.concatenate(([0], np.cumsum(size)))
     sector = np.repeat(np.arange(size.size), size)  # of every position
@@ -191,7 +217,7 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     rank = np.empty(M.shape[0], dtype=np.intp)
     rank[order] = np.arange(order.size)
     row, col, val = _entries(M, order, rank)
-    _check_phase_precision(np.bincount(row, np.abs(val)).max(initial=0.0), times, path)  # max|E|
+    _check_phase_precision(np.bincount(row, np.abs(val)).max(initial=0.0), every, path)  # max|E|
     first = np.searchsorted(row, bounds)  # entries of each sector, contiguous
 
     def beyond(width):  # sectors holding an entry more than width off the diagonal
@@ -219,23 +245,23 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times,
     up = col == row + 1
     np.add.at(hop, row[up], val[up])
     psi = amps[order]
-    states = np.empty((times.size, order.size), dtype=np.complex128)
+    states = np.empty((every.size, order.size), dtype=np.complex128)
     for k in range(size.size):
         pos = slice(bounds[k], bounds[k + 1])
         if not far[k] and size[k] <= CHAIN_SECTOR_LIMIT:
             _eigen_states(*_chain_eigh(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1]),
-                          psi[pos], times, states[:, pos])
+                          psi[pos], times, states[:, pos], grid)
             continue
         e = slice(first[k], first[k + 1])
         r, c = row[e] - bounds[k], col[e] - bounds[k]
         if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
             block = np.zeros((size[k], size[k]), dtype=np.complex128)
             np.add.at(block, (r, c), val[e])
-            _eigen_states(*np.linalg.eigh(block), psi[pos], times, states[:, pos])
+            _eigen_states(*np.linalg.eigh(block), psi[pos], times, states[:, pos], grid)
         else:
             block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
-            states[:, pos] = _expm_states(block, psi[pos], times)
-    states = _norm_checked(states, psi, times)
+            states[:, pos] = _expm_states(block, psi[pos], every)
+    states = _norm_checked(states, psi, every)
     sort = np.argsort(order)
     return order[sort], states[:, sort]
 

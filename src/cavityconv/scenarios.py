@@ -61,7 +61,8 @@ DEFAULT_TAU = 2e-4       # s
 FULL_VS_EFFECTIVE_C = 2.0
 
 # Leakage bound 10 (lambda/Delta)^2 holds at the documented default sampling
-# (101 points); a dense eigenbasis scan is reported alongside as
+# (101 points); a dense scan of DENSE_SCAN_POINTS uniform times from 0 to the
+# last time, appended as _evolve_sectors grid rows, is reported alongside as
 # max_leakage_dense because the continuous-time peak is slightly higher.
 LEAKAGE_BOUND_FACTOR = 10.0
 DENSE_SCAN_POINTS = 20001
@@ -539,13 +540,13 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig):
                           "params.lambda_a, params.lambda_b")
 
     # the full model on its reached sector, also at the dense diagnostic sweep
-    # that gives the continuous-time leakage envelope
+    # that gives the continuous-time leakage envelope: its grid rows, after the
+    # comparison times, at k step for k = 1..DENSE_SCAN_POINTS - 1
     n_rows = times.size
-    dense_ts = np.linspace(0.0, float(times[-1]), DENSE_SCAN_POINTS)[1:]
     keep, full = _evolve_sectors(h_full.at(0.0), basis_state(atom_space, "i", 1, 0).amplitudes,
-                                 np.concatenate([times, dense_ts]),
-                                 "times" if cfg.times else "params.omega_cl, params.lambda_a, "
-                                 "params.lambda_b, params.delta_big")
+                                 times, "times" if cfg.times else "params.omega_cl, "
+                                 "params.lambda_a, params.lambda_b, params.delta_big",
+                                 (float(times[-1]) / (DENSE_SCAN_POINTS - 1), DENSE_SCAN_POINTS - 1))
     # the i-level amplitudes: |i;1,0> and |i;0,1> are the only i states reached
     i_10, i_01 = (np.sum(full[:, keep == atom_space.flatten(atom_space.level_index("i"), *n)],
                          axis=1) for n in ((1, 0), (0, 1)))

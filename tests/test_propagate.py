@@ -734,10 +734,10 @@ def test_a_nan_amplitude_is_refused():
         evolve_td(labelled_bilinear(space, puc()), psi0, [0.0, 2e-4])
 
 
-def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
+def full_vs_effective_matches_per_time_dense_expm(monkeypatch, points):
     # every comparison row and the dense leakage scan from scratch: one
     # dense expm of the whole three-level and field spaces per time
-    monkeypatch.setattr("cavityconv.scenarios.DENSE_SCAN_POINTS", 401)
+    monkeypatch.setattr("cavityconv.scenarios.DENSE_SCAN_POINTS", points)
     doc = run_scenario({"scenario": "full_vs_effective", "truncation": [2, 2]},
                        check_convergence=False)
     params = puc(delta_small=resonance_delta(puc()))
@@ -761,8 +761,108 @@ def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
         assert abs(leak - (1.0 - cond.norm() ** 2)) < 1e-12
         assert abs(fid - fidelity(cond.normalized(), reduced)) < 1e-12
     dense_leak = max(1.0 - conditioned(t).norm() ** 2
-                     for t in np.linspace(0.0, rows[-1][0], 401)[1:])
+                     for t in np.linspace(0.0, rows[-1][0], points)[1:])
     assert abs(doc["metrics"]["max_leakage_dense"] - dense_leak) < 1e-12
+
+
+def test_full_vs_effective_matches_per_time_dense_expm(monkeypatch):
+    # the scan's 400 grid rows fill 20 blocks of 20: every block whole
+    full_vs_effective_matches_per_time_dense_expm(monkeypatch, 401)
+
+
+def test_full_vs_effective_matches_per_time_dense_expm_on_a_partial_block(monkeypatch):
+    # 440 grid rows in blocks of 21: the last block holds 20
+    full_vs_effective_matches_per_time_dense_expm(monkeypatch, 441)
+
+
+@pytest.mark.parametrize("params", [{}, {"delta_big": 1e8}])
+def test_dense_leakage_scan_covers_the_comparison_times(params):
+    # at the default 101 points every comparison time j t_end / 100 is also
+    # the dense point 200 j t_end / 20000, up to the rounding of the times
+    metrics = run_scenario({"scenario": "full_vs_effective", "params": params},
+                           check_convergence=False)["metrics"]
+    assert metrics["max_leakage_dense"] >= metrics["max_leakage"] - 1e-12
+
+
+def grid_cases():
+    """(generator, amps, times, branch): the full model's reached sector of
+    full_vs_effective, chains of two sectors and of many, the effective
+    model's components that are not paths, and the chains sent to
+    expm_multiply."""
+    params = puc(delta_small=resonance_delta(puc()))
+    full_space = make_space(3, 2, 2)
+    t_end = (math.pi / 2.0) / abs(effective_xi(params))
+    full = (full_puc_hamiltonian(full_space, params).at(0.0),
+            basis_state(full_space, "i", 1, 0).amplitudes, np.linspace(0.0, t_end, 101), "eigen")
+    chains = [(gen, psi0.amplitudes, times, "eigen") for gen, psi0, times in sector_cases()]
+    space = make_space(3, 3, 3)
+    effective = (effective_puc_hamiltonian(space, puc()).at(0.0),
+                 (basis_state(space, "g", 0, 1).amplitudes
+                  + basis_state(space, "g", 0, 3).amplitudes) / math.sqrt(2.0),
+                 np.array([0.0, 2e-5, 3e-4]), "eigen")
+    return [full, *chains, effective, (*chains[0][:3], "expm")]
+
+
+def grid_tolerance(max_energy, count, step):
+    """c eps (1 + max|E| count step) with c = 4: the factored and the direct
+    phases each carry rounding of order |E| t eps (at most 1.3 eps (1 + |E| t)
+    apart on the tables below, 0.44 on the states of grid_cases)."""
+    return 4.0 * np.finfo(float).eps * (1.0 + max_energy * count * step)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 9, 10, 400, 440, 20000])
+def test_grid_phase_table_matches_direct_exponentials(count):
+    # an identity basis and psi of ones return the phase table itself: the
+    # factored e^{-iE q m step} e^{-iE (r + 1) step} against np.exp of k step
+    # at phases up to 4.6e6 rad, the largest a documented run reaches
+    rng = np.random.default_rng(count)
+    step = 2e-4 / count
+    for phase in (1.0, 4.9e3, 4.6e6):
+        energies = np.concatenate(([0.0, phase, -phase], rng.uniform(-phase, phase, 5)))
+        energies /= count * step
+        table = propagate._eigen_states(energies, np.eye(8), np.ones(8), np.empty(0),
+                                        grid=(step, count))
+        direct = np.exp(np.outer(np.arange(1, count + 1) * step, -1j * energies))
+        assert table.shape == direct.shape
+        assert np.max(np.abs(table - direct)) <= grid_tolerance(np.max(np.abs(energies)),
+                                                                count, step)
+
+
+@pytest.mark.parametrize("case, count", [(case, count) for case in range(4)
+                                         for count in (9, 440, 20000)] + [(4, 9), (4, 10)])
+def test_grid_rows_match_the_concatenated_times(monkeypatch, case, count):
+    # max|E| bounded by the largest absolute row sum; the expm branch takes
+    # one exponential action per time, so it runs only the short grids
+    gen, amps, times, branch = grid_cases()[case]
+    if branch == "expm":
+        set_sector_limits(monkeypatch, 0)
+    step = 1.3 * times[-1] / count
+    keep, states = _evolve_sectors(gen, amps, times, grid=(step, count))
+    same, plain = _evolve_sectors(gen, amps, np.concatenate((times, np.arange(1, count + 1) * step)))
+    assert np.array_equal(keep, same) and states.shape == plain.shape
+    n = times.size
+    assert np.array_equal(states[:n], plain[:n])  # the times rows bit for bit
+    max_energy = np.max(np.abs(gen.matrix).sum(axis=1))
+    assert np.max(np.abs(states[n:] - plain[n:])) <= grid_tolerance(max_energy, count, step)
+    if branch == "expm":  # the same times, the same actions
+        assert np.array_equal(states, plain)
+
+
+def test_norm_drift_on_a_grid_row_is_refused(monkeypatch):
+    # a basis off by 1e-6: the only time, 0, returns psi0 untouched, so only
+    # the grid rows can drift
+    solve = propagate.eigh_tridiagonal
+
+    def off(*args):
+        energies, basis = solve(*args)
+        return energies, (1.0 + 1e-6) * basis
+
+    monkeypatch.setattr(propagate, "eigh_tridiagonal", off)
+    gen, psi0, _ = sector_cases()[0]
+    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0])
+    assert abs(np.linalg.norm(states[0]) - 1.0) < 1e-15
+    with pytest.raises(PropagationError, match="norm"):
+        _evolve_sectors(gen, psi0.amplitudes, [0.0], grid=(1e-5, 3))
 
 
 def test_constant_td_reproduces_static():
@@ -974,9 +1074,15 @@ def test_times_whose_phases_carry_no_precision_are_refused_before_any_solve(monk
     for t in (1.001 * edge, 1e300):
         with pytest.raises(PropagationError, match=r"^times: phases reach"):
             _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6, t])
+        # a grid whose last time alone is t, refused naming the given path
+        with pytest.raises(PropagationError, match=r"^params\.delta_big: phases reach"):
+            _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big", (t / 10, 10))
     assert calls == {"tridiagonal": 0, "eigh": 0, "expm": 0}
     _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0, 0.999 * edge])
     assert abs(np.linalg.norm(states[1]) - 1.0) < 1e-9
+    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big",
+                                (0.999 * edge / 10, 10))
+    assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-9
 
 
 def test_frame_phases_that_carry_no_precision_are_refused():
