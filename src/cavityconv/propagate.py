@@ -13,12 +13,16 @@ bilinear generators and of the full models, is ordered from one end; the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
 one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
 component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
-eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0),
-written in place; an appended uniform scan t = k step, k = 1..count, takes its
-phases from two tables of about sqrt(count) rows, so it costs about
-2 sqrt(count) exponentials per eigenvalue, not count.  A component above its
-limit takes one matrix-exponential action per time, on a fixed seed.  Each
-row's norm, scan rows included, is checked in one real pass.  Times whose
+eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0);
+an appended uniform scan t = k step, k = 1..count, takes its phases from two
+tables of about sqrt(count) rows, so it costs about 2 sqrt(count)
+exponentials per eigenvalue, not count, and is written block by block
+straight into the result, the coarse table folded into the eigenbasis, so
+no phase buffer of the scan exists.  A component above its limit takes one
+matrix-exponential action per time, on a fixed seed.  Every branch writes
+its columns into the one result array, in the walk order of the reached
+states, which is returned with it unsorted.  Each row's norm, scan rows
+included, is checked in one real pass.  Times whose
 phases carry no precision, their rounding
 |E| t eps exceeding a radian (|E| bounded by the largest absolute row sum),
 are refused.  Every oscillating Hamiltonian built here is static in a
@@ -133,45 +137,48 @@ def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, times,
-                  out: np.ndarray | None = None, grid: tuple[float, int] = (0.0, 0)) -> np.ndarray:
-    """Rows basis (e^{-i energies t} * basis^dag psi), one per time and then one
-    per grid time k step, k = 1..count for grid = (step, count), into out if given.
+                  out: np.ndarray, grid: tuple[float, int] = (0.0, 0)) -> None:
+    """Write into out the rows basis (e^{-i energies t} * basis^dag psi), one per
+    time and then one per grid time k step, k = 1..count for grid = (step, count).
 
-    The grid rows' phases are coarse[q] * fine[r] with k - 1 = q m + r and
-    m = ceil(sqrt(count)): two tables of about sqrt(count) exponentials,
-    coarse[q] at q m step (carrying basis^dag psi) and fine[r] at (r + 1) step,
-    multiplied into the tail of the one phase buffer, block by block."""
+    A grid row is fine[r] @ weighted[q] with k - 1 = q m + r: fine[r] holds the
+    phases at (r + 1) step and weighted[q] = coarse[q] basis^T the phases at
+    q m step times basis^dag psi, two tables of about sqrt(count) exponentials.
+    Each block of m rows is written straight into out, all whole blocks by one
+    batched product and a partial last block by one more, so the grid rows
+    have no phase buffer.  For n eigenvalues, m = max(ceil(sqrt(count)), 4 n)
+    keeps fine (m n entries) and weighted (ceil(count / m) n^2) each within
+    about a quarter of the count n grid entries whenever n <= count / 16."""
     step, count = grid
     rate, coeff = -1j * energies, basis.conj().T @ psi
-    phases = np.empty((len(times) + count, energies.size), dtype=np.complex128)
-    head, tail = phases[:len(times)], phases[len(times):]
-    np.outer(times, rate, out=head)
+    head = np.outer(times, rate)
     np.exp(head, out=head)
     head *= coeff
+    np.matmul(head, basis.T, out=out[:len(times)])
     if count:
-        m = math.isqrt(count - 1) + 1
+        m = max(math.isqrt(count - 1) + 1, 4 * energies.size)
         blocks, rest = divmod(count, m)
         fine = np.exp(np.outer(np.arange(1, m + 1) * step, rate))
         coarse = np.exp(np.outer(np.arange(blocks + (rest > 0)) * m * step, rate))
         coarse *= coeff
-        np.multiply(coarse[:blocks, None], fine, out=tail[:blocks * m].reshape(blocks, m, -1))
-        np.multiply(coarse[blocks:], fine[:rest], out=tail[blocks * m:])
-    return np.matmul(phases, basis.T, out=out)
+        weighted = coarse[:, :, None] * basis.T
+        tail = out[len(times):]
+        np.matmul(fine, weighted[:blocks], out=tail[:blocks * m].reshape(blocks, m, energies.size))
+        if rest:
+            np.matmul(fine[:rest], weighted[blocks], out=tail[blocks * m:])
 
 
-def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times) -> np.ndarray:
-    """Rows exp(-i block t) psi, one per time, each a seeded exponential action;
-    a time of 0 returns psi."""
-    states = np.empty((times.size, psi.size), dtype=np.complex128)
-    states[times == 0.0] = psi
+def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times, out: np.ndarray) -> None:
+    """Write into out the rows exp(-i block t) psi, one per time, each a seeded
+    exponential action; a time of 0 gives psi."""
+    out[times == 0.0] = psi
     caller = np.random.get_state()
     try:  # its norm estimates draw from NumPy's global generator: fix their draws
         for i in np.flatnonzero(times):
             np.random.seed(0)
-            states[i] = expm_multiply((-1j * times[i]) * block, psi)
+            out[i] = expm_multiply((-1j * times[i]) * block, psi)
     finally:
         np.random.set_state(caller)
-    return states
 
 
 def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
@@ -188,11 +195,14 @@ def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
 
 def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
                     grid: tuple[float, int] = (0.0, 0)) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states): the sorted indices of the components of G's sparsity
-    graph that amps reaches, and states[k] = (exp(-i G times[k]) amps)[keep];
-    every other amplitude is exactly 0 and a time of 0 returns amps[keep].
+    """(keep, states): the indices of the components of G's sparsity graph that
+    amps reaches, in the walk order their columns were computed in (not
+    sorted), and states[k, j] = (exp(-i G times[k]) amps)[keep[j]]; every other
+    amplitude is exactly 0 and a time of 0 returns amps[keep].
     grid = (step, count) appends the rows at k step, k = 1..count, after the
-    times rows, their phases factored (see ``_eigen_states``).
+    times rows, their phases factored (see ``_eigen_states``).  states is the
+    one array of (rows x reached) size the call makes: every branch writes its
+    sector's columns straight into it.
     The components are found by one walk per reached component over the
     symmetrized pattern, a whole-space union on each call, and sliced from G
     once, in walk order, so no step labels or slices the whole space.
@@ -260,21 +270,22 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
             _eigen_states(*np.linalg.eigh(block), psi[pos], times, states[:, pos], grid)
         else:
             block = sp.csr_matrix((val[e], (r, c)), shape=(size[k], size[k]))
-            states[:, pos] = _expm_states(block, psi[pos], every)
-    states = _norm_checked(states, psi, every)
-    sort = np.argsort(order)
-    return order[sort], states[:, sort]
+            _expm_states(block, psi[pos], every, states[:, pos])
+    return order, _norm_checked(states, psi, every)
 
 
 def _evolve_band(offset: int, upper: np.ndarray, start: int,
                  times) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states) as ``_evolve_sectors`` returns them for G = band + band^dag,
-    the band holding upper[j] at (j, j + offset), and the Fock state |start>.
+    """(keep, states) as ``_evolve_sectors`` returns them, keep ascending, for
+    G = band + band^dag, the band holding upper[j] at (j, j + offset), and the
+    Fock state |start>.
 
     |start> reaches the run start + j offset between the nearest zero hops
     upper[m] (from m to m + offset) on either side, found by index arithmetic;
     an offset of 0 has no hops.  The run is ordered from its bottom end, or
-    from the top end when |start> is there: descending, each hop conjugated.
+    from the top end when |start> is there: descending, each hop conjugated,
+    its eigenbasis rows (or its exponential actions' columns) then reversed
+    into keep's order, so the states are written once.
     Only the band is stored and G = band + band^dag by construction, so no
     Hermitian check, whole-space matrix or walk is needed.  Raises
     PropagationError as ``_evolve_sectors`` does.
@@ -295,14 +306,18 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int,
     if descending:  # 0.0 + clears the sign conj gives a zero imaginary part
         hops = 0.0 + hops[::-1].conj()
     psi = np.zeros(keep.size, dtype=np.complex128)
-    psi[0 if descending else np.searchsorted(keep, start)] = 1.0
+    psi[np.searchsorted(keep, start)] = 1.0
+    states = np.empty((len(times), keep.size), dtype=np.complex128)
     if keep.size <= CHAIN_SECTOR_LIMIT:
-        states = _eigen_states(*_chain_eigh(np.zeros(keep.size), hops), psi, times)
+        energies, basis = _chain_eigh(np.zeros(keep.size), hops)
+        if descending:  # its rows in keep's order, in the solver's memory layout,
+            basis = basis[::-1].copy(order="K")  # on which the product's last bits depend
+        _eigen_states(energies, basis, psi, times, states)
     else:  # the chain as the stored pattern holds it: no zero entry
         block = sp.diags([0.0 + hops.conj(), hops], [-1, 1], format="csr")
-        states = _expm_states(block, psi, times)
-    states = _norm_checked(states, psi, times)
-    return keep, np.ascontiguousarray(states[:, ::-1]) if descending else states
+        run = -1 if descending else 1  # the chain's direction along keep
+        _expm_states(block, psi[::run], times, states[:, ::run])
+    return keep, _norm_checked(states, psi, times)
 
 
 def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,13 @@ def sector_cases():
     ]
 
 
+def by_index(keep, states):
+    """(keep, states) of an evolution with keep sorted and the columns of
+    states permuted to match."""
+    order = np.argsort(keep)
+    return keep[order], states[:, order]
+
+
 def assert_matches_dense_expm(gen, psi0, times, keep, states):
     assert np.array_equal(keep, reached_components(gen.matrix, np.flatnonzero(psi0.amplitudes)))
     dense = gen.to_dense()
@@ -233,7 +241,7 @@ def counted_solvers(monkeypatch) -> dict:
 def test_sector_evolution_matches_dense_expm_on_both_sides_of_the_limit(monkeypatch, limit):
     set_sector_limits(monkeypatch, limit)
     for gen, psi0, times in sector_cases():
-        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
         assert_matches_dense_expm(gen, psi0, times, keep, states)
         assert np.array_equal(states[0], psi0.amplitudes[keep])  # t = 0 is returned as is
 
@@ -248,7 +256,7 @@ def test_chain_branch_makes_hops_of_any_phase_real(monkeypatch, params):
     psi0 = random_state(space, 2)
     times = np.array([0.0, 0.3, 1.1, 2.5]) / abs(xi)
     calls = counted_solvers(monkeypatch)
-    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
     assert calls["tridiagonal"] > 0 and calls["eigh"] == calls["expm"] == 0
     assert_matches_dense_expm(gen, psi0, times, keep, states)
 
@@ -280,7 +288,7 @@ def test_frame_generators_take_the_chain_branch_exactly_on_paths(monkeypatch, bu
     psi0 = random_state(space, 8)  # reaches every component
     times = np.array([0.0, 1e-7, 2e-6, 3e-5])
     calls = counted_solvers(monkeypatch)
-    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
     assert keep.size == space.total_dim
     assert calls["eigh"] == dense_calls and calls["expm"] == 0 and calls["tridiagonal"] > 0
     assert_matches_dense_expm(gen, psi0, times, keep, states)
@@ -331,7 +339,7 @@ def test_chain_branch_on_one_state_components(monkeypatch):
     calls = counted_solvers(monkeypatch)
     for gen, components in ((diagonal, 20), (beam_splitter, 8), (diagonal + beam_splitter, 8)):
         calls.update(dict.fromkeys(calls, 0))
-        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
         assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
         assert_matches_dense_expm(gen, psi0, times, keep, states)
         assert np.array_equal(states[0], psi0.amplitudes[keep])
@@ -427,7 +435,7 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
     times = np.array([0.0, 2e-4, 1e-3])
     calls = counted_solvers(monkeypatch)
     walks = counted_walks(monkeypatch)
-    keep, states_out = _evolve_sectors(gen, amps, times)
+    keep, states_out = by_index(*_evolve_sectors(gen, amps, times))
     assert_matches_dense_expm(gen, psi0, times, keep, states_out)
     if case in ("mid-path", "one-sided-path"):  # walked again from an end: one tridiagonal
         assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
@@ -435,6 +443,24 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
         assert set(states["path"]) | set(states["pair"]) == set(keep)
     # exactly one walk, over the symmetrized pattern
     assert len(walks) == 1 and (walks[0] != walks[0].T).nnz == 0
+
+
+def test_sector_columns_follow_keep_in_any_order():
+    # every component reached from a full support, its states scattered over
+    # the basis, so the walk order is not the index order: keep lists each
+    # reached state once, and column j holds the amplitude of keep[j]
+    for seed in (0, 1, 2):
+        gen, _ = scattered_generator(seed)
+        space = gen.space
+        amps = amplitudes_on(space, np.arange(space.total_dim), seed)
+        times = np.array([0.0, 2e-4, 1e-3])
+        keep, states = _evolve_sectors(gen, amps, times)
+        reached = reached_components(gen.matrix, np.flatnonzero(amps))
+        assert keep.size == reached.size and np.array_equal(np.sort(keep), reached)
+        dense = gen.to_dense()
+        for t, state in zip(times, states):
+            exact = scipy.linalg.expm(-1j * t * dense) @ amps
+            assert np.max(np.abs(state - exact[keep])) < 1e-12
 
 
 def test_program_paths_walk_once_per_evolution(monkeypatch):
@@ -514,14 +540,15 @@ def test_band_path_reproduces_the_sector_walk_bit_for_bit(monkeypatch, case, lim
     monkeypatch.setattr(propagate, "CHAIN_SECTOR_LIMIT", limit)
     params, truncation, fock = BAND_CASES[case]
     space = field_space(*truncation)
-    start, times = space.flatten(0, *fock), [0.0, 1e-4, 0.0, 3e-4]
-    np.random.seed(3)
-    keep, states = _evolve_sectors(reduced_bilinear_generator(space, params),
-                                   fock_state(space, *fock).amplitudes, times)
-    np.random.seed(3)
-    band_keep, band_states = _evolve_band(*_reduced_band(space, params), start, times)
-    assert start in (keep[0], keep[-1])
-    assert np.array_equal(band_keep, keep) and np.array_equal(band_states, states)
+    start = space.flatten(0, *fock)
+    for times in ([0.0, 1e-4, 0.0, 3e-4], [3e-4]):  # a product of many rows, and of one
+        np.random.seed(3)
+        keep, states = by_index(*_evolve_sectors(reduced_bilinear_generator(space, params),
+                                                 fock_state(space, *fock).amplitudes, times))
+        np.random.seed(3)
+        band_keep, band_states = _evolve_band(*_reduced_band(space, params), start, times)
+        assert start in (keep[0], keep[-1])
+        assert np.array_equal(band_keep, keep) and np.array_equal(band_states, states)
 
 
 def test_band_path_from_inside_its_run_matches_the_sector_walk():
@@ -529,8 +556,9 @@ def test_band_path_from_inside_its_run_matches_the_sector_walk():
     # path from its bottom end: the same states to round-off
     space, params = field_space(4, 4), resonant(puc(lambda_a=3e5 - 4e5j))
     for fock in ((1, 2), (2, 1), (1, 3)):
-        keep, states = _evolve_sectors(reduced_bilinear_generator(space, params),
-                                       fock_state(space, *fock).amplitudes, [0.0, 2e-4])
+        keep, states = by_index(*_evolve_sectors(reduced_bilinear_generator(space, params),
+                                                 fock_state(space, *fock).amplitudes,
+                                                 [0.0, 2e-4]))
         band_keep, band_states = _evolve_band(*_reduced_band(space, params),
                                                space.flatten(0, *fock), [0.0, 2e-4])
         assert space.flatten(0, *fock) not in (keep[0], keep[-1])
@@ -617,7 +645,7 @@ def test_two_photon_band_reproduces_the_sector_walk_bit_for_bit(coupling, kind, 
     for start in range(space.total_dim):
         amps = np.zeros(space.total_dim, dtype=np.complex128)
         amps[start] = 1.0
-        keep, states = _evolve_sectors(generator, amps, times)
+        keep, states = by_index(*_evolve_sectors(generator, amps, times))
         band_keep, band_states = _evolve_band(*_two_photon_band(space, params, kind),
                                                start, times)
         assert np.array_equal(band_keep, keep)
@@ -820,8 +848,9 @@ def test_grid_phase_table_matches_direct_exponentials(count):
     for phase in (1.0, 4.9e3, 4.6e6):
         energies = np.concatenate(([0.0, phase, -phase], rng.uniform(-phase, phase, 5)))
         energies /= count * step
-        table = propagate._eigen_states(energies, np.eye(8), np.ones(8), np.empty(0),
-                                        grid=(step, count))
+        table = np.empty((count, 8), dtype=np.complex128)
+        propagate._eigen_states(energies, np.eye(8), np.ones(8), np.empty(0), table,
+                                (step, count))
         direct = np.exp(np.outer(np.arange(1, count + 1) * step, -1j * energies))
         assert table.shape == direct.shape
         assert np.max(np.abs(table - direct)) <= grid_tolerance(np.max(np.abs(energies)),
@@ -863,6 +892,48 @@ def test_norm_drift_on_a_grid_row_is_refused(monkeypatch):
     assert abs(np.linalg.norm(states[0]) - 1.0) < 1e-15
     with pytest.raises(PropagationError, match="norm"):
         _evolve_sectors(gen, psi0.amplitudes, [0.0], grid=(1e-5, 3))
+
+
+def default_scan_call(monkeypatch):
+    """The (generator, amps, times, path, grid) of the default full_vs_effective run."""
+    calls = []
+    evolve_sectors = scenarios._evolve_sectors
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "_evolve_sectors",
+                  lambda *args: calls.append(args) or evolve_sectors(*args))
+        run_scenario({"scenario": "full_vs_effective"}, check_convergence=False)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("case", ["full_vs_effective", "wide_chain"])
+def test_a_grid_evolution_holds_one_array_of_its_rows(monkeypatch, case):
+    # the result is the one (rows x reached) array: no phase buffer of the grid
+    # rows and no reordered copy, so the traced peak stays within 1.5 of it.
+    # The wide chain has more states (100) than the sqrt(count) = 99 of its
+    # grid, where the block length follows the states, not the grid
+    if case == "full_vs_effective":
+        gen, amps, times, _, (step, count) = default_scan_call(monkeypatch)
+    else:
+        gen = reduced_bilinear_generator(field_space(99, 99), pdc())
+        amps = vacuum_state(gen.space).amplitudes
+        times, count = np.array([0.0, 1e-4]), 9801
+        step = 2e-4 / count
+    tracemalloc.start()
+    try:
+        keep, states = _evolve_sectors(gen, amps, times, grid=(step, count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (times.size + count, keep.size)
+    assert (case == "wide_chain") == (keep.size > math.isqrt(count - 1) + 1)
+    assert peak <= 1.5 * states.shape[0] * keep.size * 16
+    same, plain = _evolve_sectors(gen, amps, np.concatenate((times, np.arange(1, count + 1) * step)))
+    assert np.array_equal(keep, same)
+    assert np.array_equal(states[:times.size], plain[:times.size])
+    max_energy = np.max(np.abs(gen.matrix).sum(axis=1))
+    assert (np.max(np.abs(states[times.size:] - plain[times.size:]))
+            <= grid_tolerance(max_energy, count, step))
 
 
 def test_constant_td_reproduces_static():
