@@ -367,10 +367,12 @@ def profile_squeezing_factor(
         if tau is None or tau <= 0.0:
             raise ValueError("flat profile needs an explicit positive tau")
         return 2.0 * xi_abs * tau
-    # integral_0^tau exp(-2 alpha^2 (t/tau - 1/2)^2) dt in closed form
-    alpha = traversal.alpha
-    integral = traversal.tau * math.sqrt(math.pi / 2.0) * math.erf(alpha / math.sqrt(2.0)) / alpha
-    return 2.0 * xi_abs * integral
+    return 2.0 * xi_abs * _crossing_integral(traversal.alpha, traversal.tau)
+
+
+def _crossing_integral(alpha: float, tau: float) -> float:
+    """integral_0^tau exp(-2 alpha^2 (t/tau - 1/2)^2) dt in closed form."""
+    return tau * math.sqrt(math.pi / 2.0) * math.erf(alpha / math.sqrt(2.0)) / alpha
 
 
 def fit_traversal_alpha(
@@ -379,23 +381,41 @@ def fit_traversal_alpha(
     tau: float,
     target_r: float,
 ) -> float:
-    """Root-find the path-to-waist ratio alpha so that the profile-averaged
-    squeezing factor at crossing time tau equals target_r.
+    """The path-to-waist ratio alpha in [1e-3, 50] at which the
+    profile-averaged squeezing factor at crossing time tau equals target_r.
 
-    r(alpha) decreases monotonically from the flat-profile value 2|xi|tau;
-    target_r must lie strictly below it.
+    r(alpha) = 2 |xi| tau sqrt(pi/2) erf(alpha / sqrt 2) / alpha, the closed
+    form ``profile_squeezing_factor`` evaluates, decreases from the flat value
+    2 |xi| tau; it is bisected on floats until the bracket ends are adjacent,
+    and the end whose r is nearer target_r is returned.  target_r must lie in
+    (0, flat), and within [r(50), r(1e-3)], about (0.0251, 1 - 1.7e-7) x flat,
+    to be reached; waist_w must be positive but does not enter r.
     """
-    from scipy.optimize import brentq
-
     flat = profile_squeezing_factor(params, tau=tau)
     if not 0.0 < target_r < flat:
         raise ValueError(
             f"target_r must lie in (0, {flat}) for these parameters, got {target_r}"
         )
+    if not waist_w > 0.0:
+        raise ValueError("waist_w must be positive")
+    scale = 2.0 * abs(effective_xi(params))  # rounded as profile_squeezing_factor rounds it
 
-    def gap(alpha: float) -> float:
-        spec = TraversalSpec(waist_w=waist_w, alpha=alpha, tau=tau)
-        return profile_squeezing_factor(params, spec) - target_r
+    def r(alpha: float) -> float:
+        return scale * _crossing_integral(alpha, tau)
 
-    # alpha from a nearly flat crossing (1e-3) to one 50 waists long
-    return float(brentq(gap, 1e-3, 50.0, xtol=1e-13, rtol=1e-14))
+    lo, hi = 1e-3, 50.0  # from a nearly flat crossing to one 50 waists long
+    r_lo, r_hi = r(lo), r(hi)
+    if not r_hi <= target_r <= r_lo:
+        raise ValueError(
+            f"target_r must lie in [{r_hi}, {r_lo}], the r of alpha in "
+            f"[{lo}, {hi}], for these parameters, got {target_r}"
+        )
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        r_mid = r(mid)
+        if r_mid > target_r:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(r_lo - target_r) <= abs(r_hi - target_r) else hi

@@ -44,12 +44,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
 from .hilbert import Operator, StateVector, _band_operator
+
+# LAPACK's real tridiagonal divide and conquer, the solver eigh_tridiagonal
+# runs for select='a' after its Python-side checks: (E, V, info) = _stevd(d, e)
+_stevd, = get_lapack_funcs(("stevd",), (np.zeros(1),))
 
 # Largest norm change a static evolution accepts in any returned state.
 STATIC_NORM_DRIFT_LIMIT = 1e-9
@@ -130,8 +134,13 @@ def _check_phase_precision(scale: float, times, path: str) -> None:
 def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E, UV) with G = (UV) E (UV)^dag for the chain G with real diagonal and
     hops G[k, k + 1] = hops[k]: the gauge u_{k+1} = u_k conj(h_k) / |h_k|
-    makes the hops real, and one real tridiagonal eigensolve gives E and V."""
-    energies, basis = eigh_tridiagonal(diagonal, np.abs(hops))
+    makes the hops real, and one real tridiagonal eigensolve gives E and V.
+    The inputs are not checked for finiteness: every caller has refused a
+    non-finite chain in ``_check_phase_precision`` already."""
+    # ?stevd takes max(n - 1, 1) off-diagonal entries: a one-state chain has none
+    energies, basis, info = _stevd(diagonal, np.abs(hops) if hops.size else np.zeros(1))
+    if info:
+        raise PropagationError(f"the tridiagonal eigensolve failed (LAPACK ?stevd info {info})")
     gauge = np.exp(-1j * np.concatenate(([0.0], np.cumsum(np.angle(hops)))))
     return energies, gauge[:, None] * basis
 

@@ -520,14 +520,33 @@ def bisect_alpha(target, tau):
     return 0.5 * (lo + hi)
 
 
-def test_fitted_alpha_against_closed_form_oracle():
+# targets across the bracket, the first and last at alpha just inside its ends
+FIT_TARGETS = [closed_form_r(1.001e-3, 2e-4), 1.3, 1.0, 0.51, 0.1, closed_form_r(49.99, 2e-4)]
+
+
+@pytest.mark.parametrize("target", FIT_TARGETS,
+                         ids=["alpha_1.001e-3", "1.3", "1.0", "0.51", "0.1", "alpha_49.99"])
+def test_fitted_alpha_against_closed_form_oracle(target):
     params = degenerate_params()
-    alpha = fit_traversal_alpha(params, 0.6, 2e-4, 0.51)
-    oracle = bisect_alpha(0.51, 2e-4)
-    assert alpha == pytest.approx(oracle, abs=1e-9)
-    assert alpha == pytest.approx(3.4, abs=0.05)   # expected scale of the fit
+    alpha = fit_traversal_alpha(params, 0.6, 2e-4, target)
+    oracle = bisect_alpha(target, 2e-4)
+    assert alpha == pytest.approx(oracle, abs=1e-11)
     spec = TraversalSpec(waist_w=0.6, alpha=alpha, tau=2e-4)
-    assert profile_squeezing_factor(params, spec) == pytest.approx(0.51, abs=1e-10)
+    # the fit bisects the closed form the library evaluates: it gives the
+    # target back to within its rounding (brentq left 0.51 at 0.5100000000000008)
+    assert abs(profile_squeezing_factor(params, spec) - target) <= 2 * math.ulp(target)
+
+
+def test_default_fit_scale():
+    alpha = fit_traversal_alpha(degenerate_params(), 0.6, 2e-4, 0.51)
+    assert alpha == pytest.approx(3.4, abs=0.05)   # expected scale of the fit
+
+
+@pytest.mark.parametrize("target", [0.01, 1.3719999], ids=["below_reach", "above_reach"])
+def test_target_out_of_the_brackets_reach_names_the_reachable_interval(target):
+    # inside (0, flat) = (0, 1.372) but outside [r(50), r(1e-3)]
+    with pytest.raises(ValueError, match=r"must lie in \[0\.0343\d*, 1\.3719997\d*\]"):
+        fit_traversal_alpha(degenerate_params(), 0.6, 2e-4, target)
 
 
 def test_profile_consistency_at_longer_crossing():

@@ -230,8 +230,7 @@ def counted_solvers(monkeypatch) -> dict:
             return solver(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(propagate, "eigh_tridiagonal",
-                        counted("tridiagonal", propagate.eigh_tridiagonal))
+    monkeypatch.setattr(propagate, "_stevd", counted("tridiagonal", propagate._stevd))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(propagate, "expm_multiply", counted("expm", propagate.expm_multiply))
     return calls
@@ -695,17 +694,17 @@ def test_forced_norm_drift_raises(monkeypatch, limit):
     # the beam splitter's sectors are paths; the effective model's g/e
     # components are not, so it also reaches the dense eigh below the limit
     set_sector_limits(monkeypatch, limit)
-    eigh, eigh_tridiagonal = np.linalg.eigh, propagate.eigh_tridiagonal
+    eigh, stevd = np.linalg.eigh, propagate._stevd
     expm_multiply = propagate.expm_multiply
 
-    def inflated(solver):
+    def inflated(solver):  # eigh returns (E, V), the LAPACK handle (E, V, info)
         def solve(*args):
-            energies, basis = solver(*args)
-            return energies, (1.0 + 1e-6) * basis
+            energies, basis, *info = solver(*args)
+            return energies, (1.0 + 1e-6) * basis, *info
         return solve
 
     monkeypatch.setattr(np.linalg, "eigh", inflated(eigh))
-    monkeypatch.setattr(propagate, "eigh_tridiagonal", inflated(eigh_tridiagonal))
+    monkeypatch.setattr(propagate, "_stevd", inflated(stevd))
     monkeypatch.setattr(propagate, "expm_multiply", lambda a, v: (1.0 + 1e-6) * expm_multiply(a, v))
     gen, psi0, times = sector_cases()[0]
     with pytest.raises(PropagationError, match="norm"):
@@ -726,7 +725,7 @@ def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
         space = field_space(4, 4)
         gen = reduced_bilinear_generator(space, puc())
         kept, drifted, size = fock_state(space, 1, 0), fock_state(space, 2, 1), 4
-        owner, name = propagate, "eigh_tridiagonal"
+        owner, name = propagate, "_stevd"
     else:  # two of the effective model's components that are not paths
         space = make_space(3, 3, 3)
         gen = effective_puc_hamiltonian(space, puc()).at(0.0)
@@ -734,10 +733,10 @@ def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
         owner, name = np.linalg, "eigh"
     solve, sizes = getattr(owner, name), []
 
-    def off(*args):
-        energies, basis = solve(*args)
+    def off(*args):  # eigh returns (E, V), the LAPACK handle (E, V, info)
+        energies, basis, *info = solve(*args)
         sizes.append(energies.size)
-        return energies, (1.0 + 1e-8) * basis if energies.size == size else basis
+        return energies, (1.0 + 1e-8) * basis if energies.size == size else basis, *info
 
     monkeypatch.setattr(owner, name, off)
     psi0 = drifted.amplitudes
@@ -747,6 +746,29 @@ def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
     with pytest.raises(PropagationError, match="norm"):
         _evolve_sectors(gen, psi0, times)
     assert size in sizes and (case != "one_of_two_sectors" or len(set(sizes)) == 2)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("times", [[0.0, 1.0], [0.0]], ids=["0_and_1", "0_only"])
+def test_a_non_finite_chain_never_reaches_the_eigensolver(monkeypatch, value, times):
+    # the LAPACK handle gets no finiteness check: the phase-precision refusal
+    # sees a non-finite hop or diagonal first, even when every time is 0
+    # (where inf * 0 makes the phase NaN, with numpy's invalid-value warning)
+    calls = []
+    monkeypatch.setattr(propagate, "_stevd", lambda *args: calls.append(args))
+    space = field_space(4, 4)
+    one, other = space.flatten(0, 1, 0), space.flatten(0, 0, 1)  # the n_a + n_b = 1 sector
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(PropagationError, match="phases"):
+            _evolve_band(1, np.array([1.0, value, 1.0]), 0, times)
+        # its hop and the conjugate, or a diagonal entry
+        for entries in ([(one, other), (other, one)], [(one, one)]):
+            M = reduced_bilinear_generator(space, puc()).matrix.tolil()
+            for r, c in entries:
+                M[r, c] = value
+            with pytest.raises(PropagationError, match="phases"):
+                _evolve_sectors(Operator(space, M), fock_state(space, 1, 0).amplitudes, times)
+    assert calls == []
 
 
 def test_a_nan_amplitude_is_refused():
@@ -880,13 +902,13 @@ def test_grid_rows_match_the_concatenated_times(monkeypatch, case, count):
 def test_norm_drift_on_a_grid_row_is_refused(monkeypatch):
     # a basis off by 1e-6: the only time, 0, returns psi0 untouched, so only
     # the grid rows can drift
-    solve = propagate.eigh_tridiagonal
+    solve = propagate._stevd
 
     def off(*args):
-        energies, basis = solve(*args)
-        return energies, (1.0 + 1e-6) * basis
+        energies, basis, info = solve(*args)
+        return energies, (1.0 + 1e-6) * basis, info
 
-    monkeypatch.setattr(propagate, "eigh_tridiagonal", off)
+    monkeypatch.setattr(propagate, "_stevd", off)
     gen, psi0, _ = sector_cases()[0]
     _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0])
     assert abs(np.linalg.norm(states[0]) - 1.0) < 1e-15

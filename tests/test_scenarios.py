@@ -4,7 +4,10 @@ import importlib
 import io
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -747,6 +750,12 @@ VALIDATION_CASES = [
     # preconditions of the scenario bodies
     bad_config("fit_target_r", "options.fit_target_r", "gaussian_profile",
                options={"fit_target_r": 5}),
+    # below r(alpha = 50) = 0.0344 and above r(alpha = 1e-3) = 1.37199977, yet
+    # inside (0, 2 |xi| tau) = (0, 1.372): no crossing in the bracket reaches them
+    bad_config("fit_target_r-below_reach", "options.fit_target_r", "gaussian_profile",
+               options={"fit_target_r": 0.01}),
+    bad_config("fit_target_r-above_reach", "options.fit_target_r", "gaussian_profile",
+               options={"fit_target_r": 1.3719999}),
     bad_config("alpha", "traversal.alpha", "gaussian_profile", traversal={"alpha": -1}),
     bad_config("wigner_scan-grid_points", "options.grid_points", "wigner_scan",
                options={"grid_points": 0}),
@@ -878,13 +887,13 @@ def test_cli_maps_vanishing_xi_to_validation_exit(tmp_path, capsys, config, fiel
 
 
 def test_convergence_passes_a_refusal_naming_no_field_through_unchanged(monkeypatch):
-    solve = propagate.eigh_tridiagonal
+    solve = propagate._stevd
 
     def inflated(*args):
-        energies, basis = solve(*args)
-        return energies, (1.0 + 1e-6) * basis
+        energies, basis, info = solve(*args)
+        return energies, (1.0 + 1e-6) * basis, info
 
-    monkeypatch.setattr(propagate, "eigh_tridiagonal", inflated)
+    monkeypatch.setattr(propagate, "_stevd", inflated)
     with pytest.raises(propagate.PropagationError) as drifted:
         run_scenario({"scenario": "convergence"})
     assert drifted.value.path is None
@@ -986,6 +995,33 @@ def test_cli_builds_its_parser_once(monkeypatch, capsys):
         assert cli_main(["list-scenarios"]) == 0
     assert not built
     assert isinstance(cli.build_parser(), argparse.ArgumentParser) and built
+
+
+# run in a fresh interpreter, so that no other test's imports count
+DEFAULT_RUNS_IMPORTS = """
+import json, sys
+from pathlib import Path
+from cavityconv import cli, scenarios
+out = Path(sys.argv[1])
+for name in sorted(scenarios.SCENARIOS):
+    cfg = out / f"{name}.json"
+    cfg.write_text(json.dumps({"scenario": name}))
+    for flags in ([], ["--no-converge-check"]):
+        assert cli.main(["run", str(cfg), "--out", str(out / f"{name}.out.json"), *flags]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.optimize"))))
+"""
+
+
+def test_default_runs_never_import_scipy_optimize(tmp_path):
+    # the crossing fit bisects its closed form, and scipy.optimize's import
+    # alone costs a cold gaussian_profile run ~0.16 s and ~15 MB
+    src = str(Path(cavityconv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", DEFAULT_RUNS_IMPORTS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
 
 
 def test_cli_convergence_sweep_csv(tmp_path, capsys):
