@@ -124,7 +124,12 @@ def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
 
 def _check_phase_precision(scale: float, times, path: str) -> None:
     """Refuse times at which phases up to scale * |t| carry no precision: their
-    rounding, scale * max|t| * eps, exceeds a radian.  path names the times."""
+    rounding, scale * max|t| * eps, exceeds a radian.  path names the times.
+    A non-finite scale is refused first, naming no field: it comes from a
+    non-finite generator, which no config builds."""
+    if not math.isfinite(scale):
+        raise PropagationError(f"the generator has a non-finite entry on the reached "
+                               f"states (largest row sum {scale})")
     phase = scale * np.max(np.abs(times), initial=0.0)
     if not phase * np.finfo(float).eps <= 1.0:
         raise PropagationError(f"phases reach {phase:.3e} rad, whose rounding alone "

@@ -20,10 +20,14 @@ by the Ramsey phase choice above.
 
 A scan costs per distinct eta of each mode, not per grid point.  Each mode's
 truncated displacement comes from one real tridiagonal eigensystem of
-l + l^dag, and every readout above is a separable form
-sum_jk w(j) w(k) |Phi_jk|^2 of the displaced amplitudes Phi = D_a psi D_b^T:
-parity weights (-1)^n for the Wigner value, weights 1 and e^{i phi n} for
-the probe populations.
+l + l^dag; when both modes have the same truncation and the same distinct
+etas, as in every symmetric scan, mode b is displaced by mode a's matrices.
+Every readout above is a separable form sum_jk w(j) w(k) |Phi_jk|^2 of the
+displaced amplitudes Phi = D_a psi D_b^T: parity weights (-1)^n for the
+Wigner value, weights 1 and e^{i phi n} for the probe populations.  It is
+read out by batched contractions with no loop over the grid: per weight one
+product per mode over all its distinct etas, and one batched matrix-vector
+product for the table over all pairs of them.
 """
 
 from __future__ import annotations
@@ -115,7 +119,9 @@ def _mode_displacements(n_max: int, etas: np.ndarray, mode: str) -> np.ndarray:
 
 def _checked_displacements(state: StateVector, points) -> tuple:
     """Amplitude array, per-mode displacements of the distinct etas and each
-    point's index into them.
+    point's index into them.  Mode b reuses mode a's matrices when both modes
+    have the same truncation and the same distinct etas, as in every
+    symmetric scan.
 
     Raises TruncationError for the first point, in the given order, whose
     displacement leaves more than TAIL_LIMIT in the top Fock level of a
@@ -126,23 +132,26 @@ def _checked_displacements(state: StateVector, points) -> tuple:
     space = state.space
     psi = state.amplitudes.reshape(space.shape)
     etas = np.array(points, dtype=complex).reshape(-1, 2)
+    (distinct_a, row), (distinct_b, col) = (np.unique(etas[:, axis], return_inverse=True)
+                                            for axis in (0, 1))
+    d_a = _mode_displacements(space.n_max_a, distinct_a, "a")
+    if space.n_max_b == space.n_max_a and np.array_equal(distinct_b, distinct_a):
+        d_b = d_a
+    else:
+        d_b = _mode_displacements(space.n_max_b, distinct_b, "b")
     tail = np.zeros(len(etas))
-    modes = []
-    for axis, (mode, n_max) in enumerate((("a", space.n_max_a), ("b", space.n_max_b))):
-        distinct, index = np.unique(etas[:, axis], return_inverse=True)
-        d = _mode_displacements(n_max, distinct, mode)
-        edge = d[:, n_max, :] @ psi if axis == 0 else psi @ d[:, n_max, :].T
+    for axis, (d, distinct, index) in enumerate(((d_a, distinct_a, row), (d_b, distinct_b, col))):
+        edge = d[:, -1, :] @ psi if axis == 0 else psi @ d[:, -1, :].T
         # (levels, distinct, dim_b) on mode a, (levels, dim_a, distinct) on mode b
         mode_tail = np.sum(np.abs(edge) ** 2, axis=(0, 2 - axis))
         tail += np.where(distinct != 0.0, mode_tail, 0.0)[index]
-        modes.append((d, index))
     over = np.flatnonzero(tail > TAIL_LIMIT)
     if over.size:
         raise TruncationError(
             f"displacement left {tail[over[0]]:.3e} probability at the truncation edge "
             f"(limit {TAIL_LIMIT}); enlarge n_max or shrink |eta|"
         )
-    return psi, *modes
+    return psi, (d_a, row), (d_b, col)
 
 
 def _separable_readout(state: StateVector, points, weights) -> np.ndarray:
@@ -151,25 +160,20 @@ def _separable_readout(state: StateVector, points, weights) -> np.ndarray:
     levels); shape (len(weights), points).
 
     The sum is sum_{nn'} C_{nn'} E_{nn'} with C = sum_l A_l^T diag(w) A_l^*,
-    A = D_a psi, and E = D_b^T diag(w) D_b^*, which does not depend on psi:
-    one C per distinct eta_a, one E per distinct eta_b, and each eta_a row of
-    the scan one product with the E's that row needs.
+    A = D_a psi, and E = D_b^T diag(w) D_b^*, which does not depend on psi.
+    Every A is one batched product, and per weight every C and every E one
+    more; one batched matrix-vector product then gives the table of sums over
+    all pairs of distinct etas, and each point reads its entry.
     """
     psi, (d_a, row), (d_b, col) = _checked_displacements(state, points)
     levels, dim_a, dim_b = psi.shape
-    w_a = [np.tile(w(np.arange(dim_a)), levels) for w in weights]
-    forms = [
-        ((np.swapaxes(d_b, 1, 2) * w(np.arange(dim_b))) @ d_b.conj()).reshape(len(d_b), -1)
-        for w in weights
-    ]
+    amps = np.matmul(d_a[:, None], psi).reshape(len(d_a), levels * dim_a, dim_b)
     out = np.empty((len(weights), len(row)), dtype=complex)
-    rows = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
-    for d, at in zip(d_a, rows):
-        amps = (d @ psi).reshape(levels * dim_a, dim_b)
-        needed, back = np.unique(col[at], return_inverse=True)
-        for f, (w, form) in enumerate(zip(w_a, forms)):
-            c = (amps.T * w) @ amps.conj()
-            out[f, at] = (form[needed] @ c.ravel())[back]
+    for f, w in enumerate(weights):
+        c = (np.swapaxes(amps, 1, 2) * np.tile(w(np.arange(dim_a)), levels)) @ amps.conj()
+        c = c.reshape(len(d_a), -1, 1)
+        form = ((np.swapaxes(d_b, 1, 2) * w(np.arange(dim_b))) @ d_b.conj()).reshape(len(d_b), -1)
+        out[f] = np.matmul(form, c)[row, col, 0]
     return out
 
 

@@ -5,8 +5,9 @@ parts, with the element-wise rotating frame solved from their nonzeros;
 full-space state maps (ladder shifts of the
 amplitude array, operator action and expectation, atom embedding, diagonal
 frame changes, index unflattening) that the library no longer needs; the
-random states they are compared on; and the whole-graph labelling of the
-sectors a state reaches."""
+random states they are compared on; the whole-graph labelling of the
+sectors a state reaches; and the Wigner readout's loop over the scan's
+eta_a rows, which batched contractions replaced."""
 
 import cmath
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from cavityconv.hilbert import (
     number_operator,
 )
 from cavityconv.propagate import FRAME_RTOL, PropagationError
+from cavityconv.tomography import _checked_displacements
 
 
 def assert_identical(got: Operator, reference) -> None:
@@ -325,3 +327,25 @@ def reached_components(matrix: sp.spmatrix, support: np.ndarray) -> np.ndarray:
     graph of matrix that meet support, labelled over the whole space."""
     _, label = connected_components(matrix != 0, directed=False)
     return np.flatnonzero(np.isin(label, label[support]))
+
+
+def separable_readout_by_rows(state: StateVector, points, weights) -> np.ndarray:
+    """``tomography._separable_readout`` one eta_a row at a time: per row and
+    weight one C = A^T diag(w) A^* and one product with the E's of the
+    distinct eta_b that row needs."""
+    psi, (d_a, row), (d_b, col) = _checked_displacements(state, points)
+    levels, dim_a, dim_b = psi.shape
+    w_a = [np.tile(w(np.arange(dim_a)), levels) for w in weights]
+    forms = [
+        ((np.swapaxes(d_b, 1, 2) * w(np.arange(dim_b))) @ d_b.conj()).reshape(len(d_b), -1)
+        for w in weights
+    ]
+    out = np.empty((len(weights), len(row)), dtype=complex)
+    rows = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
+    for d, at in zip(d_a, rows):
+        amps = (d @ psi).reshape(levels * dim_a, dim_b)
+        needed, back = np.unique(col[at], return_inverse=True)
+        for f, (w, form) in enumerate(zip(w_a, forms)):
+            c = (amps.T * w) @ amps.conj()
+            out[f, at] = (form[needed] @ c.ravel())[back]
+    return out

@@ -751,23 +751,25 @@ def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
 @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
 @pytest.mark.parametrize("times", [[0.0, 1.0], [0.0]], ids=["0_and_1", "0_only"])
 def test_a_non_finite_chain_never_reaches_the_eigensolver(monkeypatch, value, times):
-    # the LAPACK handle gets no finiteness check: the phase-precision refusal
-    # sees a non-finite hop or diagonal first, even when every time is 0
-    # (where inf * 0 makes the phase NaN, with numpy's invalid-value warning)
+    # the LAPACK handle gets no finiteness check: the phase-precision check
+    # refuses a non-finite hop or diagonal first, even when every time is 0
+    # (where inf * 0 would make the phase NaN), naming the generator and no field
     calls = []
     monkeypatch.setattr(propagate, "_stevd", lambda *args: calls.append(args))
     space = field_space(4, 4)
     one, other = space.flatten(0, 1, 0), space.flatten(0, 0, 1)  # the n_a + n_b = 1 sector
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(PropagationError, match="phases"):
-            _evolve_band(1, np.array([1.0, value, 1.0]), 0, times)
-        # its hop and the conjugate, or a diagonal entry
-        for entries in ([(one, other), (other, one)], [(one, one)]):
-            M = reduced_bilinear_generator(space, puc()).matrix.tolil()
-            for r, c in entries:
-                M[r, c] = value
-            with pytest.raises(PropagationError, match="phases"):
-                _evolve_sectors(Operator(space, M), fock_state(space, 1, 0).amplitudes, times)
+    refusal = "^the generator has a non-finite entry on the reached states"
+    with pytest.raises(PropagationError, match=refusal) as raised:
+        _evolve_band(1, np.array([1.0, value, 1.0]), 0, times)
+    assert raised.value.path is None
+    # its hop and the conjugate, or a diagonal entry
+    for entries in ([(one, other), (other, one)], [(one, one)]):
+        M = reduced_bilinear_generator(space, puc()).matrix.tolil()
+        for r, c in entries:
+            M[r, c] = value
+        with pytest.raises(PropagationError, match=refusal) as raised:
+            _evolve_sectors(Operator(space, M), fock_state(space, 1, 0).amplitudes, times)
+        assert raised.value.path is None
     assert calls == []
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cavityconv import tomography
 from cavityconv.hamiltonians import (
     PhysicalParams,
     ProcessKind,
@@ -26,12 +27,14 @@ from cavityconv.observables import (
     tmsv_analytic,
 )
 from cavityconv.propagate import evolve_static
+from cavityconv.scenarios import run_scenario
 from cavityconv.tomography import (
     TAIL_LIMIT,
     PhaseSpaceGrid,
     TruncationError,
     _mode_displacements,
     _scan,
+    _separable_readout,
     displace,
     parity_pulse_time,
     probe_protocol,
@@ -43,6 +46,7 @@ from oracles import (
     expectation,
     parity_operator,
     quadrature_operator,
+    separable_readout_by_rows,
 )
 
 TWO_MODE_NORM = 4.0 / math.pi**2
@@ -284,6 +288,87 @@ def test_one_scan_readout_gives_both_scans_bit_for_bit(grid_points):
         # the origin read off the scan and on its own differ in the summation order only
         origin = wigner_direct(psi, PhaseSpaceGrid(((0.0, 0.0),)))[0]
         assert direct[-1] == pytest.approx(origin, rel=0.0, abs=1e-15)
+
+
+SCAN_WEIGHTS = [lambda n: (-1.0) ** n, np.ones_like, lambda n: np.exp(1j * math.pi * n)]
+
+
+def scan_states(space):
+    return (vacuum_state(space), fock_state(space, 1, 0),
+            tmsv_analytic(TmsvSpec(squeeze_param=0.68), space))
+
+
+@pytest.mark.parametrize("truncation", [(30, 30), (34, 34), (30, 26)])
+@pytest.mark.parametrize("grid_points", [4, 5, 8, 9])
+def test_batched_readout_equals_the_row_loop_bit_for_bit_on_cartesian_grids(truncation,
+                                                                            grid_points):
+    axis = np.linspace(-1.0, 1.0, grid_points)
+    points = PhaseSpaceGrid.two_mode_real(axis, axis).points
+    for psi in scan_states(field_space(*truncation)):
+        got = _separable_readout(psi, points, SCAN_WEIGHTS)
+        want = separable_readout_by_rows(psi, points, SCAN_WEIGHTS)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+_SCATTERED = np.random.default_rng(23).uniform(-0.6, 0.6, (2, 30, 2)) @ [1.0, 1j]
+NON_PRODUCT_POINTS = {
+    "diagonal": tuple((x, 0.7 * x) for x in np.linspace(-0.9, 0.9, 41)),
+    "complex": tuple(zip(*_SCATTERED)),
+    "repeated": ((0.3, 0.3), (0.3, 0.3), (-0.2j, 0.3), (0.0, 0.0), (0.3, -0.2j), (0.3, 0.3)),
+    "origin": ((0.0, 0.0),),
+}
+
+
+@pytest.mark.parametrize("points", list(NON_PRODUCT_POINTS.values()), ids=list(NON_PRODUCT_POINTS))
+def test_batched_readout_equals_the_row_loop_on_non_product_points(points):
+    # a row of the loop multiplies only the E's it needs, the table all of
+    # them; with another matrix shape BLAS may sum an entry's (n_max_b+1)^2
+    # terms in another order, a few ulp of the readout (<= 1) apart
+    for psi in scan_states(field_space(30, 30)):
+        got = _separable_readout(psi, points, SCAN_WEIGHTS)
+        want = separable_readout_by_rows(psi, points, SCAN_WEIGHTS)
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+
+
+def count_displacement_sets(monkeypatch):
+    made, real = [], tomography._mode_displacements
+    monkeypatch.setattr(tomography, "_mode_displacements",
+                        lambda n_max, etas, mode: made.append(mode) or real(n_max, etas, mode))
+    return made
+
+
+@pytest.mark.parametrize("truncation, axis_b, modes", [
+    ((30, 30), np.linspace(-1.0, 1.0, 5), ["a"]),
+    ((30, 26), np.linspace(-1.0, 1.0, 5), ["a", "b"]),
+    ((30, 30), np.linspace(-0.8, 0.8, 5), ["a", "b"]),
+    ((30, 30), np.linspace(-1.0, 1.0, 4), ["a", "b"]),
+], ids=["symmetric", "lopsided_truncation", "other_eta_b", "fewer_eta_b"])
+def test_mode_b_reuses_mode_a_displacements_only_when_both_match(monkeypatch, truncation,
+                                                                 axis_b, modes):
+    made = count_displacement_sets(monkeypatch)
+    psi = tmsv_analytic(TmsvSpec(squeeze_param=0.68), field_space(*truncation))
+    grid = PhaseSpaceGrid.two_mode_real(np.linspace(-1.0, 1.0, 5), axis_b)
+    _scan(psi, grid.points)
+    assert made == modes
+
+
+@pytest.mark.parametrize("truncation, per_scan", [([30, 30], ["a"]), ([30, 26], ["a", "b"])])
+def test_wigner_scan_and_its_gate_rerun_make_one_displacement_set_when_symmetric(
+        monkeypatch, truncation, per_scan):
+    made = count_displacement_sets(monkeypatch)
+    scans, real_scan = [], tomography._scan
+    monkeypatch.setattr(tomography, "_scan", lambda *args: scans.append(1) or real_scan(*args))
+    run_scenario({"scenario": "wigner_scan", "truncation": truncation}, check_convergence=True)
+    assert len(scans) >= 2  # the scan and the gate's rerun
+    assert made == per_scan * len(scans)
+
+
+def test_lopsided_single_level_mode_b_is_still_refused():
+    # the same distinct etas on both modes, but mode b cannot be displaced
+    psi = vacuum_state(field_space(5, 0))
+    for points in (((0.1, 0.1),), ((0.1, 0.0), (0.0, 0.2))):
+        with pytest.raises(TruncationError, match="mode b holds a single Fock level"):
+            _scan(psi, points)
 
 
 def per_point_wigner(state, grid):
