@@ -32,13 +32,10 @@ from .hilbert import (
     Operator,
     SpaceMismatchError,
     StateVector,
-    annihilation,
-    atomic_sigma,
     basis_state,
     field_space,
     fock_state,
     make_space,
-    number_operator,
     project_atom,
     vacuum_state,
 )

@@ -5,6 +5,8 @@ Conventions (hbar = 1 throughout, all energies in angular s^-1):
     that goes inside that exponential.
   * A time-dependent Hamiltonian is  H(t) = static + sum_j (O_j e^{i nu_j t}
     + O_j^dag e^{-i nu_j t});  the classical drive enters at nu = -delta.
+  * Every "+ h.c." is implicit: a builder stores each coupling once, as a
+    band half, and its adjoint is added only where the bands are summed.
   * Lambda configuration (up-conversion, PUC): modes a, b couple g<->i and
     e<->i with strengths lambda_a, lambda_b, both detuned by Delta; a
     classical field of amplitude omega_cl drives g<->e at detuning delta.
@@ -85,49 +87,74 @@ class PhysicalParams:
 @dataclass(frozen=True, init=False, eq=False)
 class TimeDependentOperator:
     """H(t) = static + sum_j (O_j e^{i nu_j t} + O_j^dag e^{-i nu_j t}) from
-    labelled bands: a term (coefficient, k, l, d_a, d_b[, weight]) is
+    labelled band halves: a term (coefficient, k, l, d_a, d_b[, weight]) is
     coefficient |k><l| (x) a^d_a (x) b^d_b as ``hilbert._band`` takes it.
 
     ``terms`` keeps (nu, ((coefficient, (k, l, d_a, d_b), band), ...)) per
-    part, the static part first at nu = 0, each band made once;
-    ``static_part`` and ``oscillating_parts`` are the parts' Operators.  As
-    each oscillating term enters with its adjoint, H(t) is Hermitian for all
-    t exactly when the static part is: checked here, once."""
+    part, the static part first at nu = 0, each band made once.  Every term
+    is stored once; its adjoint (conj(coefficient), (-offset, conj(entries)))
+    is added only where the bands are summed.  A static term on the main
+    diagonal (one level, d_a = d_b = 0) is its own adjoint, gets none, and
+    must be real.  So H(t) is Hermitian by construction: no matrix is built
+    or checked here."""
 
     space: HilbertSpace
     terms: tuple
-    static_part: Operator
-    oscillating_parts: tuple[tuple[Operator, float], ...]
 
     def __init__(self, space: HilbertSpace, static=(), oscillating=()):
         terms = tuple((float(nu), tuple((c, (k, l, d_a, d_b), _band(space, k, l, d_a, d_b, *w))
                                         for c, k, l, d_a, d_b, *w in part))
                       for part, nu in [(static, 0.0), *oscillating])
-        static_part, *parts = (_band_operator(space, [(c, band) for c, _, band in part])
-                               for _, part in terms)
-        for name, value in (("space", space), ("terms", terms), ("static_part", static_part),
-                            ("oscillating_parts", tuple(zip(parts, [nu for nu, _ in terms[1:]])))):
-            object.__setattr__(self, name, value)
-        if not static_part.is_hermitian():
-            raise ValueError("the static part of H(t) is not Hermitian")
+        for c, label, (offset, entries) in terms[0][1]:
+            if offset == 0 and np.imag(c * entries).any():
+                raise ValueError(f"the diagonal static term {label} is not real, "
+                                 "so H(t) would not be Hermitian")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", terms)
+
+    def _static_bands(self) -> list:
+        """(coefficient, band) of every static term, each off-diagonal one
+        followed by its adjoint; the coefficients carry no phase."""
+        bands = []
+        for c, _, band in self.terms[0][1]:
+            bands.append((c, band))
+            if band[0]:
+                bands.append(_adjoint(c, band))
+        return bands
 
     def _bands(self, t: float) -> list:
-        """(coefficient, band) of every term of H(t): the static terms, then per
-        oscillating part its terms at their phase and their adjoints
-        (conj(coefficient), (-offset, conj(entries)))."""
-        bands = [(c, band) for c, _, band in self.terms[0][1]]
+        """(coefficient, band) of every term of H(t): the static bands, then
+        per oscillating part its terms at their phase and their adjoints."""
+        bands = self._static_bands()
         for nu, part in self.terms[1:]:
-            phase = cmath.exp(1j * nu * t)
-            bands += [(phase * c, band) for c, _, band in part]
-            bands += [((phase * c).conjugate(), (-o, e.conj())) for c, _, (o, e) in part]
+            halves = [(cmath.exp(1j * nu * t) * c, band) for c, _, band in part]
+            bands += halves + [_adjoint(c, band) for c, band in halves]
         return bands
 
     def at(self, t: float) -> Operator:
         """H(t), its bands summed into one Operator."""
         return _band_operator(self.space, self._bands(t))
 
+    @property
+    def static_part(self) -> Operator:
+        """The static terms and their adjoints, summed on request."""
+        return _band_operator(self.space, self._static_bands())
+
+    @property
+    def oscillating_parts(self) -> tuple[tuple[Operator, float], ...]:
+        """(O_j, nu_j) per oscillating part, O_j its terms without their
+        adjoints, summed on request."""
+        return tuple((_band_operator(self.space, [(c, band) for c, _, band in part]), nu)
+                     for nu, part in self.terms[1:])
+
     def max_frequency(self) -> float:
         return max((abs(nu) for nu, _ in self.terms[1:]), default=0.0)
+
+
+def _adjoint(coefficient, band):
+    """(conj(coefficient), band^dag) of one band (offset, entries)."""
+    offset, entries = band
+    return coefficient.conjugate(), (-offset, entries.conj())
 
 
 def _require(params: PhysicalParams, *kinds: ProcessKind) -> None:
@@ -153,9 +180,7 @@ def full_puc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
     drive:    omega_cl sig_ge at frequency -delta (plus h.c.)
     """
     _require(params, ProcessKind.PUC)
-    lam_a, lam_b = params.lambda_a, params.lambda_b
-    static = [(lam_a, "i", "g", 1, 0), (lam_a.conjugate(), "g", "i", -1, 0),
-              (lam_b, "i", "e", 0, 1), (lam_b.conjugate(), "e", "i", 0, -1),
+    static = [(params.lambda_a, "i", "g", 1, 0), (params.lambda_b, "i", "e", 0, 1),
               (-params.delta_big, "e", "e", 0, 0), (-params.delta_big, "g", "g", 0, 0)]
     return TimeDependentOperator(space, static,
                                  [([(params.omega_cl, "g", "e", 0, 0)], -params.delta_small)])
@@ -175,18 +200,17 @@ def full_pdc_hamiltonian(space: HilbertSpace, params: PhysicalParams) -> TimeDep
 def _effective_hamiltonian(space: HilbertSpace, params: PhysicalParams, d_b: int,
                            lam_ab: complex, sign: float) -> TimeDependentOperator:
     """The second-order generator of both processes, summed from bands: sign
-    times the up-conversion static part, whose exchange pairs a b^d_b sig_eg
-    (d_b = -1: b^dag) with its conjugate, and one drive part for both."""
+    times the up-conversion static part, whose exchange is a b^d_b sig_eg
+    (d_b = -1: b^dag) plus h.c., and one drive part for both."""
     delta = params.delta_big
     la2, lb2 = abs(params.lambda_a) ** 2, abs(params.lambda_b) ** 2
     n_a, n_b = np.ogrid[:space.dim_a, :space.dim_b]
     stark = la2 * n_a + lb2 * n_b  # intensity-dependent Stark weight of each field state
-    # level shifts + Stark terms, then the atom-correlated exchange and its conjugate
+    # level shifts + Stark terms, then the atom-correlated exchange
     static = [(-sign, "e", "e", 0, 0, (delta + lb2 / delta) + lb2 * n_b / delta),
               (-sign, "g", "g", 0, 0, (delta + la2 / delta) + la2 * n_a / delta),
               (sign, "i", "i", 0, 0, (la2 + lb2) / delta + stark / delta),
-              (-sign * lam_ab / delta, "e", "g", 1, d_b),
-              (-sign * lam_ab.conjugate() / delta, "g", "e", -1, -d_b)]
+              (-sign * lam_ab / delta, "e", "g", 1, d_b)]
     # everything multiplying e^{-i delta t}: dressed drive, drive Stark
     # correction, and the drive-assisted bilinear exchange on each level
     drive = params.omega_cl / delta**2

@@ -7,15 +7,15 @@ amplitudes reshape to.  Atomic levels are ordered (g, e, i); the tomography
 probe's auxiliary level f is tracked by ``tomography.probe_protocol`` without
 a space of its own.
 
-The ladder and transition operators, and every Hamiltonian, sum bands
-|k><l| (x) a^d_a (x) b^d_b of the flat basis from one primitive: a photon of
-mode b is a step of 1, of mode a a step of dim_b, and |k><l| moves a whole
-field block; a band may carry a weight per field state (the Stark terms).
-All operators are sparse complex matrices tagged with their space; operators
-on different spaces never combine.  The library builds none by operator
-arithmetic; ``Operator``'s sum, product and adjoint serve the tests' product
-forms.  Only exact zeros are dropped from a matrix, so a coupling keeps its
-entries at any scale.
+Every Hamiltonian sums bands |k><l| (x) a^d_a (x) b^d_b of the flat basis
+from one primitive: a photon of mode b is a step of 1, of mode a a step of
+dim_b, and |k><l| moves a whole field block; a band may carry a weight per
+field state (the Stark terms).  A Hermitian coupling is stored as one band
+half; its adjoint, the conjugate entries at the negated offset, is added only
+where bands are summed.  Operators are sparse complex matrices tagged with
+their space and have no arithmetic: the library sums bands instead.  Only
+exact zeros are dropped from a matrix, so a coupling keeps its entries at
+any scale.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ def field_space(n_max_a: int, n_max_b: int) -> HilbertSpace:
 class Operator:
     """Sparse complex matrix tagged with its HilbertSpace.
 
-    Immutable after construction, so the Hermiticity check runs at most once;
-    arithmetic raises SpaceMismatchError when the operand spaces differ.
+    Immutable after construction, so the Hermiticity check runs at most once.
     """
 
     __slots__ = ("space", "matrix", "_hermitian")
@@ -156,33 +155,6 @@ class Operator:
 
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
-
-    def _check(self, other: "Operator") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError("operators live on different spaces")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -287,12 +259,6 @@ def _band_operator(space: HilbertSpace, terms) -> Operator:
     return Operator(space, sp.diags(list(diagonals.values()), list(diagonals), shape=(dim, dim)))
 
 
-def annihilation(space: HilbertSpace, mode: str) -> Operator:
-    """Bosonic annihilation operator on the designated mode: <n-1| a |n> = sqrt(n)."""
-    powers = (1, 0) if _mode_axis(mode) == 1 else (0, 1)
-    return _band_operator(space, [(1.0, _band(space, None, None, *powers))])
-
-
 def _mode_numbers(space: HilbertSpace, keep: np.ndarray, mode: str) -> tuple[np.ndarray, int]:
     """Photon numbers of one mode at the flat indices keep, and its flat step."""
     axis = _mode_axis(mode)
@@ -309,19 +275,6 @@ def _ladder(space: HilbertSpace, keep: np.ndarray, mode: str):
     n, stride = _mode_numbers(space, keep, mode)
     top = space.shape[_mode_axis(mode)] - 1
     return (keep - stride, np.sqrt(n)), (keep + stride, np.sqrt((n + 1) * (n < top)))
-
-
-def number_operator(space: HilbertSpace, mode: str) -> Operator:
-    """diag(n) of the designated mode."""
-    n = space.fock_numbers()[_mode_axis(mode) - 1]
-    return Operator(space, sp.diags(n.astype(float)))
-
-
-def atomic_sigma(space: HilbertSpace, k: int | str, l: int | str) -> Operator:
-    """Atomic transition operator |k><l|, identity on both modes."""
-    if space.atom_levels == 1:
-        raise ValueError("space has no atomic factor")
-    return _band_operator(space, [(1.0, _band(space, k, l, 0, 0))])
 
 
 # --- states -----------------------------------------------------------------

@@ -31,10 +31,11 @@ phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
 D is solved from one equation per labelled band term, and H(0) - D is those
 bands, their adjoints and -D summed in one ``sp.diags`` call.
 
-Every builder writes each term next to its conjugate, and a
-``TimeDependentOperator`` checks its static part once when it is built, so
-neither evolution checks Hermiticity again; only ``evolve_static``, the one
-entry that takes an operator from outside, checks its whole matrix.
+Every builder stores each coupling once, as a band half, and its adjoint is
+added only where the bands are summed, so every generator built here is
+Hermitian by construction and neither evolution checks it; only
+``evolve_static``, the one entry that takes an operator from outside, checks
+its whole matrix.
 """
 
 from __future__ import annotations
@@ -357,8 +358,10 @@ def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, Operator]:
     Each term c |k><l| a^d_a b^d_b at nu (the static part at 0) whose
     c * entries holds a nonzero gives d_m - d_n = -nu at its elements (m, n),
     one equation [e_k - e_l, -d_a, -d_b | -nu] in the unknowns (one energy
-    per level, nu_a, nu_b); the distinct ones are solved by least squares,
-    and a residual above FRAME_RTOL * max(max|nu|, 1) means no frame."""
+    per level, nu_a, nu_b); its adjoint's equation is the same one negated,
+    so only the stored halves write one.  The distinct ones are solved by
+    least squares, and a residual above FRAME_RTOL * max(max|nu|, 1) means
+    no frame."""
     space = H.space
     atom = np.eye(space.atom_levels)
     equations = [np.concatenate((0.0 * atom[0] if k is None  # the identity on the atom

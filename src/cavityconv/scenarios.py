@@ -591,6 +591,10 @@ def _scenario_gaussian_profile(cfg: ResolvedConfig):
     fit_tau = cfg.options["fit_tau"]
     if cfg.times[0] <= 0.0:
         raise ConfigError("a crossing takes a positive time", "times")
+    for tau, path in ((max(cfg.times), "times"), (fit_tau, "options.fit_tau")):
+        if not math.isfinite(profile_squeezing_factor(params, tau=tau)):
+            raise ConfigError(f"the flat squeezing factor 2 |xi| tau overflows at tau = {tau!r}",
+                              path)
     fitted = alpha is None
     if fitted:
         try:
@@ -693,6 +697,9 @@ def _scenario_wigner_scan(cfg: ResolvedConfig):
     else:
         state = vacuum_state(space) if choice == "vacuum" else fock_state(space, 1, 0)
     extent = cfg.options["grid_extent"]
+    if not math.isfinite(2.0 * abs(extent)):
+        raise ConfigError(f"the grid's span 2 |extent| overflows at extent = {extent!r}",
+                          "options.grid_extent")
     axis = np.linspace(-extent, extent, n_points)
     grid = tomo.PhaseSpaceGrid.two_mode_real(axis, axis)
     try:  # one readout for the direct and protocol values, the origin's last

@@ -1,6 +1,8 @@
-"""Sparse full-space operators that the library no longer builds, kept as
-independent oracles for the support-based observables and tomography and for
-the band-built Hamiltonians; oscillating Hamiltonians as sums of sparse
+"""Operator arithmetic and the ladder, number and transition operators,
+which the library no longer has, for the product forms; sparse full-space
+operators that the library no longer builds, kept as independent oracles
+for the support-based observables and tomography and for the band-built
+Hamiltonians; oscillating Hamiltonians as sums of sparse
 parts, with the element-wise rotating frame solved from their nonzeros;
 full-space state maps (ladder shifts of the
 amplitude array, operator action and expectation, atom embedding, diagonal
@@ -27,13 +29,77 @@ from cavityconv.hilbert import (
     Operator,
     SpaceMismatchError,
     StateVector,
+    _band,
+    _band_operator,
     _mode_axis,
-    annihilation,
-    atomic_sigma,
-    number_operator,
 )
 from cavityconv.propagate import FRAME_RTOL, PropagationError
 from cavityconv.tomography import _checked_displacements
+
+
+class ProductOperator(Operator):
+    """An Operator with the sum, scalar and operator products and adjoint
+    that product forms multiply out; operands on different spaces raise
+    SpaceMismatchError.  A library Operator may stand on either side."""
+
+    __slots__ = ()
+
+    def _check(self, other: Operator) -> None:
+        if self.space != other.space:
+            raise SpaceMismatchError("operators live on different spaces")
+
+    def __add__(self, other: Operator) -> "ProductOperator":
+        self._check(other)
+        return ProductOperator(self.space, self.matrix + other.matrix)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Operator) -> "ProductOperator":
+        self._check(other)
+        return ProductOperator(self.space, self.matrix - other.matrix)
+
+    def __rsub__(self, other: Operator) -> "ProductOperator":
+        self._check(other)
+        return ProductOperator(self.space, other.matrix - self.matrix)
+
+    def __neg__(self) -> "ProductOperator":
+        return ProductOperator(self.space, -self.matrix)
+
+    def __mul__(self, scalar) -> "ProductOperator":
+        return ProductOperator(self.space, self.matrix * complex(scalar))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: Operator) -> "ProductOperator":
+        self._check(other)
+        return ProductOperator(self.space, self.matrix @ other.matrix)
+
+    def __rmatmul__(self, other: Operator) -> "ProductOperator":
+        self._check(other)
+        return ProductOperator(self.space, other.matrix @ self.matrix)
+
+    def dag(self) -> "ProductOperator":
+        return ProductOperator(self.space, self.matrix.conj().T)
+
+
+def annihilation(space: HilbertSpace, mode: str) -> ProductOperator:
+    """Bosonic annihilation operator on the designated mode: <n-1| a |n> = sqrt(n)."""
+    powers = (1, 0) if _mode_axis(mode) == 1 else (0, 1)
+    band = _band(space, None, None, *powers)
+    return ProductOperator(space, _band_operator(space, [(1.0, band)]).matrix)
+
+
+def number_operator(space: HilbertSpace, mode: str) -> ProductOperator:
+    """diag(n) of the designated mode."""
+    n = space.fock_numbers()[_mode_axis(mode) - 1]
+    return ProductOperator(space, sp.diags(n.astype(float)))
+
+
+def atomic_sigma(space: HilbertSpace, k: int | str, l: int | str) -> ProductOperator:
+    """Atomic transition operator |k><l|, identity on both modes."""
+    if space.atom_levels == 1:
+        raise ValueError("space has no atomic factor")
+    return ProductOperator(space, _band_operator(space, [(1.0, _band(space, k, l, 0, 0))]).matrix)
 
 
 def assert_identical(got: Operator, reference) -> None:
@@ -54,8 +120,8 @@ def atom_block(op: Operator, level: int | str) -> Operator:
     return Operator(op.space.field_subspace(), op.matrix[lo:hi, lo:hi])
 
 
-def identity_operator(space: HilbertSpace) -> Operator:
-    return Operator(space, sp.identity(space.total_dim, format="csr"))
+def identity_operator(space: HilbertSpace) -> ProductOperator:
+    return ProductOperator(space, sp.identity(space.total_dim, format="csr"))
 
 
 def unflatten(space: HilbertSpace, k: int) -> tuple[int, int, int]:

@@ -25,26 +25,26 @@ from cavityconv.hamiltonians import (
 )
 from cavityconv.hilbert import (
     Operator,
-    annihilation,
-    atomic_sigma,
     basis_state,
     field_space,
     fock_state,
     make_space,
-    number_operator,
 )
 from cavityconv.propagate import _rotating_frame
 
 from oracles import (
+    annihilation,
     apply,
     assert_identical,
     atom_block,
+    atomic_sigma,
     bilinear_generator_product_form,
     effective_pdc_product_form,
     effective_puc_product_form,
     full_pdc_product_form,
     full_puc_product_form,
     identity_operator,
+    number_operator,
     rotating_frame_elementwise,
     two_photon_product_form,
 )
@@ -85,12 +85,35 @@ def test_params_require_finite():
 
 def test_time_dependent_operator_rejects_non_hermitian():
     space = field_space(2, 2)
-    with pytest.raises(ValueError):
-        TimeDependentOperator(space, [(1.0, None, None, 1, 0)])  # a alone is not Hermitian
+    with pytest.raises(ValueError, match="not real"):
+        TimeDependentOperator(space, [(1j, None, None, 0, 0)])  # i 1 is anti-Hermitian
+
+
+def test_a_static_half_gets_its_adjoint():
+    space = field_space(3, 2)
+    a = annihilation(space, "a")
+    assert_identical(TimeDependentOperator(space, [(1.0, None, None, 1, 0)]).at(0.0),
+                     (a + a.dag()).matrix)
+
+
+@pytest.mark.parametrize("n_max", [(4, 3), (6, 6)], ids=str)
+def test_builders_make_no_operator_and_check_nothing(monkeypatch, n_max):
+    # every term is a band half and H(t) is Hermitian by construction
+    made = []
+    for name in ("__init__", "is_hermitian"):
+        real = getattr(Operator, name)
+        monkeypatch.setattr(Operator, name, lambda self, *args, _real=real, _name=name:
+                            made.append(_name) or _real(self, *args))
+    space = make_space(3, *n_max)
+    for build, params in ((full_puc_hamiltonian, puc_params), (full_pdc_hamiltonian, pdc_params),
+                          (effective_puc_hamiltonian, puc_params),
+                          (effective_pdc_hamiltonian, pdc_params)):
+        build(space, params(delta_small=1.2e5))
+    assert made == []
 
 
 def test_time_dependent_operator_is_frozen():
-    # evolve_td trusts the check made at construction: no part can be swapped in later
+    # H(t) is Hermitian by construction from its terms: nothing can be swapped in later
     h = full_puc_hamiltonian(make_space(3, 1, 1), puc_params(delta_small=3e4))
     assert isinstance(h.oscillating_parts, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -9,23 +9,23 @@ from cavityconv.hilbert import (
     HilbertSpace,
     Operator,
     SpaceMismatchError,
-    annihilation,
-    atomic_sigma,
     basis_state,
     field_space,
     fock_state,
     make_space,
-    number_operator,
     project_atom,
     vacuum_state,
 )
 from oracles import (
+    annihilation,
     apply,
     assert_identical,
+    atomic_sigma,
     embed_atom,
     expectation,
     identity_operator,
     ladder,
+    number_operator,
     random_state,
     unflatten,
 )

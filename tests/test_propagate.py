@@ -25,12 +25,10 @@ from cavityconv.hamiltonians import (
 from cavityconv.hilbert import (
     Operator,
     StateVector,
-    annihilation,
     basis_state,
     field_space,
     fock_state,
     make_space,
-    number_operator,
     project_atom,
     vacuum_state,
 )
@@ -46,10 +44,13 @@ from cavityconv.propagate import (
 from cavityconv.scenarios import SCENARIOS, run_scenario
 
 from oracles import (
+    annihilation,
+    atomic_sigma,
     embed_atom,
     expectation,
     frame_transform,
     identity_operator,
+    number_operator,
     random_state,
     reached_components,
     rotating_frame_elementwise,
@@ -132,7 +133,7 @@ def test_static_evolution_does_not_depend_on_the_scale_of_the_generator(params):
                       + 1j * rng.normal(size=space.total_dim)).normalized()
     t = 0.7 / abs(effective_xi(params))
     expected = evolve_static(gen, psi, t)
-    scaled = evolve_static(1e-20 * gen, psi, t / 1e-20)
+    scaled = evolve_static(Operator(space, 1e-20 * gen.matrix), psi, t / 1e-20)
     assert np.max(np.abs(scaled.amplitudes - expected.amplitudes)) < 1e-10
 
 
@@ -177,7 +178,7 @@ def test_hermiticity_is_checked_outside_the_reached_sector():
     stray = sp.csr_matrix(([1e3], ([space.flatten(0, 2, 2)], [space.flatten(0, 3, 1)])),
                           shape=(space.total_dim, space.total_dim))
     with pytest.raises(ValueError, match="Hermitian"):
-        evolve_static(gen + Operator(space, stray), fock_state(space, 1, 0), 1e-4)
+        evolve_static(Operator(space, gen.matrix + stray), fock_state(space, 1, 0), 1e-4)
 
 
 def sector_cases():
@@ -269,8 +270,7 @@ def labelled_bilinear(space, params):
     """The reduced generator xi a b^dag + h.c. (PUC) or xi a b + h.c. (PDC)
     as labelled bands of a TimeDependentOperator with no oscillating part."""
     xi, d_b = effective_xi(params), -1 if params.process is ProcessKind.PUC else 1
-    return TimeDependentOperator(space, [(xi, None, None, 1, d_b),
-                                         (xi.conjugate(), None, None, -1, -d_b)])
+    return TimeDependentOperator(space, [(xi, None, None, 1, d_b)])
 
 
 @pytest.mark.parametrize("builder, params, dense_calls", [
@@ -302,16 +302,17 @@ FRAME_COUPLINGS = [(LAM, LAM, OMEGA), (LAM, 0.7 * LAM, 0.0), (0.0, LAM, OMEGA),
 @pytest.mark.parametrize("delta_small", [1.2e5, -3e4, 0.0])
 @pytest.mark.parametrize("couplings", FRAME_COUPLINGS, ids=str)
 @pytest.mark.parametrize("n_max", FRAME_TRUNCATIONS, ids=str)
-def test_termwise_frame_equals_the_elementwise_frame_bit_for_bit(n_max, couplings, delta_small):
-    # one equation per term with a nonzero entry solves the same system as one
-    # per nonzero element; a band a one-level mode empties adds no equation
+def test_termwise_frame_equals_the_elementwise_frame_to_rounding(n_max, couplings, delta_small):
+    # one equation per stored half with a nonzero entry solves the system of
+    # one per nonzero element, less each static adjoint's negated copy, so D
+    # agrees to rounding; a band a one-level mode empties adds no equation
     space = make_space(3, *n_max)
     fields = dict(zip(("lambda_a", "lambda_b", "omega_cl"), couplings), delta_small=delta_small)
     for build, params in ((full_puc_hamiltonian, puc), (full_pdc_hamiltonian, pdc),
                           (effective_puc_hamiltonian, puc), (effective_pdc_hamiltonian, pdc)):
         h = build(space, params(**fields))
-        d = propagate._rotating_frame(h)[0]
-        assert d.tobytes() == rotating_frame_elementwise(h).tobytes()
+        d, want = propagate._rotating_frame(h)[0], rotating_frame_elementwise(h)
+        assert np.max(np.abs(d - want)) <= 16 * np.finfo(float).eps * max(np.abs(want).max(), 1.0)
 
 
 def test_a_branched_tree_takes_the_dense_branch(monkeypatch):
@@ -590,13 +591,8 @@ def test_band_scenarios_build_no_full_space_matrix(monkeypatch):
 
 
 def test_builders_and_evolutions_do_no_operator_arithmetic(monkeypatch):
-    # every builder sums bands, and evolve_td trusts the check its Hamiltonian
-    # made when it was built
-    def refuse(*args, **kwargs):
-        raise AssertionError("Operator arithmetic in the library")
-
-    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__matmul__", "dag"):
-        monkeypatch.setattr(Operator, name, refuse)
+    # every builder sums bands, and evolve_td trusts H(t) to be Hermitian by
+    # construction
     space = make_space(3, 3, 2)
     reduced_bilinear_generator(field_space(3, 2), pdc())
     two_photon = PhysicalParams(LAM, LAM, 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS)
@@ -979,7 +975,7 @@ def test_time_reversal_returns_initial_state():
     psi0 = vacuum_state(space)
     t = 1.2e-4
     forward = evolve_static(gen, psi0, t)
-    back = evolve_static(-1.0 * gen, forward, t)
+    back = evolve_static(Operator(space, -gen.matrix), forward, t)
     assert np.linalg.norm(back.amplitudes - psi0.amplitudes) < 1e-7
 
 
@@ -1049,8 +1045,6 @@ def ladder_frame_pieces(space, params):
     # the ladder model is static in the frame generated by
     # D = -Delta n_a + (Delta - delta) n_b - delta sig_ee:
     # H_phi = H(0) - D and psi(t) = e^{-i D t} phi(t).  Exact oracle.
-    from cavityconv.hilbert import atomic_sigma, number_operator
-
     delta = params.delta_small
     d_op = ((-DELTA) * number_operator(space, "a")
             + (DELTA - delta) * number_operator(space, "b")

@@ -807,6 +807,12 @@ VALIDATION_CASES = [
     bad_config("full_vs_effective-t_end-no_precision", T_END_FIELDS, "full_vs_effective",
                params={"delta_big": 1e12}),
     bad_config("crossing_time", "times", "gaussian_profile", times=[0.0]),
+    # values whose results overflow a float
+    bad_config("gaussian_profile-times-overflow", "times", "gaussian_profile", times=[1e308]),
+    bad_config("gaussian_profile-fit_tau-overflow", "options.fit_tau", "gaussian_profile",
+               traversal={"alpha": 1.0}, options={"fit_tau": 1e308}),
+    bad_config("wigner_scan-grid_extent-overflow", "options.grid_extent", "wigner_scan",
+               options={"grid_extent": 1.7e308}),
     # a pair state squeezed past what the closed form can represent
     bad_config("epr_quality-long_time", "times", "epr_quality", times=[0.0, 1.0]),
     bad_config("epr_quality-strong_coupling", "params", "epr_quality",

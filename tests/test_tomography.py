@@ -14,7 +14,6 @@ from cavityconv.hamiltonians import (
 )
 from cavityconv.hilbert import (
     StateVector,
-    annihilation,
     field_space,
     fock_state,
     make_space,
@@ -42,6 +41,7 @@ from cavityconv.tomography import (
     wigner_via_protocol,
 )
 from oracles import (
+    annihilation,
     conditional_phase_expectation,
     expectation,
     parity_operator,
