@@ -395,8 +395,9 @@ def profile_squeezing_factor(
 
 
 def _crossing_integral(alpha: float, tau: float) -> float:
-    """integral_0^tau exp(-2 alpha^2 (t/tau - 1/2)^2) dt in closed form."""
-    return tau * math.sqrt(math.pi / 2.0) * math.erf(alpha / math.sqrt(2.0)) / alpha
+    """integral_0^tau exp(-2 alpha^2 (t/tau - 1/2)^2) dt in closed form: tau
+    times a factor of at most 1, formed first so that the product stays finite."""
+    return tau * (math.sqrt(math.pi / 2.0) * math.erf(alpha / math.sqrt(2.0)) / alpha)
 
 
 def fit_traversal_alpha(

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from cavityconv.scenarios import (
 )
 from cavityconv.serialize import result_to_json, round_sig, table_to_csv
 from cavityconv.tomography import TAIL_LIMIT
+from make_golden_corpus import CONFIGS
 
 REGISTERED = {
     "puc_swap", "pdc_epr", "epr_quality", "epr_variances", "full_vs_effective",
@@ -283,6 +285,45 @@ def test_gate_refuses_a_raised_truncation_beyond_the_cap(tmp_path, capsys, scena
         assert err.startswith(message) and "Traceback" not in err
 
 
+GATE_ONLY_CASES = [
+    *({"scenario": name} for name, entry in SCENARIOS.items() if entry.gate_metric),
+    *(config for config in CONFIGS.values() if SCENARIOS[config["scenario"]].gate_metric),
+]
+
+
+@pytest.mark.parametrize("config", GATE_ONLY_CASES,
+                         ids=[json.dumps(c, separators=(",", ":")) for c in GATE_ONLY_CASES])
+def test_gate_only_run_gives_the_full_runs_gate_metric_exactly(config):
+    cfg = resolve_config(config)
+    entry = SCENARIOS[cfg.scenario]
+    for step in (0, scenarios.GATE_STEP):
+        at = replace(cfg, truncation=tuple(n + step for n in cfg.truncation))
+        metric = entry.run(at, gate_only=True)[0][entry.gate_metric]
+        assert metric == entry.run(at)[0][entry.gate_metric]
+
+
+def test_gated_wigner_scan_reruns_only_the_origin(monkeypatch):
+    scans = []
+    real = tomography._scan
+    monkeypatch.setattr(tomography, "_scan",
+                        lambda state, points: scans.append((state.space.n_max_a, points))
+                        or real(state, points))
+    doc = run_scenario({"scenario": "wigner_scan"})
+    assert doc["convergence_gate"]["checked"]
+    assert [len(points) for n, points in scans if n == 30] == [1, 25]
+    assert [points for n, points in scans if n == 30 + scenarios.GATE_STEP] == [((0.0, 0.0),)]
+
+
+def test_full_vs_effective_rerun_asks_for_no_grid_rows(monkeypatch):
+    grids = []
+    real = scenarios._evolve_sectors
+    monkeypatch.setattr(scenarios, "_evolve_sectors",
+                        lambda *args: grids.append(args[4]) or real(*args))
+    doc = run_scenario({"scenario": "full_vs_effective"})
+    assert doc["convergence_gate"]["checked"]
+    assert [count for _, count in grids] == [scenarios.DENSE_SCAN_POINTS - 1, 0]
+
+
 def test_convergence_sweep_rows_and_flag():
     sweep = convergence_sweep(
         {"scenario": "pdc_epr"}, [12, 16, 20, 24]
@@ -400,7 +441,8 @@ def test_wigner_scan_emits_grid_table():
 
 
 def test_wigner_scan_displaces_once_per_run(monkeypatch):
-    # the direct scan, the protocol scan and the origin share one readout
+    # the direct and protocol scans share one readout; the origin is read
+    # alone, as the gate's rerun reads it
     calls = []
     real = tomography._checked_displacements
     monkeypatch.setattr(tomography, "_checked_displacements",
@@ -409,7 +451,7 @@ def test_wigner_scan_displaces_once_per_run(monkeypatch):
         calls.clear()
         doc = run_scenario({"scenario": "wigner_scan", "options": {"grid_points": grid_points}},
                            check_convergence=False)
-        assert len(calls) == 1
+        assert [len(args[1]) for args in calls] == [1, grid_points**2]
         assert len(doc["tables"]["wigner"]["rows"]) == grid_points**2
 
 
@@ -506,6 +548,16 @@ def test_far_detuned_full_vs_effective_phases_keep_their_precision(tmp_path):
         assert cli_main(["run", write_config(tmp_path, FAR_DETUNED), "--out", str(out), *flags]) == 0
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["fidelity_end"] >= metrics["fidelity_bound"]
+
+
+def test_gaussian_profile_at_a_crossing_time_near_the_float_limit(tmp_path, capsys):
+    # 2 |xi| tau is finite for this weak drive while tau sqrt(pi/2) overflows:
+    # the profile factor, at most 1, is formed before it multiplies tau
+    cfg = write_config(tmp_path, {"scenario": "gaussian_profile", "params": {"omega_cl": 1e-3},
+                                  "traversal": {"alpha": 0.01}, "times": [1.5e308]})
+    assert cli_main(["run", cfg]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert math.isfinite(metrics["r"]) and 0.0 < metrics["r"] <= metrics["r_flat"]
 
 
 def counted(monkeypatch, owner, name, counts):
@@ -723,8 +775,9 @@ def test_cli_maps_truncation_overflow_to_validation_exit(tmp_path, capsys):
         "truncation": [6, 6],
         "options": {"state": "vacuum", "grid_points": 3, "grid_extent": 3.0},
     })
-    assert cli_main(["run", cfg, "--no-converge-check"]) == 2
-    assert "truncation" in capsys.readouterr().err
+    for flags in (["--no-converge-check"], []):  # the gate's metric-only rerun skips the grid
+        assert cli_main(["run", cfg, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: truncation, options.grid_extent: ")
 
 
 def bad_config(test_id, field_path, scenario, **fields):
