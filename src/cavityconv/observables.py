@@ -6,9 +6,11 @@ so the vacuum variance is 1/4 and the ideal pair-correlated state built by
 the down-conversion generator satisfies <(x_a - x_b)^2> = <(p_a + p_b)^2> =
 e^{-2r}/2 with r the squeeze parameter.
 
-Each observable reads a state as a support (space, keep, amps), the sorted
-flat indices and amplitudes of all its nonzeros: a StateVector's, or a band
-evolution's reached chain, so no observable reads the rest of the space.
+Each observable reads a state as a support (space, keep, amps), the flat
+indices and amplitudes of all its nonzeros, in the order given (which the
+bincount sums of ``photon_number_distribution`` follow): a StateVector's,
+ascending, or a band evolution's reached chain, in evolution order, so no
+observable reads the rest of the space.
 Each variance is ||X psi||^2 (X Hermitian in the truncated space), its ladder
 terms moving each kept index k to k -/+ stride of one zeroed flat vector.
 """

@@ -1,35 +1,35 @@
 """Norm-preserving time evolution under static and oscillating Hamiltonians.
 
-A static generator is evolved only on the connected components of its
-sparsity graph that the initial state reaches (nothing couples them to the
-rest), found by one walk per reached component over the symmetrized
-pattern, a whole-space union on each call; the walks and slices then follow
-the reached states, not the whole space.  The reduced bilinear generators
-and the two-photon exchange skip even that: a Fock state is evolved straight
-from one of their bands (``_evolve_band``), index arithmetic finding its run,
-so no whole-space matrix or walk is made.  A component whose
-off-diagonal graph is a path, such as every conserved sector of the
-bilinear generators and of the full models, is ordered from one end; the
+A static generator is evolved only on the connected components of its sparsity
+graph that the initial state reaches (nothing couples them to the rest), found
+by one walk per reached component over the symmetrized pattern, a whole-space
+union on each call; the walks and slices then follow the reached states, not
+the whole space.  The reduced bilinear generators and the two-photon exchange
+skip even that: a Fock state is evolved straight from one of their bands
+(``_evolve_band``), index arithmetic finding its run, so no whole-space matrix
+or walk is made.  Every path, a band's run or a component whose off-diagonal
+graph is one, such as every conserved sector of the bilinear generators and of
+the full models, is ordered from one end and evolved by ``_evolve_path``: the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
-one real tridiagonal eigensolve gives G = (UV) E (UV)^dag.  Any other
-component of at most DENSE_SECTOR_LIMIT states is diagonalized by one dense
-eigh.  Either way every requested time is one product UV (e^{-iEt} * (UV)^dag psi0);
-an appended uniform scan t = k step, k = 1..count, takes its phases from two
-tables of about sqrt(count) rows, so it costs about 2 sqrt(count)
-exponentials per eigenvalue, not count, and is written block by block
-straight into the result, the coarse table folded into the eigenbasis, so
-no phase buffer of the scan exists.  A component above its limit takes one
-matrix-exponential action per time, on a fixed seed.  Every branch writes
-its columns into the one result array, in the walk order of the reached
-states, which is returned with it unsorted.  Each row's norm, scan rows
-included, is checked in one real pass.  Times whose
-phases carry no precision, their rounding
-|E| t eps exceeding a radian (|E| bounded by the largest absolute row sum),
-are refused.  Every oscillating Hamiltonian built here is static in a
-diagonal rotating frame D = omega_level + nu_a n_a + nu_b n_b:
-phi = e^{iDt} psi evolves under H(0) - D (no substeps, no step-size control).
-D is solved from one equation per labelled band term, and H(0) - D is those
-bands, their adjoints and -D summed in one ``sp.diags`` call.
+one real tridiagonal eigensolve, which also gives ``tomography`` its
+displacements, gives G = (UV) E (UV)^dag.  Any other component of at most
+DENSE_SECTOR_LIMIT states is diagonalized by one dense eigh.  Either way every
+requested time is one product UV (e^{-iEt} * (UV)^dag psi0); an appended
+uniform scan t = k step, k = 1..count, takes its phases from two tables of
+about sqrt(count) rows, so it costs about 2 sqrt(count) exponentials per
+eigenvalue, not count, and is written block by block straight into the result,
+the coarse table folded into the eigenbasis, so no phase buffer of the scan
+exists.  A component above its limit takes one matrix-exponential action per
+time, on a fixed seed.  Every branch writes its columns into the one result
+array, in the walk order of the reached states, which is returned with it
+unsorted.  Each row's norm, scan rows included, is checked in one real pass.
+Times whose phases carry no precision, their rounding |E| t eps exceeding a
+radian (|E| bounded by the largest absolute row sum), are refused.  Every
+oscillating Hamiltonian built here is static in a diagonal rotating frame
+D = omega_level + nu_a n_a + nu_b n_b: phi = e^{iDt} psi evolves under H(0) - D
+(no substeps, no step-size control).  D is solved from one equation per
+labelled band term, and H(0) - D is those bands, their adjoints and -D summed
+in one ``sp.diags`` call.
 
 Every builder stores each coupling once, as a band half, and its adjoint is
 added only where the bands are summed, so every generator built here is
@@ -141,8 +141,9 @@ def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.
     """(E, UV) with G = (UV) E (UV)^dag for the chain G with real diagonal and
     hops G[k, k + 1] = hops[k]: the gauge u_{k+1} = u_k conj(h_k) / |h_k|
     makes the hops real, and one real tridiagonal eigensolve gives E and V.
-    The inputs are not checked for finiteness: every caller has refused a
-    non-finite chain in ``_check_phase_precision`` already."""
+    The inputs are not checked for finiteness: every evolution has refused a
+    non-finite chain in ``_check_phase_precision`` already, and the
+    displacements' X = l + l^dag (zeros and sqrt n) is finite by construction."""
     # ?stevd takes max(n - 1, 1) off-diagonal entries: a one-state chain has none
     energies, basis, info = _stevd(diagonal, np.abs(hops) if hops.size else np.zeros(1))
     if info:
@@ -194,6 +195,21 @@ def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times, out: np.ndarray) 
             out[i] = expm_multiply((-1j * times[i]) * block, psi)
     finally:
         np.random.set_state(caller)
+
+
+def _evolve_path(diagonal: np.ndarray, hops: np.ndarray, psi: np.ndarray, times,
+                 out: np.ndarray, grid: tuple[float, int] = (0.0, 0)) -> None:
+    """Write into out the rows of ``_eigen_states`` for the path G with real
+    diagonal and hops G[k, k + 1] = hops[k]: up to CHAIN_SECTOR_LIMIT states
+    from one ``_chain_eigh``, above it one seeded exponential action per
+    time, grid times included, on G as ``sp.diags`` stores it (no zero entry,
+    as in the stored pattern)."""
+    if psi.size <= CHAIN_SECTOR_LIMIT:
+        _eigen_states(*_chain_eigh(diagonal, hops), psi, times, out, grid)
+        return
+    step, count = grid
+    block = sp.diags([0.0 + hops.conj(), diagonal, hops], [-1, 0, 1], format="csr")
+    _expm_states(block, psi, np.concatenate((times, np.arange(1, count + 1) * step)), out)
 
 
 def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
@@ -273,13 +289,13 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
     states = np.empty((every.size, order.size), dtype=np.complex128)
     for k in range(size.size):
         pos = slice(bounds[k], bounds[k + 1])
-        if not far[k] and size[k] <= CHAIN_SECTOR_LIMIT:
-            _eigen_states(*_chain_eigh(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1]),
-                          psi[pos], times, states[:, pos], grid)
+        if not far[k]:
+            _evolve_path(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1], psi[pos], times,
+                         states[:, pos], grid)
             continue
         e = slice(first[k], first[k + 1])
         r, c = row[e] - bounds[k], col[e] - bounds[k]
-        if far[k] and size[k] <= DENSE_SECTOR_LIMIT:
+        if size[k] <= DENSE_SECTOR_LIMIT:
             block = np.zeros((size[k], size[k]), dtype=np.complex128)
             np.add.at(block, (r, c), val[e])
             _eigen_states(*np.linalg.eigh(block), psi[pos], times, states[:, pos], grid)
@@ -291,16 +307,15 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
 
 def _evolve_band(offset: int, upper: np.ndarray, start: int,
                  times) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states) as ``_evolve_sectors`` returns them, keep ascending, for
-    G = band + band^dag, the band holding upper[j] at (j, j + offset), and the
-    Fock state |start>.
+    """(keep, states) as ``_evolve_sectors`` returns them for G = band + band^dag,
+    the band holding upper[j] at (j, j + offset), and the Fock state |start>.
 
     |start> reaches the run start + j offset between the nearest zero hops
     upper[m] (from m to m + offset) on either side, found by index arithmetic;
-    an offset of 0 has no hops.  The run is ordered from its bottom end, or
-    from the top end when |start> is there: descending, each hop conjugated,
-    its eigenbasis rows (or its exponential actions' columns) then reversed
-    into keep's order, so the states are written once.
+    an offset of 0 has no hops.  The run is ordered from |start>'s end, as the
+    walk orders it (from the bottom end when |start> lies inside), and keep
+    is returned in that order: a run entered at its top end is descending,
+    each hop conjugated.  It is evolved by ``_evolve_path``.
     Only the band is stored and G = band + band^dag by construction, so no
     Hermitian check, whole-space matrix or walk is needed.  Raises
     PropagationError as ``_evolve_sectors`` does.
@@ -317,21 +332,11 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int,
     strength = np.abs(hops)  # max|E| <= the largest row sum |h_{k-1}| + |h_k|
     row_sums = np.concatenate(([0.0], strength)) + np.concatenate((strength, [0.0]))
     _check_phase_precision(row_sums.max(), times, "times")
-    descending = start == keep[-1]
-    if descending:  # 0.0 + clears the sign conj gives a zero imaginary part
-        hops = 0.0 + hops[::-1].conj()
-    psi = np.zeros(keep.size, dtype=np.complex128)
-    psi[np.searchsorted(keep, start)] = 1.0
+    if start == keep[-1]:  # 0.0 + clears the sign conj gives a zero imaginary part
+        keep, hops = keep[::-1], 0.0 + hops[::-1].conj()
+    psi = (keep == start).astype(np.complex128)
     states = np.empty((len(times), keep.size), dtype=np.complex128)
-    if keep.size <= CHAIN_SECTOR_LIMIT:
-        energies, basis = _chain_eigh(np.zeros(keep.size), hops)
-        if descending:  # its rows in keep's order, in the solver's memory layout,
-            basis = basis[::-1].copy(order="K")  # on which the product's last bits depend
-        _eigen_states(energies, basis, psi, times, states)
-    else:  # the chain as the stored pattern holds it: no zero entry
-        block = sp.diags([0.0 + hops.conj(), hops], [-1, 1], format="csr")
-        run = -1 if descending else 1  # the chain's direction along keep
-        _expm_states(block, psi[::run], times, states[:, ::run])
+    _evolve_path(np.zeros(keep.size), hops, psi, times, states)
     return keep, _norm_checked(states, psi, times)
 
 

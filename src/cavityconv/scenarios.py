@@ -15,7 +15,8 @@ The rerun is metric-only (``gate_only``): it computes the gate metric by the
 same arithmetic as the full run and skips the rest, so two checks of the
 configured run are not repeated at the raised truncation: the Wigner grid's
 displaced-tail check in ``wigner_scan`` and the norm check on the dense-scan
-rows in ``full_vs_effective``.  Every refusal before the metric still runs.
+rows in ``full_vs_effective``.  Every refusal before the metric still runs,
+its size caps counting what the rerun builds (one scan point, no dense scan).
 """
 
 from __future__ import annotations
@@ -406,7 +407,8 @@ def _band_state(space, band, start: int, t: float) -> StateVector:
 
 def _evolved_vacuum(cfg: ResolvedConfig) -> tuple:
     """The vacuum evolved under the reduced generator for the last configured
-    time, as the observables' support (space, keep, amps) of its chain."""
+    time, as the observables' support (space, keep, amps) of its chain; keep
+    is ascending, the vacuum being the bottom end of its run."""
     space = field_space(*cfg.truncation)
     keep, states = _evolve_band(*_reduced_band(space, cfg.params), 0, [cfg.times[-1]])
     return space, keep, states[0]
@@ -534,8 +536,11 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig, gate_only: bool = False):
     n_points = len(cfg.times) if cfg.times else cfg.options["grid_points"]
     # |i;1,0> reaches |i;1,0>, |i;0,1> and the g and e states with n_a + n_b = 2
     reached = 2 + 2 * sum(2 - cfg.truncation[1] <= n_a <= cfg.truncation[0] for n_a in range(3))
-    if (n_points + DENSE_SCAN_POINTS - 1) * reached > DIM_CAP:
-        raise ConfigError(f"{n_points} points plus the {DENSE_SCAN_POINTS - 1}-point dense scan, "
+    # the gate's rerun builds no dense-scan rows: on at most twice the reached
+    # states (4 at least, 8 at most) its rows fit whenever the run's do
+    count = 0 if gate_only else DENSE_SCAN_POINTS - 1
+    if (n_points + count) * reached > DIM_CAP:
+        raise ConfigError(f"{n_points} points plus the {count}-point dense scan, "
                           f"times {reached} reached states, exceed cap {DIM_CAP}",
                           "times" if cfg.times else "options.grid_points")
     t_end = (math.pi / 2.0) / xi_abs
@@ -549,10 +554,8 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig, gate_only: bool = False):
 
     # the full model on its reached sector, also at the dense diagnostic sweep
     # that gives the continuous-time leakage envelope: its grid rows, after the
-    # comparison times, at k step for k = 1..DENSE_SCAN_POINTS - 1; the times
-    # rows do not depend on the grid, so the gate's rerun asks for none
+    # comparison times, at k step for k = 1..count
     n_rows = times.size
-    count = 0 if gate_only else DENSE_SCAN_POINTS - 1
     keep, full = _evolve_sectors(h_full.at(0.0), basis_state(atom_space, "i", 1, 0).amplitudes,
                                  times, "times" if cfg.times else "params.omega_cl, "
                                  "params.lambda_a, params.lambda_b, params.delta_big",
@@ -682,17 +685,19 @@ def _scenario_bell_prep(cfg: ResolvedConfig, gate_only: bool = False):
 
 
 def _scenario_wigner_scan(cfg: ResolvedConfig, gate_only: bool = False):
-    n_points = cfg.options["grid_points"]
     dim_a, dim_b = (n + 1 for n in cfg.truncation)
     # the scan holds its points, and per axis value one displaced field and
-    # one dense displacement matrix of each mode
+    # one dense displacement matrix of each mode; the gate's rerun reads the
+    # origin alone, one point, at its raised truncation
+    n_points = 1 if gate_only else cfg.options["grid_points"]
     sizes = {"points": n_points, "field amplitudes": dim_a * dim_b,
              "mode-a matrix entries": dim_a * dim_a, "mode-b matrix entries": dim_b * dim_b}
     over = [f"{n_points} x {size} {what}" for what, size in sizes.items()
             if n_points * size > DIM_CAP]
     if over:
         raise ConfigError(f"{n_points} per axis exceeds cap {DIM_CAP} with {', '.join(over)}",
-                          "options.grid_points")
+                          "truncation (raised by the convergence gate)" if gate_only
+                          else "options.grid_points")
     try:
         pulse_time = tomo.parity_pulse_time(abs(cfg.params.lambda_a), cfg.params.delta_big)
     except ValueError as exc:

@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .hilbert import StateVector
+from .propagate import _chain_eigh
 
 # Displaced probability allowed in the top Fock level of either mode before
 # the truncated displacement is declared unfaithful.
@@ -88,9 +88,9 @@ class PhaseSpaceGrid:
 def _mode_displacements(n_max: int, etas: np.ndarray, mode: str) -> np.ndarray:
     """exp(eta^* l - eta l^dag) of one mode's truncated ladder l, one matrix per eta.
 
-    With X = l + l^dag = V diag(x) V^T, one real tridiagonal eigensystem per
-    mode, and u_n = (i eta/|eta|)^n, the generator is
-    |eta| diag(u) (iX) diag(u)^*, so
+    With X = l + l^dag = V diag(x) V^T, one ``propagate._chain_eigh`` per
+    mode (its hops sqrt n are real, so V is), and u_n = (i eta/|eta|)^n, the
+    generator is |eta| diag(u) (iX) diag(u)^*, so
 
         D(eta) = diag(u) V diag(e^{i |eta| x}) V^T diag(u)^*:
 
@@ -106,7 +106,7 @@ def _mode_displacements(n_max: int, etas: np.ndarray, mode: str) -> np.ndarray:
         raise TruncationError(
             f"mode {mode} holds a single Fock level; it cannot be displaced"
         )
-    x, vectors = eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
+    x, vectors = _chain_eigh(np.zeros(dim), np.sqrt(np.arange(1.0, dim)))
     eta = etas[moved]
     # powers by repeated products, so a real or imaginary eta keeps exact phases
     u = np.ones((eta.size, dim), dtype=complex)

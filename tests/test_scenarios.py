@@ -324,6 +324,28 @@ def test_full_vs_effective_rerun_asks_for_no_grid_rows(monkeypatch):
     assert [count for _, count in grids] == [scenarios.DENSE_SCAN_POINTS - 1, 0]
 
 
+def test_gate_rerun_caps_count_what_the_rerun_builds(monkeypatch):
+    # at [1, 1] the comparison reaches 4 states, at the rerun's [5, 5] 8: the
+    # rerun's 101 rows fit, its unbuilt 20 000-row dense scan would not
+    monkeypatch.setattr(scenarios, "DIM_CAP", 100_000)
+    doc = run_scenario(FAR_DETUNED | {"truncation": [1, 1]})
+    assert doc["convergence_gate"]["checked"]
+    # 20 points of 5^2 fit, 20 of 9^2 would not: the rerun reads one point
+    monkeypatch.setattr(scenarios, "DIM_CAP", 1_000)
+    scan = {"scenario": "wigner_scan", "truncation": [4, 4],
+            "options": {"grid_points": 20, "state": "vacuum", "grid_extent": 0.1}}
+    doc = run_scenario(scan)
+    assert doc["convergence_gate"]["checked"] and doc["metrics"]["grid_points"] == 400
+    # its one field and displacement matrix per mode are still capped: 29^2
+    # entries fit, 33^2 do not
+    scan["truncation"], scan["options"]["grid_points"] = [28, 28], 1
+    assert run_scenario(scan, check_convergence=False)["metrics"]["grid_points"] == 1
+    with pytest.raises(ConfigError, match=r"^truncation \(raised by the convergence gate\): "
+                                          r"1 per axis exceeds cap 1000 with 1 x 1089 field "
+                                          r"amplitudes, 1 x 1089 mode-a matrix entries"):
+        run_scenario(scan)
+
+
 def test_convergence_sweep_rows_and_flag():
     sweep = convergence_sweep(
         {"scenario": "pdc_epr"}, [12, 16, 20, 24]
