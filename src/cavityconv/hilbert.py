@@ -13,7 +13,10 @@ dim_b, and |k><l| moves a whole field block; a band may carry a weight per
 field state (the Stark terms).  A Hermitian coupling is stored as one band
 half; its adjoint, the conjugate entries at the negated offset, is added only
 where bands are summed.  Operators are sparse complex matrices tagged with
-their space and have no arithmetic: the library sums bands instead.  Only
+their space and have no arithmetic: the library sums bands instead, into
+(row, col, val) entries (``_band_entries``) that the time-dependent and
+full-model evolutions take as they are and ``_band_operator`` stores as one
+Operator.  Only
 exact zeros are dropped from a matrix, so a coupling keeps its entries at
 any scale.
 """
@@ -244,19 +247,30 @@ def _band(space: HilbertSpace, k, l, d_a: int, d_b: int,
     return offset, entries[max(offset, 0):][:max(space.total_dim - abs(offset), 0)]
 
 
-def _band_operator(space: HilbertSpace, terms) -> Operator:
-    """Sum of coefficient * band over (coefficient, band) terms as one ``sp.diags``:
-    bands at one offset add up (from 0, as a sparse sum does, so no zero part
-    keeps a minus sign), a band that fits no diagonal drops out, and no band at
-    all is the zero operator."""
+def _band_entries(space: HilbertSpace, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, val) of the sum of coefficient * band over (coefficient, band)
+    terms: bands at one offset add up (from 0, as a sparse sum does, so no zero
+    part keeps a minus sign), a band that fits no diagonal drops out, and only
+    exact zeros are dropped.  Each position appears at most once."""
     diagonals: dict[int, np.ndarray] = {}
     for coefficient, (offset, entries) in terms:
         if entries.size:
             diagonals[offset] = diagonals.get(offset, 0.0) + coefficient * entries
-    dim = space.total_dim
-    if not diagonals:
-        return Operator(space, sp.csr_matrix((dim, dim)))
-    return Operator(space, sp.diags(list(diagonals.values()), list(diagonals), shape=(dim, dim)))
+    row, col, val = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    # entry j of a band sits in row j - offset below the diagonal, column j + offset above it
+    for offset, entries in diagonals.items():
+        j = np.flatnonzero(entries)
+        row.append(j + max(-offset, 0))
+        col.append(j + max(offset, 0))
+        val.append(entries[j])
+    return np.concatenate(row), np.concatenate(col), np.concatenate(val)
+
+
+def _band_operator(space: HilbertSpace, terms) -> Operator:
+    """The ``_band_entries`` of terms as one Operator; no band at all is the
+    zero operator."""
+    row, col, val = _band_entries(space, terms)
+    return Operator(space, sp.csr_matrix((val, (row, col)), shape=(space.total_dim,) * 2))
 
 
 def _mode_numbers(space: HilbertSpace, keep: np.ndarray, mode: str) -> tuple[np.ndarray, int]:

@@ -1,10 +1,13 @@
 """Norm-preserving time evolution under static and oscillating Hamiltonians.
 
-A static generator is evolved only on the connected components of its sparsity
-graph that the initial state reaches (nothing couples them to the rest), found
-by one walk per reached component over the symmetrized pattern, a whole-space
-union on each call; the walks and slices then follow the reached states, not
-the whole space.  The reduced bilinear generators and the two-photon exchange
+A static generator, given by its entries (row, col, val), is evolved only on
+the connected components of its sparsity graph that the initial state reaches
+(nothing couples them to the rest), found by one walk per reached component
+over a pattern of both orientations of the entries, made once per call; the
+entries of the reached rows are relabelled by walk rank, so every later step
+follows the reached states, not the whole space (``_evolve_entries``).  An
+``Operator`` enters through one adapter, ``_evolve_sectors``, that reads its
+CSR as COO.  The reduced bilinear generators and the two-photon exchange
 skip even that: a Fock state is evolved straight from one of their bands
 (``_evolve_band``), index arithmetic finding its run, so no whole-space matrix
 or walk is made.  Every path, a band's run or a component whose off-diagonal
@@ -27,9 +30,10 @@ Times whose phases carry no precision, their rounding |E| t eps exceeding a
 radian (|E| bounded by the largest absolute row sum), are refused.  Every
 oscillating Hamiltonian built here is static in a diagonal rotating frame
 D = omega_level + nu_a n_a + nu_b n_b: phi = e^{iDt} psi evolves under H(0) - D
-(no substeps, no step-size control).  D is solved from one equation per
-labelled band term, and H(0) - D is those bands, their adjoints and -D summed
-in one ``sp.diags`` call.
+(no substeps, no step-size control).  D is solved from the distinct
+equations of the labelled band terms, and H(0) - D is the entries of those
+bands, their adjoints and -D summed per offset (``hilbert._band_entries``),
+which the sector evolution takes as they are: no Operator is built.
 
 Every builder stores each coupling once, as a band half, and its adjoint is
 added only where the bands are summed, so every generator built here is
@@ -50,7 +54,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
-from .hilbert import Operator, StateVector, _band_operator
+from .hilbert import Operator, StateVector, _band_entries
 
 # LAPACK's real tridiagonal divide and conquer, the solver eigh_tridiagonal
 # runs for select='a' after its Python-side checks: (E, V, info) = _stevd(d, e)
@@ -88,8 +92,9 @@ class Trajectory:
     """Recorded samples of one propagation run.
 
     ``ok`` flips to False (with ``failure`` explaining why) when any recorded
-    norm drifts outside 1 +/- 1e-7; norms are measured, never hidden by
-    renormalization.
+    norm differs from the first recorded one, the initial state's, by more
+    than NORM_DRIFT_LIMIT (1e-7): a start of norm 2 that keeps it is ok.
+    Norms are measured, never hidden by renormalization.
     """
 
     times: np.ndarray
@@ -112,15 +117,6 @@ def _walk(pattern: sp.csr_matrix, starts: np.ndarray) -> list[np.ndarray]:
         reached[walks[-1]] = True
         starts = starts[~reached[starts]]
     return walks
-
-
-def _entries(M: sp.csr_matrix, order: np.ndarray, rank: np.ndarray):
-    """(row, col, value) of every entry of M[order][:, order], rows ascending;
-    rank[order] = arange(order.size) and order is closed under M's rows."""
-    start = M.indptr[order]
-    count = M.indptr[order + 1] - start
-    entry = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    return np.repeat(np.arange(order.size), count), rank[M.indices[entry]], M.data[entry]
 
 
 def _check_phase_precision(scale: float, times, path: str) -> None:
@@ -224,19 +220,22 @@ def _norm_checked(states: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     return states
 
 
-def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
+def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
+                    amps: np.ndarray, times, path: str = "times",
                     grid: tuple[float, int] = (0.0, 0)) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states): the indices of the components of G's sparsity graph that
-    amps reaches, in the walk order their columns were computed in (not
-    sorted), and states[k, j] = (exp(-i G times[k]) amps)[keep[j]]; every other
-    amplitude is exactly 0 and a time of 0 returns amps[keep].
+    """(keep, states) for the generator G of dimension dim with G[row, col] = val:
+    the indices of the components of G's sparsity graph that amps reaches, in
+    the walk order their columns were computed in (not sorted), and
+    states[k, j] = (exp(-i G times[k]) amps)[keep[j]]; every other amplitude is
+    exactly 0 and a time of 0 returns amps[keep].
     grid = (step, count) appends the rows at k step, k = 1..count, after the
     times rows, their phases factored (see ``_eigen_states``).  states is the
     one array of (rows x reached) size the call makes: every branch writes its
     sector's columns straight into it.
     The components are found by one walk per reached component over the
-    symmetrized pattern, a whole-space union on each call, and sliced from G
-    once, in walk order, so no step labels or slices the whole space.
+    pattern of both orientations of the entries, made once per call over the
+    whole space; the entries of the reached rows are then relabelled by walk
+    rank and sorted by it, so every later step follows the reached states.
     G is trusted to be Hermitian, as every builder makes it.  Raises
     PropagationError on norm drift or, naming path, on times whose phases
     carry no precision, grid rows included.
@@ -244,10 +243,10 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
     times = np.asarray(times, dtype=float)
     step, count = grid
     every = np.concatenate((times, np.arange(1, count + 1) * step)) if count else times
-    M = G.matrix
-    # a float pattern: csgraph would drop the imaginary part of G
-    pattern = sp.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
-    pattern = pattern.maximum(pattern.T)  # the union: an entry stored on one side joins both
+    # a float pattern (csgraph would drop an imaginary part) of both
+    # orientations: an entry stored on one side joins both
+    ends = np.concatenate((row, col)), np.concatenate((col, row))
+    pattern = sp.csr_matrix((np.ones(ends[0].size), ends), shape=(dim, dim))
     sectors = _walk(pattern, np.flatnonzero(amps != 0))
     if not sectors:  # the zero state
         return np.empty(0, dtype=np.intp), np.empty((every.size, 0), dtype=np.complex128)
@@ -255,9 +254,11 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
     bounds = np.concatenate(([0], np.cumsum(size)))
     sector = np.repeat(np.arange(size.size), size)  # of every position
     order = np.concatenate(sectors)
-    rank = np.empty(M.shape[0], dtype=np.intp)
+    rank = np.full(dim, -1)
     rank[order] = np.arange(order.size)
-    row, col, val = _entries(M, order, rank)
+    take = np.flatnonzero(rank[row] >= 0)  # a reached entry's column is reached too
+    take = take[np.argsort(rank[row[take]] * dim + col[take])]  # by row rank, then column
+    row, col, val = rank[row[take]], rank[col[take]], val[take]
     _check_phase_precision(np.bincount(row, np.abs(val)).max(initial=0.0), every, path)  # max|E|
     first = np.searchsorted(row, bounds)  # entries of each sector, contiguous
 
@@ -305,9 +306,16 @@ def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
     return order, _norm_checked(states, psi, every)
 
 
+def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
+                    grid: tuple[float, int] = (0.0, 0)) -> tuple[np.ndarray, np.ndarray]:
+    """``_evolve_entries`` on the stored entries of G, its CSR read as COO."""
+    M = G.matrix.tocoo()
+    return _evolve_entries(G.space.total_dim, M.row, M.col, M.data, amps, times, path, grid)
+
+
 def _evolve_band(offset: int, upper: np.ndarray, start: int,
                  times) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states) as ``_evolve_sectors`` returns them for G = band + band^dag,
+    """(keep, states) as ``_evolve_entries`` returns them for G = band + band^dag,
     the band holding upper[j] at (j, j + offset), and the Fock state |start>.
 
     |start> reaches the run start + j offset between the nearest zero hops
@@ -318,7 +326,7 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int,
     each hop conjugated.  It is evolved by ``_evolve_path``.
     Only the band is stored and G = band + band^dag by construction, so no
     Hermitian check, whole-space matrix or walk is needed.  Raises
-    PropagationError as ``_evolve_sectors`` does.
+    PropagationError as ``_evolve_entries`` does.
     """
     times = np.asarray(times, dtype=float)
     if offset:
@@ -356,25 +364,25 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.space, amps, copy=False)
 
 
-def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, Operator]:
-    """(d, H(0) - D): the diagonal d_k = omega_level + nu_a n_a + nu_b n_b with
-    e^{iDt} H(t) e^{-iDt} = H(0) for all t, and H(0)'s bands and -D summed.
+def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, tuple]:
+    """(d, (row, col, val)): the diagonal d_k = omega_level + nu_a n_a + nu_b n_b
+    with e^{iDt} H(t) e^{-iDt} = H(0) for all t, and the entries of H(0) - D,
+    H(0)'s bands and -D summed per offset by ``_band_entries``.
 
     Each term c |k><l| a^d_a b^d_b at nu (the static part at 0) whose
     c * entries holds a nonzero gives d_m - d_n = -nu at its elements (m, n),
     one equation [e_k - e_l, -d_a, -d_b | -nu] in the unknowns (one energy
     per level, nu_a, nu_b); its adjoint's equation is the same one negated,
-    so only the stored halves write one.  The distinct ones are solved by
-    least squares, and a residual above FRAME_RTOL * max(max|nu|, 1) means
-    no frame."""
+    so only the stored halves write one.  The distinct ones, rows ascending,
+    are solved by least squares, and a residual above
+    FRAME_RTOL * max(max|nu|, 1) means no frame."""
     space = H.space
     atom = np.eye(space.atom_levels)
-    equations = [np.concatenate((0.0 * atom[0] if k is None  # the identity on the atom
-                                 else atom[space.level_index(k)] - atom[space.level_index(l)],
-                                 [-d_a, -d_b, -nu]))
+    equations = {(*(0.0 * atom[0] if k is None  # the identity on the atom
+                    else atom[space.level_index(k)] - atom[space.level_index(l)]), -d_a, -d_b, -nu)
                  for nu, part in H.terms for c, (k, l, d_a, d_b), (_, entries) in part
-                 if (c * entries).any()]
-    system = np.unique(np.reshape(equations, (-1, space.atom_levels + 3)), axis=0)
+                 if (c * entries).any()}
+    system = np.reshape(sorted(equations), (-1, space.atom_levels + 3))  # a fixed row order
     a_mat, b_vec = system[:, :-1], system[:, -1]
     d = np.zeros(space.total_dim)
     if b_vec.any():
@@ -386,16 +394,17 @@ def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, Operator]:
             )
         level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
         d = np.column_stack([atom[level], n_a, n_b]) @ x
-    return d, _band_operator(space, [*H._bands(0.0), (-1.0, (0, d))])
+    return d, _band_entries(space, [*H._bands(0.0), (-1.0, (0, d))])
 
 
 def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory:
     """Propagate an oscillating Hamiltonian along a strictly increasing grid.
 
     H(t) is moved into its static rotating frame (see ``_rotating_frame``),
-    where phi = e^{iDt} psi evolves under the static H(0) - D: every grid
-    point is exact, however far apart.  The state and its norm are recorded
-    at every grid point.  Raises PropagationError when H(t) has no static
+    where phi = e^{iDt} psi evolves under the static H(0) - D, straight from
+    its band entries (``_evolve_entries``), so no Operator is built: every
+    grid point is exact, however far apart.  The state and its norm are
+    recorded at every grid point.  Raises PropagationError when H(t) has no static
     frame or, after the solve that finds the reached states, when the frame
     phases D t on them carry no precision.
     """
@@ -409,7 +418,7 @@ def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory
 
     d, generator = _rotating_frame(H)
     phi0 = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
-    keep, phi = _evolve_sectors(generator, phi0, t_grid - t_grid[0])
+    keep, phi = _evolve_entries(d.size, *generator, phi0, t_grid - t_grid[0])
     _check_phase_precision(np.abs(d[keep]).max(initial=0.0), t_grid, "times")
     amps = np.zeros((t_grid.size, phi0.size), dtype=np.complex128)
     amps[:, keep] = np.exp(-1j * np.outer(t_grid, d[keep])) * phi

@@ -47,6 +47,7 @@ from .hamiltonians import (
 from .hilbert import (
     DIM_CAP,
     StateVector,
+    _band_entries,
     basis_state,
     field_space,
     fock_state,
@@ -54,7 +55,7 @@ from .hilbert import (
     project_atom,
     vacuum_state,
 )
-from .propagate import PropagationError, _evolve_band, _evolve_sectors
+from .propagate import PropagationError, _evolve_band, _evolve_entries
 
 # Typical microwave-cavity Rydberg numbers used as scenario defaults.
 DEFAULT_COUPLING = 7e5   # s^-1
@@ -68,7 +69,7 @@ FULL_VS_EFFECTIVE_C = 2.0
 
 # Leakage bound 10 (lambda/Delta)^2 holds at the documented default sampling
 # (101 points); a dense scan of DENSE_SCAN_POINTS uniform times from 0 to the
-# last time, appended as _evolve_sectors grid rows, is reported alongside as
+# last time, appended as _evolve_entries grid rows, is reported alongside as
 # max_leakage_dense because the continuous-time peak is slightly higher.
 # leakage_bound is a reported reference, not a gate: off the default detuning
 # the sampled leakage can exceed it and the run still exits 0 (delta_big 1e8
@@ -556,7 +557,9 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig, gate_only: bool = False):
     # that gives the continuous-time leakage envelope: its grid rows, after the
     # comparison times, at k step for k = 1..count
     n_rows = times.size
-    keep, full = _evolve_sectors(h_full.at(0.0), basis_state(atom_space, "i", 1, 0).amplitudes,
+    entries = _band_entries(atom_space, h_full._bands(0.0))
+    keep, full = _evolve_entries(atom_space.total_dim, *entries,
+                                 basis_state(atom_space, "i", 1, 0).amplitudes,
                                  times, "times" if cfg.times else "params.omega_cl, "
                                  "params.lambda_a, params.lambda_b, params.delta_big",
                                  (float(times[-1]) / (DENSE_SCAN_POINTS - 1), count))

@@ -2,7 +2,8 @@
 which the library no longer has, for the product forms; sparse full-space
 operators that the library no longer builds, kept as independent oracles
 for the support-based observables and tomography and for the band-built
-Hamiltonians; oscillating Hamiltonians as sums of sparse
+Hamiltonians, and the Operator of (row, col, val) band entries, which the
+evolutions take without one; oscillating Hamiltonians as sums of sparse
 parts, with the element-wise rotating frame solved from their nonzeros;
 full-space state maps (ladder shifts of the
 amplitude array, operator action and expectation, atom embedding, diagonal
@@ -111,6 +112,13 @@ def assert_identical(got: Operator, reference) -> None:
     assert np.array_equal(got.matrix.indptr, want.indptr)
     assert np.array_equal(got.matrix.indices, want.indices)
     assert np.array_equal(got.matrix.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def entries_operator(space: HilbertSpace, entries) -> Operator:
+    """The Operator of (row, col, val) entries, such as ``_band_entries`` and
+    ``propagate._rotating_frame`` return."""
+    row, col, val = entries
+    return Operator(space, sp.csr_matrix((val, (row, col)), shape=(space.total_dim,) * 2))
 
 
 def atom_block(op: Operator, level: int | str) -> Operator:

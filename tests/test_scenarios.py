@@ -316,9 +316,9 @@ def test_gated_wigner_scan_reruns_only_the_origin(monkeypatch):
 
 def test_full_vs_effective_rerun_asks_for_no_grid_rows(monkeypatch):
     grids = []
-    real = scenarios._evolve_sectors
-    monkeypatch.setattr(scenarios, "_evolve_sectors",
-                        lambda *args: grids.append(args[4]) or real(*args))
+    real = scenarios._evolve_entries
+    monkeypatch.setattr(scenarios, "_evolve_entries",
+                        lambda *args: grids.append(args[7]) or real(*args))
     doc = run_scenario({"scenario": "full_vs_effective"})
     assert doc["convergence_gate"]["checked"]
     assert [count for _, count in grids] == [scenarios.DENSE_SCAN_POINTS - 1, 0]
@@ -523,7 +523,7 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
         raise AssertionError("the comparison must be refused before this is built")
 
     monkeypatch.setattr(scenarios, "full_puc_hamiltonian", never)
-    monkeypatch.setattr(scenarios, "_evolve_sectors", never)
+    monkeypatch.setattr(scenarios, "_evolve_entries", never)
     points = DIM_CAP // reached - scenarios.DENSE_SCAN_POINTS + 2  # the fewest over the cap
     with pytest.raises(ConfigError, match=f"options.grid_points: {points} points .* times "
                                           f"{reached} reached states, exceed cap {DIM_CAP}"):
