@@ -15,17 +15,21 @@ graph is one, such as every conserved sector of the bilinear generators and of
 the full models, is ordered from one end and evolved by ``_evolve_path``: the
 diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
 one real tridiagonal eigensolve, which also gives ``tomography`` its
-displacements, gives G = (UV) E (UV)^dag.  Any other component of at most
-DENSE_SECTOR_LIMIT states is diagonalized by one dense eigh.  Either way every
-requested time is one product UV (e^{-iEt} * (UV)^dag psi0); an appended
-uniform scan t = k step, k = 1..count, takes its phases from two tables of
-about sqrt(count) rows, so it costs about 2 sqrt(count) exponentials per
-eigenvalue, not count, and is written block by block straight into the result,
-the coarse table folded into the eigenbasis, so no phase buffer of the scan
-exists.  A component above its limit takes one matrix-exponential action per
-time, on a fixed seed.  Every branch writes its columns into the one result
-array, in the walk order of the reached states, which is returned with it
-unsorted.  Each row's norm, scan rows included, is checked in one real pass.
+displacements, gives G = (UV) E (UV)^dag.  Consecutive path components of
+one call share that solve while rows x states^2 of the pack stays within
+PACK_BUDGET: no entry joins two components, so the packed tridiagonal holds
+an exact 0 hop at each seam, where the solver splits it into their blocks.
+Any other component of at most DENSE_SECTOR_LIMIT states is diagonalized by
+one dense eigh.  Either way every requested time is one product
+UV (e^{-iEt} * (UV)^dag psi0); an appended uniform scan t = k step,
+k = 1..count, takes its phases from two tables of about sqrt(count) rows, so
+it costs about 2 sqrt(count) exponentials per eigenvalue, not count, and is
+written block by block straight into the result, the coarse table folded
+into the eigenbasis, so no phase buffer of the scan exists.  A component
+above its limit takes one matrix-exponential action per time, on a fixed
+seed.  Every branch writes its columns into the one result array, in the
+walk order of the reached states, which is returned with it unsorted.  Each
+row's norm, scan rows included, is checked in one real pass.
 Times whose phases carry no precision, their rounding |E| t eps exceeding a
 radian (|E| bounded by the largest absolute row sum), are refused.  Every
 oscillating Hamiltonian built here is static in a diagonal rotating frame
@@ -67,6 +71,12 @@ STATIC_NORM_DRIFT_LIMIT = 1e-9
 # larger one takes one expm_multiply per time (single-time crossover:
 # ~1000 states, see CHANGES.md).
 CHAIN_SECTOR_LIMIT = 1000
+
+# Largest rows x states^2 of consecutive path components evolved by one chain
+# solve, rows the times plus grid times (at least 1): two equal paths that
+# just fit ran 1-21 % faster packed than solved apart at 2**13 but up to 7 %
+# slower at 2**15, and time_dependent gained 14 % at either (see CHANGES.md).
+PACK_BUDGET = 2**13
 
 # Largest other component diagonalized by one dense eigh; a larger one takes
 # one expm_multiply per time (single-time crossover: ~300 states, see CHANGES.md).
@@ -199,7 +209,9 @@ def _evolve_path(diagonal: np.ndarray, hops: np.ndarray, psi: np.ndarray, times,
     diagonal and hops G[k, k + 1] = hops[k]: up to CHAIN_SECTOR_LIMIT states
     from one ``_chain_eigh``, above it one seeded exponential action per
     time, grid times included, on G as ``sp.diags`` stores it (no zero entry,
-    as in the stored pattern)."""
+    as in the stored pattern).  G may be several paths packed end to end,
+    an exact 0 hop at each seam: the solver splits there, so each path's
+    rows equal its own solve's to round-off."""
     if psi.size <= CHAIN_SECTOR_LIMIT:
         _eigen_states(*_chain_eigh(diagonal, hops), psi, times, out, grid)
         return
@@ -236,6 +248,11 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     pattern of both orientations of the entries, made once per call over the
     whole space; the entries of the reached rows are then relabelled by walk
     rank and sorted by it, so every later step follows the reached states.
+    Consecutive path components, in walk order, are evolved by one
+    ``_evolve_path`` call on their concatenated diagonal and hops while rows
+    x their states^2 stays within PACK_BUDGET (rows: times plus grid times,
+    at least 1); a pack of one component, as a basis start has, is exactly
+    that component's own solve.
     G is trusted to be Hermitian, as every builder makes it.  Raises
     PropagationError on norm drift or, naming path, on times whose phases
     carry no precision, grid rows included.
@@ -288,10 +305,17 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     np.add.at(hop, row[up], val[up])
     psi = amps[order]
     states = np.empty((every.size, order.size), dtype=np.complex128)
-    for k in range(size.size):
-        pos = slice(bounds[k], bounds[k + 1])
+    # a pack starts at a dense sector, after one, or where the budget ends;
+    # hop holds an exact 0 at each seam, as no entry joins two sectors
+    packs, rows = [0], max(every.size, 1)
+    for k in range(1, size.size):
+        joined = rows * (bounds[k + 1] - bounds[packs[-1]]) ** 2 <= PACK_BUDGET
+        if far[k] or far[packs[-1]] or not joined:
+            packs.append(k)
+    for k, end in zip(packs, [*packs[1:], size.size]):
+        pos = slice(bounds[k], bounds[end])
         if not far[k]:
-            _evolve_path(diagonal[pos], hop[bounds[k]:bounds[k + 1] - 1], psi[pos], times,
+            _evolve_path(diagonal[pos], hop[bounds[k]:bounds[end] - 1], psi[pos], times,
                          states[:, pos], grid)
             continue
         e = slice(first[k], first[k + 1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -332,19 +333,65 @@ def test_a_branched_tree_takes_the_dense_branch(monkeypatch):
 
 def test_chain_branch_on_one_state_components(monkeypatch):
     # a diagonal generator makes every state a one-state path; the beam
-    # splitter's n_a + n_b = 0 and = 7 sectors are one state each
+    # splitter's n_a + n_b = 0 and = 7 sectors are one state each.  The 4
+    # rows of all 20 states fit PACK_BUDGET, so every path shares one solve;
+    # with no budget each takes its own
     space = field_space(4, 3)
     psi0 = random_state(space, 4)
     times = np.array([0.0, 0.3, 1.1, 2.5]) / abs(effective_xi(puc()))
     diagonal = 1e3 * number_operator(space, "a") - 3e3 * number_operator(space, "b")
     beam_splitter = reduced_bilinear_generator(space, puc())
+    budget = propagate.PACK_BUDGET
+    assert times.size * space.total_dim**2 <= budget
     calls = counted_solvers(monkeypatch)
     for gen, components in ((diagonal, 20), (beam_splitter, 8), (diagonal + beam_splitter, 8)):
-        calls.update(dict.fromkeys(calls, 0))
-        keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
-        assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
-        assert_matches_dense_expm(gen, psi0, times, keep, states)
-        assert np.array_equal(states[0], psi0.amplitudes[keep])
+        for limit, solves in ((budget, 1), (0, components)):
+            monkeypatch.setattr(propagate, "PACK_BUDGET", limit)
+            calls.update(dict.fromkeys(calls, 0))
+            keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+            assert calls == {"tridiagonal": solves, "eigh": 0, "expm": 0}
+            assert_matches_dense_expm(gen, psi0, times, keep, states)
+            assert np.array_equal(states[0], psi0.amplitudes[keep])
+
+
+def test_one_chain_solve_per_pack_and_one_per_sector_over_the_budget(monkeypatch):
+    # every component of full_pdc's frame generator is a path: 5 rows of all
+    # 27 states at [2, 2] fit PACK_BUDGET, 3005 rows of any two states do not
+    space = make_space(3, 2, 2)
+    gen = frame_generator(full_pdc_hamiltonian(space, pdc(delta_small=1e4)))
+    psi0 = random_state(space, 8)  # reaches every component
+    components = connected_components(gen.matrix != 0, directed=False)[0]
+    times = np.linspace(0.0, 3e-5, 5)
+    assert times.size * space.total_dim**2 <= propagate.PACK_BUDGET < (times.size + 3000) * 2**2
+    calls = counted_solvers(monkeypatch)
+    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+    assert components > 1 and keep.size == space.total_dim
+    assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
+    assert_matches_dense_expm(gen, psi0, times, keep, states)
+    calls.update(dict.fromkeys(calls, 0))
+    _evolve_sectors(gen, psi0.amplitudes, times, grid=(1e-8, 3000))
+    assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
+
+
+def test_norm_check_sees_a_basis_error_in_one_of_two_packed_sectors(monkeypatch):
+    # the beam splitter's n_a + n_b = 1 and 3 sectors, walked in that order,
+    # share one solve of 2 + 4 states; the second one's rows of the basis,
+    # scaled by 1 + 1e-8, move its norm alone by about 10 times the limit
+    space = field_space(4, 4)
+    gen = reduced_bilinear_generator(space, puc())
+    psi0 = (fock_state(space, 1, 0).amplitudes + fock_state(space, 2, 1).amplitudes) / math.sqrt(2)
+    stevd, sizes = propagate._stevd, []
+
+    def off(diagonal, hops):
+        energies, basis, info = stevd(diagonal, hops)
+        sizes.append(energies.size)
+        basis[2:] *= 1.0 + 1e-8
+        return energies, basis, info
+
+    monkeypatch.setattr(propagate, "_stevd", off)
+    with pytest.raises(PropagationError, match="norm"):
+        _evolve_sectors(gen, psi0, [2e-5])
+    assert sizes == [6]
 
 
 # local edges of the components of scattered_generator

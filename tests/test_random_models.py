@@ -1,5 +1,6 @@
-"""Random labelled-term models against a dense oracle, and the Operator
-adapter of the sector evolution against its band-entries path.
+"""Random labelled-term models against a dense oracle, the band path
+against the sector path, and the Operator adapter of the sector evolution
+and its packed chain solves against per-sector ones.
 
 A drawn model is a space of 1-3 levels with n_max 0-6 per mode (at most 147
 states) and 1-4 terms c |k><l| a^d_a b^d_b, d_a and d_b in -2..2, k = l =
@@ -7,7 +8,8 @@ None the identity on the atom.  Each term oscillates at the frequency a
 drawn diagonal frame D = omega_level + nu_a n_a + nu_b n_b gives it, so an
 exact frame exists, and e^{-iDt} expm(-i (t - t0) (H(0) - D)) e^{iDt0} psi0,
 with H(0) and D built densely here, is the exact solution that ``evolve_td``
-must reproduce.
+must reproduce.  A drawn one-band model is a random band, a reduced
+generator's or a two-photon one, at most 150 states.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from cavityconv import propagate
 from cavityconv.hamiltonians import (
@@ -40,7 +43,15 @@ from cavityconv.hilbert import (
     field_space,
     make_space,
 )
-from cavityconv.propagate import PropagationError, _evolve_entries, _evolve_sectors, evolve_td
+from cavityconv.propagate import (
+    PACK_BUDGET,
+    PropagationError,
+    _evolve_band,
+    _evolve_entries,
+    _evolve_path,
+    _evolve_sectors,
+    evolve_td,
+)
 
 from oracles import reached_components
 
@@ -90,13 +101,27 @@ def dense_term(space, k, l, d_a, d_b) -> np.ndarray:
     return np.kron(np.kron(sigma, powers[0]), powers[1])
 
 
-def dense_h0(space, terms) -> np.ndarray:
-    """H(0): every term plus its adjoint, but a static diagonal term alone."""
+def dense_h(space, terms, t=0.0) -> np.ndarray:
+    """H(t): every term at its phase plus its adjoint, but a static diagonal
+    term alone."""
     h = np.zeros((space.total_dim,) * 2, dtype=complex)
     for c, k, l, d_a, d_b, nu in terms:
-        op = c * dense_term(space, k, l, d_a, d_b)
+        op = c * np.exp(1j * nu * t) * dense_term(space, k, l, d_a, d_b)
         h += op if nu == 0.0 and k == l and d_a == d_b == 0 else op + op.conj().T
     return h
+
+
+def frame_row(space, k, l, d_a, d_b) -> np.ndarray:
+    """A term's frame equation in the unknowns (one energy per level, nu_a,
+    nu_b): d_m - d_n = -nu at its elements (m, n)."""
+    atom = np.eye(space.atom_levels)
+    return np.concatenate((0.0 * atom[0] if k is None else atom[k] - atom[l], [-d_a, -d_b]))
+
+
+def dense_evolution(generator, psi, times) -> np.ndarray:
+    """The rows expm(-i generator t) psi, one per time, from one dense eigh."""
+    energies, basis = scipy.linalg.eigh(generator)
+    return (np.exp(-1j * np.outer(times, energies)) * (basis.conj().T @ psi)) @ basis.T
 
 
 def starts(space):
@@ -132,7 +157,7 @@ def test_evolve_td_matches_the_dense_frame_solution(data):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(propagate, "_evolve_entries", spy)
         traj = evolve_td(build(space, terms), StateVector(space, psi0), grid)
-    generator = dense_h0(space, terms) - np.diag(frame)
+    generator = dense_h(space, terms) - np.diag(frame)
     phi0 = np.exp(1j * frame * t0) * psi0
     for t, state in zip(grid, traj.states):
         exact = np.exp(-1j * frame * t) * (scipy.linalg.expm(-1j * (t - t0) * generator) @ phi0)
@@ -145,6 +170,17 @@ def test_evolve_td_matches_the_dense_frame_solution(data):
     assert np.array_equal(np.sort(keep), reached)
     outside = np.setdiff1d(np.arange(dim), reached)
     assert not np.any([state.amplitudes[outside] for state in traj.states])
+    # the same generator with a uniform grid appended, rows x reached^2 drawn
+    # on either side of PACK_BUDGET: every time row and grid row
+    side = data.draw(st.sampled_from([0.25, 4.0]))
+    count = int(np.clip(round(side * PACK_BUDGET / reached.size**2) - grid.size, 1, 3000))
+    step = data.draw(st.floats(0.05, 2.0)) / count
+    row, col = np.nonzero(generator)
+    keep, states = _evolve_entries(dim, row, col, generator[row, col], phi0, grid - t0,
+                                   grid=(step, count))
+    every = np.concatenate((grid - t0, np.arange(1, count + 1) * step))
+    exact = dense_evolution(generator[np.ix_(keep, keep)], phi0[keep], every)
+    assert states.shape == exact.shape and np.max(np.abs(states - exact)) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -159,8 +195,98 @@ def test_a_term_at_two_frequencies_has_no_frame(data):
         evolve_td(h, StateVector(space, np.eye(space.total_dim)[0]), [0.0, 0.1])
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_shifted_frequency_breaks_the_frame_exactly_when_its_equation_is_spanned(data):
+    # shifting one nonzero term's nu changes one right-hand side: a system
+    # whose other rows span that term's row has no solution left, any other
+    # one a frame D' that absorbs the shift
+    space, terms, _ = data.draw(models())
+    j = data.draw(st.integers(0, len(terms) - 1))
+    live = [i for i, (c, *label, _) in enumerate(terms)
+            if np.any(c * dense_term(space, *label))]
+    assume(j in live)
+    c, k, l, d_a, d_b, nu = terms[j]
+    terms[j] = (c, k, l, d_a, d_b, nu + data.draw(st.sampled_from([-2.0, -0.5, 1.0, 2.5])))
+    system = np.array([frame_row(space, *terms[i][1:5]) for i in live])
+    others = np.delete(system, live.index(j), axis=0)
+    spanned = np.linalg.matrix_rank(system) == np.linalg.matrix_rank(others)
+    psi0 = data.draw(starts(space))
+    grid = np.array([0.0, 0.3, 0.9])
+    if spanned:
+        with pytest.raises(PropagationError, match="no static rotating frame"):
+            evolve_td(build(space, terms), StateVector(space, psi0), grid)
+        return
+    rhs = -np.array([terms[i][5] for i in live])
+    x = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    assert np.max(np.abs(system @ x - rhs)) <= 1e-9
+    level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
+    frame = np.column_stack([np.eye(space.atom_levels)[level], n_a, n_b]) @ x
+    static = dense_h(space, terms)  # e^{iD't} H(t) e^{-iD't} = H(0) at a generic t
+    turned = np.exp(1j * np.subtract.outer(frame, frame) * 0.61) * dense_h(space, terms, 0.61)
+    assert np.max(np.abs(turned - static)) <= 1e-9 * max(np.abs(static).max(), 1.0)
+    traj = evolve_td(build(space, terms), StateVector(space, psi0), grid)
+    exact = dense_evolution(static - np.diag(frame), psi0, grid)
+    exact *= np.exp(-1j * np.outer(grid, frame))
+    assert np.max(np.abs(np.array([state.amplitudes for state in traj.states]) - exact)) <= 1e-10
+
+
 LAM, DELTA = 7e5, 1e7
 COMPLEX = dict(lambda_a=4.2e5 - 5.6e5j, lambda_b=3e5 + 5e5j, omega_cl=6e5 * np.exp(0.7j))
+
+
+@st.composite
+def one_band_models(draw):
+    """(space, offset, upper): G = band + band^dag with upper[j] at (j, j +
+    offset), a random band with some exact zeros, a reduced generator's or a
+    two-photon exchange's, at most 150 states."""
+    kind = draw(st.sampled_from(["random", "reduced", "two_photon"]))
+    if kind == "random":
+        dim = draw(st.integers(1, 150))
+        offset = draw(st.integers(min(1, dim - 1), dim - 1))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = (rng.normal(size=dim - offset) + 1j * rng.normal(size=dim - offset))
+        upper *= (rng.random(dim - offset) > rng.uniform(0.0, 0.5)) * (offset > 0)
+        return field_space(dim - 1, 0), offset, upper
+    if kind == "reduced":
+        n_a = draw(st.integers(0, 11))
+        space = field_space(n_a, draw(st.integers(0, 150 // (n_a + 1) - 1)))
+        process = draw(st.sampled_from(["PUC", "PDC", "DEGENERATE_PDC"]))
+        params = PhysicalParams(**COMPLEX, delta_big=DELTA, process=process)
+        params = PhysicalParams(**COMPLEX, delta_big=DELTA, delta_small=resonance_delta(params),
+                                process=process)
+        return space, *_reduced_band(space, params)
+    # its offset is positive once both modes hold a photon
+    space = make_space(3, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    kind = draw(st.sampled_from(["BS", "TMS"]))
+    params = PhysicalParams(LAM, 0.6 * LAM * np.exp(0.4j), 0.0, DELTA, 0.0,
+                            ProcessKind(f"TWO_PHOTON_{kind}"))
+    return space, *_two_photon_band(space, params, kind)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_band_path_equals_the_sector_path_bit_for_bit(data):
+    # from every start: a run entered at an end is ordered from it by both
+    # paths; one entered inside is ordered by the band path from its bottom
+    # end and by the walk from the end it reaches last, which may be the top
+    space, offset, upper = data.draw(one_band_models())
+    scale = np.abs(upper).max(initial=0.0) or 1.0
+    times = np.array([0.0, *sorted(data.draw(st.lists(st.floats(0.05, 3.0), min_size=1,
+                                                        max_size=3)))]) / scale
+    entries = _band_entries(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
+    for start in range(space.total_dim):
+        band_keep, band_states = _evolve_band(offset, upper, start, times)
+        keep, states = _evolve_entries(space.total_dim, *entries,
+                                       np.eye(space.total_dim)[start], times)
+        if np.array_equal(band_keep, keep) or band_keep[0] == start:
+            assert np.array_equal(band_keep, keep)
+            assert band_states.tobytes() == states.tobytes()
+        else:
+            assert np.array_equal(band_keep[::-1], keep)
+            assert np.max(np.abs(band_states[:, ::-1] - states)) <= 1e-12
 
 
 def frame_cases(truncation):
@@ -196,9 +322,31 @@ def band_cases(truncation):
                _band_entries(space, [(1.0, (-offset, upper.conj())), (1.0, (offset, upper))]))
 
 
+def per_sector_solves(dim, entries, amps, times, keep, grid=(0.0, 0)):
+    """The states ``_evolve_entries`` returns with columns in keep's order,
+    each reached component evolved by its own ``_evolve_path`` call; None
+    when one is not a path in that order."""
+    row, col, val = entries
+    block = sp.csr_matrix((val, (row, col)), shape=(dim, dim))[keep][:, keep].toarray()
+    r, c = np.nonzero(block)
+    if np.any(np.abs(r - c) > 1):
+        return None
+    diagonal, hops = 0.0 + block.diagonal().real, 0.0 + np.diagonal(block, 1)  # as summed from 0
+    cuts = np.flatnonzero(np.diff(connected_components(block != 0, directed=False)[1])) + 1
+    psi, times = amps[keep], np.asarray(times, dtype=float)
+    states = np.empty((times.size + grid[1], keep.size), dtype=np.complex128)
+    for low, high in zip([0, *cuts], [*cuts, keep.size]):
+        _evolve_path(diagonal[low:high], hops[low:high - 1], psi[low:high], times,
+                     states[:, low:high], grid)
+    states[np.concatenate((times, np.arange(1, grid[1] + 1) * grid[0])) == 0.0] = psi
+    return states
+
+
 @pytest.mark.parametrize("truncation", [(1, 2), (3, 3), (4, 1)], ids=str)
 @pytest.mark.parametrize("cases", [frame_cases, band_cases])
 def test_the_operator_adapter_equals_the_band_entries_bit_for_bit(cases, truncation):
+    # and a basis start, which reaches one component, is that component's
+    # own chain solve where it is a path
     times = [0.0, 3e-7, 2e-6, 1.5e-5]
     for name, space, operator, entries in cases(truncation):
         rng = np.random.default_rng(len(name))
@@ -206,8 +354,25 @@ def test_the_operator_adapter_equals_the_band_entries_bit_for_bit(cases, truncat
         for _ in range(3):  # random supports
             scattered = rng.normal(size=space.total_dim) * (rng.random(space.total_dim) < 0.3)
             amps.append(scattered + 1j * rng.normal(size=space.total_dim) * (scattered != 0))
-        for psi in amps:
+        for k, psi in enumerate(amps):
             keep, states = _evolve_sectors(operator, psi, times)
             same, direct = _evolve_entries(space.total_dim, *entries, psi, times)
             assert np.array_equal(keep, same), name
             assert states.tobytes() == direct.tobytes(), name
+            if k < space.total_dim:  # None: one of the effective builders' dense components
+                reference = per_sector_solves(space.total_dim, entries, psi, times, keep)
+                assert reference is None or direct.tobytes() == reference.tobytes(), name
+
+
+def test_a_call_over_the_budget_solves_each_sector_apart_bit_for_bit():
+    # 3005 rows of any two states exceed PACK_BUDGET: every one of the full
+    # frames' path components, reached from a full support, is solved alone
+    times, grid = [0.0, 3e-7, 2e-6, 1.5e-5], (1e-9, 3000)
+    assert (len(times) + grid[1]) * 2**2 > PACK_BUDGET
+    for name, space, operator, entries in frame_cases((3, 3)):
+        if name.startswith("full"):
+            amps = [1.0, 1j] @ np.random.default_rng(7).normal(size=(2, space.total_dim))
+            keep, states = _evolve_entries(space.total_dim, *entries, amps, times, grid=grid)
+            assert connected_components(operator.matrix != 0)[0] > 1 and keep.size == amps.size
+            reference = per_sector_solves(space.total_dim, entries, amps, times, keep, grid)
+            assert states.tobytes() == reference.tobytes(), name
