@@ -329,8 +329,9 @@ def reduced_bilinear_generator(space: HilbertSpace, params: PhysicalParams) -> O
 
 
 def _two_photon_band(space: HilbertSpace, params: PhysicalParams, kind: str):
-    """(offset, upper): the h.c. half of ``two_photon_hamiltonian``, entries
-    upper[j] at (j, j + offset); offset > 0 when n_max >= 1 in both modes."""
+    """(offset, upper): the h.c. half of ``two_photon_hamiltonian``, stored as
+    ``hilbert._band`` stores it, which ``propagate._evolve_band`` reads at
+    either sign of the offset."""
     coupling = two_photon_coupling(params, kind)
     offset, entries = _band(space, "g", "e", -1, 1 if kind == "BS" else -1)
     return offset, 0.0 + coupling.conjugate() * entries

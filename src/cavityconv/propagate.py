@@ -6,19 +6,22 @@ the connected components of its sparsity graph that the initial state reaches
 over a pattern of both orientations of the entries, made once per call; the
 entries of the reached rows are relabelled by walk rank, so every later step
 follows the reached states, not the whole space (``_evolve_entries``).  An
-``Operator`` enters through one adapter, ``_evolve_sectors``, that reads its
-CSR as COO.  The reduced bilinear generators and the two-photon exchange
-skip even that: a Fock state is evolved straight from one of their bands
-(``_evolve_band``), index arithmetic finding its run, so no whole-space matrix
-or walk is made.  Every path, a band's run or a component whose off-diagonal
-graph is one, such as every conserved sector of the bilinear generators and of
-the full models, is ordered from one end and evolved by ``_evolve_path``: the
-diagonal gauge u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and
-one real tridiagonal eigensolve, which also gives ``tomography`` its
-displacements, gives G = (UV) E (UV)^dag.  Consecutive path components of
-one call share that solve while rows x states^2 of the pack stays within
-PACK_BUDGET: no entry joins two components, so the packed tridiagonal holds
-an exact 0 hop at each seam, where the solver splits it into their blocks.
+``Operator`` enters it directly, its CSR read as COO (``evolve_static``).
+The reduced bilinear generators and the two-photon exchange skip even that: a
+Fock state is evolved straight from one of their bands (``_evolve_band``),
+index arithmetic finding its run, so no whole-space matrix or walk is made,
+yet it returns the walk's order and bytes, from every start and at either sign
+of the band's offset.  Every path, a band's run or a component whose
+off-diagonal graph is one, such as every conserved sector of the bilinear
+generators and of the full models, is ordered by one rule: from the start when
+it is an end, else from the end the walk reaches last, the farther one (the
+top one on a tie).  It is evolved by ``_evolve_path``: the diagonal gauge
+u_{k+1} = u_k conj(h_k) / |h_k| makes its hops h_k real, and one real
+tridiagonal eigensolve, which also gives ``tomography`` its displacements,
+gives G = (UV) E (UV)^dag.  Consecutive path components of one call share that
+solve while rows x states^2 of the pack stays within PACK_BUDGET: no entry
+joins two components, so the packed tridiagonal holds an exact 0 hop at each
+seam, where the solver splits it into their blocks.
 Any other component of at most DENSE_SECTOR_LIMIT states is diagonalized by
 one dense eigh.  Either way every requested time is one product
 UV (e^{-iEt} * (UV)^dag psi0); an appended uniform scan t = k step,
@@ -26,10 +29,11 @@ k = 1..count, takes its phases from two tables of about sqrt(count) rows, so
 it costs about 2 sqrt(count) exponentials per eigenvalue, not count, and is
 written block by block straight into the result, the coarse table folded
 into the eigenbasis, so no phase buffer of the scan exists.  A component
-above its limit takes one matrix-exponential action per time, on a fixed
-seed.  Every branch writes its columns into the one result array, in the
-walk order of the reached states, which is returned with it unsorted.  Each
-row's norm, scan rows included, is checked in one real pass.
+above its limit takes one matrix-exponential action per nonzero time, on a
+fixed seed.  Every branch writes its columns into the one result array, in
+the walk order of the reached states, which is returned with it unsorted.
+Each row's norm, scan rows included, is checked in one real pass, which also
+writes psi0 at every time of 0.
 Times whose phases carry no precision, their rounding |E| t eps exceeding a
 radian (|E| bounded by the largest absolute row sum), are refused.  Every
 oscillating Hamiltonian built here is static in a diagonal rotating frame
@@ -191,9 +195,9 @@ def _eigen_states(energies: np.ndarray, basis: np.ndarray, psi: np.ndarray, time
 
 
 def _expm_states(block: sp.csr_matrix, psi: np.ndarray, times, out: np.ndarray) -> None:
-    """Write into out the rows exp(-i block t) psi, one per time, each a seeded
-    exponential action; a time of 0 gives psi."""
-    out[times == 0.0] = psi
+    """Write into out the rows exp(-i block t) psi, one per nonzero time, each a
+    seeded exponential action; a row at a time of 0 is left to
+    ``_norm_checked``, which writes psi there for every branch."""
     caller = np.random.get_state()
     try:  # its norm estimates draw from NumPy's global generator: fix their draws
         for i in np.flatnonzero(times):
@@ -247,12 +251,18 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     The components are found by one walk per reached component over the
     pattern of both orientations of the entries, made once per call over the
     whole space; the entries of the reached rows are then relabelled by walk
-    rank and sorted by it, so every later step follows the reached states.
+    rank, in the order given, so every later step follows the reached states.
+    A path component is ordered from its start when that is an end, else
+    walked again from the end its walk reached last, as ``_evolve_band``
+    orders a run.
     Consecutive path components, in walk order, are evolved by one
     ``_evolve_path`` call on their concatenated diagonal and hops while rows
     x their states^2 stays within PACK_BUDGET (rows: times plus grid times,
     at least 1); a pack of one component, as a basis start has, is exactly
-    that component's own solve.
+    that component's own solve.  Any other component takes the entries of
+    its rows, in the order given, into a dense eigh or one exponential
+    action per nonzero time.  An ``Operator`` enters with its CSR read as
+    COO, as ``evolve_static`` passes it.
     G is trusted to be Hermitian, as every builder makes it.  Raises
     PropagationError on norm drift or, naming path, on times whose phases
     carry no precision, grid rows included.
@@ -274,10 +284,8 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     rank = np.full(dim, -1)
     rank[order] = np.arange(order.size)
     take = np.flatnonzero(rank[row] >= 0)  # a reached entry's column is reached too
-    take = take[np.argsort(rank[row[take]] * dim + col[take])]  # by row rank, then column
     row, col, val = rank[row[take]], rank[col[take]], val[take]
     _check_phase_precision(np.bincount(row, np.abs(val)).max(initial=0.0), every, path)  # max|E|
-    first = np.searchsorted(row, bounds)  # entries of each sector, contiguous
 
     def beyond(width):  # sectors holding an entry more than width off the diagonal
         flags = np.zeros(size.size, dtype=bool)
@@ -318,7 +326,7 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
             _evolve_path(diagonal[pos], hop[bounds[k]:bounds[end] - 1], psi[pos], times,
                          states[:, pos], grid)
             continue
-        e = slice(first[k], first[k + 1])
+        e = sector[row] == k
         r, c = row[e] - bounds[k], col[e] - bounds[k]
         if size[k] <= DENSE_SECTOR_LIMIT:
             block = np.zeros((size[k], size[k]), dtype=np.complex128)
@@ -330,45 +338,49 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     return order, _norm_checked(states, psi, every)
 
 
-def _evolve_sectors(G: Operator, amps: np.ndarray, times, path: str = "times",
-                    grid: tuple[float, int] = (0.0, 0)) -> tuple[np.ndarray, np.ndarray]:
-    """``_evolve_entries`` on the stored entries of G, its CSR read as COO."""
-    M = G.matrix.tocoo()
-    return _evolve_entries(G.space.total_dim, M.row, M.col, M.data, amps, times, path, grid)
-
-
 def _evolve_band(offset: int, upper: np.ndarray, start: int,
                  times) -> tuple[np.ndarray, np.ndarray]:
-    """(keep, states) as ``_evolve_entries`` returns them for G = band + band^dag,
-    the band holding upper[j] at (j, j + offset), and the Fock state |start>.
+    """(keep, states) as ``_evolve_entries`` returns them, bit for bit, for
+    G = band + band^dag and the Fock state |start>: the band holds upper[j]
+    at (j, j + offset) for an offset >= 0 and at (j - offset, j) below the
+    diagonal, as ``hilbert._band`` stores it.  A band at offset -k is read as
+    its adjoint, conj(upper) at offset k, the same G.
 
     |start> reaches the run start + j offset between the nearest zero hops
     upper[m] (from m to m + offset) on either side, found by index arithmetic;
-    an offset of 0 has no hops.  The run is ordered from |start>'s end, as the
-    walk orders it (from the bottom end when |start> lies inside), and keep
-    is returned in that order: a run entered at its top end is descending,
-    each hop conjugated.  It is evolved by ``_evolve_path``.
+    at an offset of 0 the band is diagonal, G = 2 Re upper, with no hops.
+    The run is ordered by the walk's rule: from |start> when it is an end,
+    else from the farther end, the top one on a tie, which the walk reaches
+    last.  keep is returned in that order: a run ordered from its top end is
+    descending, each hop conjugated.  It is evolved by ``_evolve_path``.
     Only the band is stored and G = band + band^dag by construction, so no
     Hermitian check, whole-space matrix or walk is needed.  Raises
     PropagationError as ``_evolve_entries`` does.
     """
     times = np.asarray(times, dtype=float)
+    if offset < 0:  # 0.0 + clears the sign conj gives a zero imaginary part
+        offset, upper = -offset, 0.0 + upper.conj()
     if offset:
         hops, here = upper[start % offset::offset], start // offset
         zero = np.flatnonzero(hops == 0)
         low = zero[zero < here].max(initial=-1) + 1
         high = zero[zero >= here].min(initial=hops.size)
         keep, hops = start + offset * np.arange(low - here, high - here + 1), hops[low:high]
+        below, above = here - low, high - here  # hops to the bottom and the top end
     else:
-        keep, hops = np.array([start]), upper[:0]
-    strength = np.abs(hops)  # max|E| <= the largest row sum |h_{k-1}| + |h_k|
-    row_sums = np.concatenate(([0.0], strength)) + np.concatenate((strength, [0.0]))
+        keep, hops, below, above = np.array([start]), upper[:0], 0, 0
+    diagonal = np.zeros(keep.size)
+    if not offset:  # from 0, as the bands are summed, so no zero keeps a minus sign
+        diagonal += 2 * upper[start].real
+    strength = np.abs(hops)  # max|E| <= the largest row sum |d_k| + |h_{k-1}| + |h_k|
+    row_sums = (np.abs(diagonal) + np.concatenate(([0.0], strength))
+                + np.concatenate((strength, [0.0])))
     _check_phase_precision(row_sums.max(), times, "times")
-    if start == keep[-1]:  # 0.0 + clears the sign conj gives a zero imaginary part
+    if above == 0 or 0 < below <= above:  # ordered from the top end
         keep, hops = keep[::-1], 0.0 + hops[::-1].conj()
     psi = (keep == start).astype(np.complex128)
     states = np.empty((len(times), keep.size), dtype=np.complex128)
-    _evolve_path(np.zeros(keep.size), hops, psi, times, states)
+    _evolve_path(diagonal, hops, psi, times, states)
     return keep, _norm_checked(states, psi, times)
 
 
@@ -376,13 +388,15 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     """exp(-i H t)|psi0>, evolved only on the components of H's sparsity graph
     that meet the support of psi0 (for the bilinear generators, the conserved
     photon-number sectors it occupies); every other amplitude stays exactly 0.
-    Raises ValueError for a non-Hermitian H, checked over the whole space.
+    H's CSR, read as COO, enters ``_evolve_entries`` directly.  Raises
+    ValueError for a non-Hermitian H, checked over the whole space.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     if not H.is_hermitian():
         raise ValueError("static evolution requires a Hermitian generator")
-    keep, states = _evolve_sectors(H, psi0.amplitudes, [t])
+    M = H.matrix.tocoo()
+    keep, states = _evolve_entries(H.space.total_dim, M.row, M.col, M.data, psi0.amplitudes, [t])
     amps = np.zeros_like(psi0.amplitudes)
     amps[keep] = states[0]
     return StateVector(psi0.space, amps, copy=False)

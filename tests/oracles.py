@@ -34,7 +34,7 @@ from cavityconv.hilbert import (
     _band_operator,
     _mode_axis,
 )
-from cavityconv.propagate import FRAME_RTOL, PropagationError
+from cavityconv.propagate import FRAME_RTOL, PropagationError, _evolve_entries
 from cavityconv.tomography import _checked_displacements
 
 
@@ -119,6 +119,12 @@ def entries_operator(space: HilbertSpace, entries) -> Operator:
     ``propagate._rotating_frame`` return."""
     row, col, val = entries
     return Operator(space, sp.csr_matrix((val, (row, col)), shape=(space.total_dim,) * 2))
+
+
+def evolve_sectors(G: Operator, amps, times, path="times", grid=(0.0, 0)):
+    """``propagate._evolve_entries`` on G's CSR read as COO, as ``evolve_static`` calls it."""
+    M = G.matrix.tocoo()
+    return _evolve_entries(G.space.total_dim, M.row, M.col, M.data, amps, times, path, grid)
 
 
 def atom_block(op: Operator, level: int | str) -> Operator:

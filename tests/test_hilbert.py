@@ -265,8 +265,8 @@ def test_hermiticity_computed_once_per_operator(monkeypatch):
     from cavityconv import hilbert
 
     norms = []
-    real_norm = hilbert._sparse_norm
-    monkeypatch.setattr(hilbert, "_sparse_norm", lambda m: norms.append(m) or real_norm(m))
+    real_norm = hilbert._frobenius_norm
+    monkeypatch.setattr(hilbert, "_frobenius_norm", lambda m: norms.append(m) or real_norm(m))
     a = annihilation(field_space(3, 3), "a")
     for op, expected in ((a + a.dag(), True), (a, False)):
         assert op.is_hermitian() is expected

@@ -39,7 +39,6 @@ from cavityconv.propagate import (
     PropagationError,
     _evolve_band,
     _evolve_entries,
-    _evolve_sectors,
     evolve_static,
     evolve_td,
 )
@@ -50,6 +49,7 @@ from oracles import (
     atomic_sigma,
     embed_atom,
     entries_operator,
+    evolve_sectors,
     expectation,
     frame_transform,
     identity_operator,
@@ -243,10 +243,13 @@ def counted_solvers(monkeypatch) -> dict:
 @pytest.mark.parametrize("limit", [propagate.DENSE_SECTOR_LIMIT, 2])
 def test_sector_evolution_matches_dense_expm_on_both_sides_of_the_limit(monkeypatch, limit):
     set_sector_limits(monkeypatch, limit)
+    calls = counted_solvers(monkeypatch)
     for gen, psi0, times in sector_cases():
-        keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+        keep, states = by_index(*evolve_sectors(gen, psi0.amplitudes, times))
         assert_matches_dense_expm(gen, psi0, times, keep, states)
         assert np.array_equal(states[0], psi0.amplitudes[keep])  # t = 0 is returned as is
+    # at limit 2 the larger sectors, t = 0 rows included, took that branch
+    assert (calls["expm"] > 0) == (limit == 2)
 
 
 @pytest.mark.parametrize("params", [pdc(), puc(lambda_b=LAM * np.exp(0.9j))],
@@ -259,7 +262,7 @@ def test_chain_branch_makes_hops_of_any_phase_real(monkeypatch, params):
     psi0 = random_state(space, 2)
     times = np.array([0.0, 0.3, 1.1, 2.5]) / abs(xi)
     calls = counted_solvers(monkeypatch)
-    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+    keep, states = by_index(*evolve_sectors(gen, psi0.amplitudes, times))
     assert calls["tridiagonal"] > 0 and calls["eigh"] == calls["expm"] == 0
     assert_matches_dense_expm(gen, psi0, times, keep, states)
 
@@ -290,7 +293,7 @@ def test_frame_generators_take_the_chain_branch_exactly_on_paths(monkeypatch, bu
     psi0 = random_state(space, 8)  # reaches every component
     times = np.array([0.0, 1e-7, 2e-6, 3e-5])
     calls = counted_solvers(monkeypatch)
-    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+    keep, states = by_index(*evolve_sectors(gen, psi0.amplitudes, times))
     assert keep.size == space.total_dim
     assert calls["eigh"] == dense_calls and calls["expm"] == 0 and calls["tridiagonal"] > 0
     assert_matches_dense_expm(gen, psi0, times, keep, states)
@@ -326,7 +329,7 @@ def test_a_branched_tree_takes_the_dense_branch(monkeypatch):
     psi0 = random_state(space, 6)
     times = np.array([0.0, 1e-4, 2e-3])
     calls = counted_solvers(monkeypatch)
-    keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+    keep, states = evolve_sectors(gen, psi0.amplitudes, times)
     assert calls == {"tridiagonal": 0, "eigh": 1, "expm": 0}
     assert_matches_dense_expm(gen, psi0, times, keep, states)
 
@@ -348,7 +351,7 @@ def test_chain_branch_on_one_state_components(monkeypatch):
         for limit, solves in ((budget, 1), (0, components)):
             monkeypatch.setattr(propagate, "PACK_BUDGET", limit)
             calls.update(dict.fromkeys(calls, 0))
-            keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+            keep, states = by_index(*evolve_sectors(gen, psi0.amplitudes, times))
             assert calls == {"tridiagonal": solves, "eigh": 0, "expm": 0}
             assert_matches_dense_expm(gen, psi0, times, keep, states)
             assert np.array_equal(states[0], psi0.amplitudes[keep])
@@ -364,12 +367,12 @@ def test_one_chain_solve_per_pack_and_one_per_sector_over_the_budget(monkeypatch
     times = np.linspace(0.0, 3e-5, 5)
     assert times.size * space.total_dim**2 <= propagate.PACK_BUDGET < (times.size + 3000) * 2**2
     calls = counted_solvers(monkeypatch)
-    keep, states = by_index(*_evolve_sectors(gen, psi0.amplitudes, times))
+    keep, states = by_index(*evolve_sectors(gen, psi0.amplitudes, times))
     assert components > 1 and keep.size == space.total_dim
     assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
     assert_matches_dense_expm(gen, psi0, times, keep, states)
     calls.update(dict.fromkeys(calls, 0))
-    _evolve_sectors(gen, psi0.amplitudes, times, grid=(1e-8, 3000))
+    evolve_sectors(gen, psi0.amplitudes, times, grid=(1e-8, 3000))
     assert calls == {"tridiagonal": components, "eigh": 0, "expm": 0}
 
 
@@ -390,7 +393,7 @@ def test_norm_check_sees_a_basis_error_in_one_of_two_packed_sectors(monkeypatch)
 
     monkeypatch.setattr(propagate, "_stevd", off)
     with pytest.raises(PropagationError, match="norm"):
-        _evolve_sectors(gen, psi0, [2e-5])
+        evolve_sectors(gen, psi0, [2e-5])
     assert sizes == [6]
 
 
@@ -484,7 +487,7 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
     times = np.array([0.0, 2e-4, 1e-3])
     calls = counted_solvers(monkeypatch)
     walks = counted_walks(monkeypatch)
-    keep, states_out = by_index(*_evolve_sectors(gen, amps, times))
+    keep, states_out = by_index(*evolve_sectors(gen, amps, times))
     assert_matches_dense_expm(gen, psi0, times, keep, states_out)
     if case in ("mid-path", "one-sided-path"):  # walked again from an end: one tridiagonal
         assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
@@ -503,7 +506,7 @@ def test_sector_columns_follow_keep_in_any_order():
         space = gen.space
         amps = amplitudes_on(space, np.arange(space.total_dim), seed)
         times = np.array([0.0, 2e-4, 1e-3])
-        keep, states = _evolve_sectors(gen, amps, times)
+        keep, states = evolve_sectors(gen, amps, times)
         reached = reached_components(gen.matrix, np.flatnonzero(amps))
         assert keep.size == reached.size and np.array_equal(np.sort(keep), reached)
         dense = gen.to_dense()
@@ -555,8 +558,8 @@ def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
 
     monkeypatch.setattr(propagate, "breadth_first_order", counted)
     space = field_space(300, 300)
-    _evolve_sectors(reduced_bilinear_generator(space, pdc()), vacuum_state(space).amplitudes,
-                    [2e-4])
+    evolve_sectors(reduced_bilinear_generator(space, pdc()), vacuum_state(space).amplitudes,
+                   [2e-4])
     assert 301 <= sum(visited) <= 3 * 301
 
 
@@ -597,8 +600,8 @@ def test_band_path_reproduces_the_sector_walk_bit_for_bit(monkeypatch, case, lim
     start = space.flatten(0, *fock)
     for times in ([0.0, 1e-4, 0.0, 3e-4], [3e-4]):  # a product of many rows, and of one
         np.random.seed(3)
-        keep, states = _evolve_sectors(reduced_bilinear_generator(space, params),
-                                       fock_state(space, *fock).amplitudes, times)
+        keep, states = evolve_sectors(reduced_bilinear_generator(space, params),
+                                      fock_state(space, *fock).amplitudes, times)
         np.random.seed(3)
         band_keep, band_states = _evolve_band(*_reduced_band(space, params), start, times)
         assert keep[0] == start  # both ordered from |start>'s end of the run
@@ -606,18 +609,18 @@ def test_band_path_reproduces_the_sector_walk_bit_for_bit(monkeypatch, case, lim
 
 
 def test_band_path_from_inside_its_run_matches_the_sector_walk():
-    # the walk orders a run entered in the middle from its far end, the band
-    # path from its bottom end: the same states to round-off
+    # both order a run entered in the middle from the end the walk reaches
+    # last: the farther one, the top one on a tie
     space, params = field_space(4, 4), resonant(puc(lambda_a=3e5 - 4e5j))
-    for fock in ((1, 2), (2, 1), (1, 3)):
-        keep, states = by_index(*_evolve_sectors(reduced_bilinear_generator(space, params),
-                                                 fock_state(space, *fock).amplitudes,
-                                                 [0.0, 2e-4]))
+    for fock, first in (((1, 2), (3, 0)), ((2, 1), (0, 3)), ((1, 3), (4, 0)), ((2, 2), (4, 0))):
+        keep, states = evolve_sectors(reduced_bilinear_generator(space, params),
+                                      fock_state(space, *fock).amplitudes, [0.0, 2e-4])
         band_keep, band_states = _evolve_band(*_reduced_band(space, params),
                                                space.flatten(0, *fock), [0.0, 2e-4])
         assert space.flatten(0, *fock) not in (keep[0], keep[-1])
+        assert keep[0] == space.flatten(0, *first)
         assert np.array_equal(band_keep, keep)
-        assert np.allclose(band_states, states, rtol=0.0, atol=1e-12)
+        assert band_states.tobytes() == states.tobytes()
 
 
 def test_band_path_refuses_what_the_sector_walk_refuses():
@@ -633,8 +636,8 @@ def test_band_scenarios_build_no_full_space_matrix(monkeypatch):
     # the reduced scenarios and bell_prep, gate on
     calls = []
     for owner, name in ((Operator, "__init__"), (Operator, "is_hermitian"),
-                        (propagate, "breadth_first_order"), (propagate, "_evolve_sectors"),
-                        (propagate, "_evolve_entries"), (scenarios, "_evolve_entries")):
+                        (propagate, "breadth_first_order"), (propagate, "_evolve_entries"),
+                        (scenarios, "_evolve_entries")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:
                             calls.append(_name) or _real(*args, **kwargs))
@@ -694,7 +697,7 @@ def test_two_photon_band_reproduces_the_sector_walk_bit_for_bit(coupling, kind, 
     for start in range(space.total_dim):
         amps = np.zeros(space.total_dim, dtype=np.complex128)
         amps[start] = 1.0
-        keep, states = _evolve_sectors(generator, amps, times)
+        keep, states = evolve_sectors(generator, amps, times)
         band_keep, band_states = _evolve_band(*_two_photon_band(space, params, kind),
                                                start, times)
         assert np.array_equal(band_keep, keep)
@@ -725,7 +728,7 @@ def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monke
 
 def test_multi_time_evolution_equals_per_time_evolve_static():
     for gen, psi0, times in sector_cases():
-        keep, states = _evolve_sectors(gen, psi0.amplitudes, times)
+        keep, states = evolve_sectors(gen, psi0.amplitudes, times)
         for t, state in zip(times, states):
             single = evolve_static(gen, psi0, t).amplitudes
             assert np.max(np.abs(single[keep] - state)) < 1e-13
@@ -734,7 +737,7 @@ def test_multi_time_evolution_equals_per_time_evolve_static():
 
 def test_sector_evolution_of_zero_state_and_zero_time():
     gen, psi0, times = sector_cases()[0]
-    keep, states = _evolve_sectors(gen, np.zeros(gen.space.total_dim, complex), times)
+    keep, states = evolve_sectors(gen, np.zeros(gen.space.total_dim, complex), times)
     assert keep.size == 0 and states.shape == (times.size, 0)
     assert np.array_equal(evolve_static(gen, psi0, 0.0).amplitudes, psi0.amplitudes)
 
@@ -794,7 +797,7 @@ def test_norm_check_sees_a_basis_off_by_1e_8(monkeypatch, branch, case):
         psi0 = (kept.amplitudes + drifted.amplitudes) / math.sqrt(2.0)
     times = [2e-5] if case == "one_time" else np.linspace(0.0, 2e-4, 20101)
     with pytest.raises(PropagationError, match="norm"):
-        _evolve_sectors(gen, psi0, times)
+        evolve_sectors(gen, psi0, times)
     assert size in sizes and (case != "one_of_two_sectors" or len(set(sizes)) == 2)
 
 
@@ -818,7 +821,7 @@ def test_a_non_finite_chain_never_reaches_the_eigensolver(monkeypatch, value, ti
         for r, c in entries:
             M[r, c] = value
         with pytest.raises(PropagationError, match=refusal) as raised:
-            _evolve_sectors(Operator(space, M), fock_state(space, 1, 0).amplitudes, times)
+            evolve_sectors(Operator(space, M), fock_state(space, 1, 0).amplitudes, times)
         assert raised.value.path is None
     assert calls == []
 
@@ -940,8 +943,8 @@ def test_grid_rows_match_the_concatenated_times(monkeypatch, case, count):
     if branch == "expm":
         set_sector_limits(monkeypatch, 0)
     step = 1.3 * times[-1] / count
-    keep, states = _evolve_sectors(gen, amps, times, grid=(step, count))
-    same, plain = _evolve_sectors(gen, amps, np.concatenate((times, np.arange(1, count + 1) * step)))
+    keep, states = evolve_sectors(gen, amps, times, grid=(step, count))
+    same, plain = evolve_sectors(gen, amps, np.concatenate((times, np.arange(1, count + 1) * step)))
     assert np.array_equal(keep, same) and states.shape == plain.shape
     n = times.size
     assert np.array_equal(states[:n], plain[:n])  # the times rows bit for bit
@@ -962,10 +965,10 @@ def test_norm_drift_on_a_grid_row_is_refused(monkeypatch):
 
     monkeypatch.setattr(propagate, "_stevd", off)
     gen, psi0, _ = sector_cases()[0]
-    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0])
+    _, states = evolve_sectors(gen, psi0.amplitudes, [0.0])
     assert abs(np.linalg.norm(states[0]) - 1.0) < 1e-15
     with pytest.raises(PropagationError, match="norm"):
-        _evolve_sectors(gen, psi0.amplitudes, [0.0], grid=(1e-5, 3))
+        evolve_sectors(gen, psi0.amplitudes, [0.0], grid=(1e-5, 3))
 
 
 def default_scan_call(monkeypatch):
@@ -1224,20 +1227,20 @@ def test_times_whose_phases_carry_no_precision_are_refused_before_any_solve(monk
     # (Gershgorin); a time t is refused when the phase rounding, that bound
     # * t * eps, exceeds a radian, and accepted just below it
     gen, psi0, _ = sector_cases()[0]
-    keep, _ = _evolve_sectors(gen, psi0.amplitudes, [0.0])
+    keep, _ = evolve_sectors(gen, psi0.amplitudes, [0.0])
     bound = np.max(np.abs(gen.matrix[keep]).sum(axis=1))
     edge = 1.0 / np.finfo(float).eps / bound
     calls = counted_solvers(monkeypatch)
     for t in (1.001 * edge, 1e300):
         with pytest.raises(PropagationError, match=r"^times: phases reach"):
-            _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6, t])
+            evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6, t])
         # a grid whose last time alone is t, refused naming the given path
         with pytest.raises(PropagationError, match=r"^params\.delta_big: phases reach"):
-            _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big", (t / 10, 10))
+            evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big", (t / 10, 10))
     assert calls == {"tridiagonal": 0, "eigh": 0, "expm": 0}
-    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0, 0.999 * edge])
+    _, states = evolve_sectors(gen, psi0.amplitudes, [0.0, 0.999 * edge])
     assert abs(np.linalg.norm(states[1]) - 1.0) < 1e-9
-    _, states = _evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big",
+    _, states = evolve_sectors(gen, psi0.amplitudes, [0.0, 1e-6], "params.delta_big",
                                 (0.999 * edge / 10, 10))
     assert abs(np.linalg.norm(states[-1]) - 1.0) < 1e-9
 
@@ -1262,7 +1265,7 @@ def test_recorded_grid_states_are_the_frame_phases_times_the_evolved_amplitudes(
     traj = evolve_td(h, psi0, grid)
     d = propagate._rotating_frame(h)[0]
     generator = Operator(space, h.at(0.0).matrix - sp.diags(d))
-    keep, phi = _evolve_sectors(generator, psi0.amplitudes, grid)
+    keep, phi = evolve_sectors(generator, psi0.amplitudes, grid)
     for t, phi_t, state, norm in zip(grid, phi, traj.states, traj.norms):
         amps = np.zeros(space.total_dim, dtype=np.complex128)
         amps[keep] = np.exp(-1j * d[keep] * t) * phi_t

@@ -8,8 +8,9 @@ None the identity on the atom.  Each term oscillates at the frequency a
 drawn diagonal frame D = omega_level + nu_a n_a + nu_b n_b gives it, so an
 exact frame exists, and e^{-iDt} expm(-i (t - t0) (H(0) - D)) e^{iDt0} psi0,
 with H(0) and D built densely here, is the exact solution that ``evolve_td``
-must reproduce.  A drawn one-band model is a random band, a reduced
-generator's or a two-photon one, at most 150 states.
+must reproduce.  A drawn one-band model is a random band stored at either
+sign of its offset or on the diagonal, a reduced generator's or a
+two-photon one, at most 150 states.
 """
 
 import numpy as np
@@ -49,11 +50,10 @@ from cavityconv.propagate import (
     _evolve_band,
     _evolve_entries,
     _evolve_path,
-    _evolve_sectors,
     evolve_td,
 )
 
-from oracles import reached_components
+from oracles import evolve_sectors, reached_components
 
 COEFFICIENTS = st.floats(-1.0, 1.0, allow_subnormal=False)
 FREQUENCIES = st.integers(-3, 3).map(float)
@@ -238,17 +238,19 @@ COMPLEX = dict(lambda_a=4.2e5 - 5.6e5j, lambda_b=3e5 + 5e5j, omega_cl=6e5 * np.e
 
 @st.composite
 def one_band_models(draw):
-    """(space, offset, upper): G = band + band^dag with upper[j] at (j, j +
-    offset), a random band with some exact zeros, a reduced generator's or a
+    """(space, offset, upper): G = band + band^dag with the band stored as
+    ``hilbert._band`` stores it, upper[j] at (j, j + offset) or, below the
+    diagonal, at (j - offset, j): a random band with some exact zeros at
+    either sign of its offset or on the diagonal, a reduced generator's or a
     two-photon exchange's, at most 150 states."""
     kind = draw(st.sampled_from(["random", "reduced", "two_photon"]))
     if kind == "random":
         dim = draw(st.integers(1, 150))
-        offset = draw(st.integers(min(1, dim - 1), dim - 1))
+        offset = draw(st.integers(0, dim - 1))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         upper = (rng.normal(size=dim - offset) + 1j * rng.normal(size=dim - offset))
-        upper *= (rng.random(dim - offset) > rng.uniform(0.0, 0.5)) * (offset > 0)
-        return field_space(dim - 1, 0), offset, upper
+        upper *= rng.random(dim - offset) > rng.uniform(0.0, 0.5)
+        return field_space(dim - 1, 0), draw(st.sampled_from([1, -1])) * offset, upper
     if kind == "reduced":
         n_a = draw(st.integers(0, 11))
         space = field_space(n_a, draw(st.integers(0, 150 // (n_a + 1) - 1)))
@@ -257,36 +259,50 @@ def one_band_models(draw):
         params = PhysicalParams(**COMPLEX, delta_big=DELTA, delta_small=resonance_delta(params),
                                 process=process)
         return space, *_reduced_band(space, params)
-    # its offset is positive once both modes hold a photon
-    space = make_space(3, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
-    kind = draw(st.sampled_from(["BS", "TMS"]))
+    # with no photon room in a mode, TMS is stored at offset -1 or 0
+    space = make_space(3, draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    return space, *two_photon_band(space, draw(st.sampled_from(["BS", "TMS"])))
+
+
+def two_photon_band(space, kind):
     params = PhysicalParams(LAM, 0.6 * LAM * np.exp(0.4j), 0.0, DELTA, 0.0,
                             ProcessKind(f"TWO_PHOTON_{kind}"))
-    return space, *_two_photon_band(space, params, kind)
+    return _two_photon_band(space, params, kind)
+
+
+def assert_band_path_is_the_walk(space, offset, upper, times):
+    """From every start, ``_evolve_band`` returns ``_evolve_entries``' keep
+    and states byte for byte."""
+    entries = _band_entries(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
+    for start in range(space.total_dim):
+        band_keep, band_states = _evolve_band(offset, upper, start, times)
+        keep, states = _evolve_entries(space.total_dim, *entries,
+                                       np.eye(space.total_dim)[start], times)
+        assert np.array_equal(band_keep, keep), start
+        assert band_states.tobytes() == states.tobytes(), start
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_the_band_path_equals_the_sector_path_bit_for_bit(data):
-    # from every start: a run entered at an end is ordered from it by both
-    # paths; one entered inside is ordered by the band path from its bottom
-    # end and by the walk from the end it reaches last, which may be the top
+    # a run entered at an end is ordered from it, one entered inside from
+    # the end the walk reaches last: the farther one, the top one on a tie
     space, offset, upper = data.draw(one_band_models())
     scale = np.abs(upper).max(initial=0.0) or 1.0
     times = np.array([0.0, *sorted(data.draw(st.lists(st.floats(0.05, 3.0), min_size=1,
                                                         max_size=3)))]) / scale
-    entries = _band_entries(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
-    for start in range(space.total_dim):
-        band_keep, band_states = _evolve_band(offset, upper, start, times)
-        keep, states = _evolve_entries(space.total_dim, *entries,
-                                       np.eye(space.total_dim)[start], times)
-        if np.array_equal(band_keep, keep) or band_keep[0] == start:
-            assert np.array_equal(band_keep, keep)
-            assert band_states.tobytes() == states.tobytes()
-        else:
-            assert np.array_equal(band_keep[::-1], keep)
-            assert np.max(np.abs(band_states[:, ::-1] - states)) <= 1e-12
+    assert_band_path_is_the_walk(space, offset, upper, times)
+
+
+@pytest.mark.parametrize("kind", ["BS", "TMS"])
+def test_the_two_photon_bands_with_no_room_in_mode_a_are_the_walk(kind):
+    # at n_max_a = 0 the TMS band is stored at offset -1, and at [1, 0] at 0
+    for n_max_b in range(7):
+        for n_max_a in (0, 1):
+            space = make_space(3, n_max_a, n_max_b)
+            assert_band_path_is_the_walk(space, *two_photon_band(space, kind), [0.0, 2e-6, 1e-5])
+    assert two_photon_band(make_space(3, 0, 3), "TMS")[0] == -1
 
 
 def frame_cases(truncation):
@@ -355,7 +371,7 @@ def test_the_operator_adapter_equals_the_band_entries_bit_for_bit(cases, truncat
             scattered = rng.normal(size=space.total_dim) * (rng.random(space.total_dim) < 0.3)
             amps.append(scattered + 1j * rng.normal(size=space.total_dim) * (scattered != 0))
         for k, psi in enumerate(amps):
-            keep, states = _evolve_sectors(operator, psi, times)
+            keep, states = evolve_sectors(operator, psi, times)
             same, direct = _evolve_entries(space.total_dim, *entries, psi, times)
             assert np.array_equal(keep, same), name
             assert states.tobytes() == direct.tobytes(), name

@@ -46,6 +46,7 @@ from cavityconv.scenarios import (
 from cavityconv.serialize import result_to_json, round_sig, table_to_csv
 from cavityconv.tomography import TAIL_LIMIT
 from make_golden_corpus import CONFIGS
+from oracles import evolve_sectors
 
 REGISTERED = {
     "puc_swap", "pdc_epr", "epr_quality", "epr_variances", "full_vs_effective",
@@ -515,8 +516,8 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
     # the count the cap uses is the sector |i;1,0> reaches under the full model
     space = make_space(3, *n_max)
     params = resolve_config({"scenario": "full_vs_effective"}).params
-    keep, _ = propagate._evolve_sectors(full_puc_hamiltonian(space, params).at(0.0),
-                                        basis_state(space, "i", 1, 0).amplitudes, [0.0])
+    keep, _ = evolve_sectors(full_puc_hamiltonian(space, params).at(0.0),
+                             basis_state(space, "i", 1, 0).amplitudes, [0.0])
     assert keep.size == reached
 
     def never(*args, **kwargs):
@@ -549,11 +550,17 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
      "options.n_max_list, options.target_config.options.state"),
     ({"scenario": "convergence", "options": {"target": "puc_swap", "n_max_list": [0, 2]}},
      "options.n_max_list"),
+    ({"scenario": "pdc_epr", "truncation": [-1, 0]}, "truncation"),
+    ({"scenario": "gaussian_profile", "options": {"fit_target_r": 0.01}}, "options.fit_target_r"),
+    ({"scenario": "gaussian_profile", "times": [1e308]}, "times"),
+    ({"scenario": "wigner_scan", "options": {"grid_extent": 1.7e308}}, "options.grid_extent"),
 ], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap",
         "puc_swap-times-no_precision", "puc_swap-times-1e13",
         "full_vs_effective-times-no_precision", "full_vs_effective-t_end-no_precision",
         "convergence-target_config-subnormal", "convergence-one_photon-one_mode",
-        "convergence-puc_swap-one_mode"])
+        "convergence-puc_swap-one_mode", "pdc_epr-truncation-negative",
+        "gaussian_profile-fit_target_r-out_of_reach", "gaussian_profile-times-overflow",
+        "wigner_scan-grid_extent-overflow"])
 def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
                                                                     field_path):
     # VALIDATION_CASES runs each with the gate off
@@ -570,6 +577,49 @@ def test_far_detuned_full_vs_effective_phases_keep_their_precision(tmp_path):
         assert cli_main(["run", write_config(tmp_path, FAR_DETUNED), "--out", str(out), *flags]) == 0
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["fidelity_end"] >= metrics["fidelity_bound"]
+        assert metrics["max_leakage_dense"] >= metrics["max_leakage"] - 1e-12
+
+
+def wigner_origin(sign):
+    """w_origin = sign 4 / pi^2 and a probe protocol that matches the direct readout."""
+    return lambda doc: (abs(doc["metrics"]["w_origin"] - sign * 4 / math.pi**2) <= 1e-9
+                        and doc["metrics"]["max_protocol_deviation"] <= 1e-9)
+
+
+def gate_checked(doc):
+    return doc["convergence_gate"]["checked"] is True and doc["convergence_gate"]["increment"] <= 1e-6
+
+
+@pytest.mark.parametrize("config, flags, holds", [
+    pytest.param({"scenario": "pdc_epr", "truncation": [800, 800]}, ["--no-converge-check"],
+                 lambda doc: abs(doc["metrics"]["fidelity_vs_analytic"] - 1.0) <= 1e-9,
+                 id="pdc_epr-800"),
+    # the dense scan's 20 000 rows end in a partial block
+    pytest.param({"scenario": "full_vs_effective", "params": {"delta_big": -3e7}}, [],
+                 lambda doc: doc["metrics"]["max_leakage_dense"]
+                 >= doc["metrics"]["max_leakage"] - 1e-12, id="full_vs_effective-negative_detuning"),
+    # each mode displaced by its own matrices, and by one shared set
+    pytest.param({"scenario": "wigner_scan", "truncation": [30, 26],
+                  "options": {"state": "one_photon", "grid_points": 8}}, [], wigner_origin(-1),
+                 id="wigner_scan-lopsided"),
+    pytest.param({"scenario": "wigner_scan", "options": {"grid_points": 9}}, [], wigner_origin(1),
+                 id="wigner_scan-symmetric"),
+    pytest.param({"scenario": "wigner_scan"}, [],
+                 lambda doc: gate_checked(doc) and doc["convergence_gate"]["metric"] == "w_origin",
+                 id="wigner_scan-default"),
+    # the gate's rerun caps count what the rerun builds: no dense scan
+    # (4 reached states at [1, 1], 8 at the rerun's [5, 5]) and one scan point
+    pytest.param(FAR_DETUNED | {"truncation": [1, 1], "options": {"grid_points": 250_000}}, [],
+                 gate_checked, id="full_vs_effective-rerun_rows"),
+    pytest.param({"scenario": "wigner_scan", "truncation": [100, 100],
+                  "options": {"grid_points": 190, "state": "vacuum"}}, [], gate_checked,
+                 id="wigner_scan-rerun_point"),
+])
+def test_cli_runs_write_the_documents_they_promise(tmp_path, config, flags, holds):
+    out = tmp_path / "out.json"
+    assert cli_main(["run", write_config(tmp_path, config), "--out", str(out), *flags]) == 0
+    doc = json.loads(out.read_text())
+    assert holds(doc), doc
 
 
 def test_gaussian_profile_at_a_crossing_time_near_the_float_limit(tmp_path, capsys):
