@@ -2,10 +2,13 @@
 
 A static generator, given by its entries (row, col, val), is evolved only on
 the connected components of its sparsity graph that the initial state reaches
-(nothing couples them to the rest), found by one walk per reached component
-over a pattern of both orientations of the entries, made once per call; the
-entries of the reached rows are relabelled by walk rank, so every later step
-follows the reached states, not the whole space (``_evolve_entries``).  An
+(nothing couples them to the rest), found by one breadth-first walk per
+reached component, in plain Python, over one sorted adjacency per call: the
+keys row dim + col of both orientations of the entries, sorted once, in which
+each reached state's neighbours are bisected (``_adjacency``, ``_walk``), so
+only the reached states are visited, in scipy's breadth_first_order order;
+the entries of the reached rows are relabelled by walk rank, so every later
+step follows the reached states, not the whole space (``_evolve_entries``).  An
 ``Operator`` enters it directly, its CSR read as COO (``evolve_static``).
 The reduced bilinear generators and the two-photon exchange skip even that: a
 Fock state is evolved straight from one of their bands (``_evolve_band``),
@@ -53,12 +56,13 @@ its whole matrix.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply
 
 from .hamiltonians import TimeDependentOperator
@@ -121,30 +125,64 @@ class Trajectory:
 NORM_DRIFT_LIMIT = 1e-7
 
 
-def _walk(pattern: sp.csr_matrix, starts: np.ndarray) -> list[np.ndarray]:
-    """The states of one breadth-first walk over pattern's stored entries,
-    in walk order, from each start that no earlier walk reached."""
-    reached = np.zeros(pattern.shape[0], dtype=bool)
-    walks = []
-    while starts.size:
-        walks.append(breadth_first_order(pattern, starts[0], return_predecessors=False))
-        reached[walks[-1]] = True
-        starts = starts[~reached[starts]]
-    return walks
+def _adjacency(dim: int, row: np.ndarray, col: np.ndarray) -> memoryview:
+    """The keys s dim + j of the sparsity graph, ascending: one per entry
+    stored at (s, j) and one per entry at (j, s), so the neighbours j of state
+    s, a duplicate kept, are the run of keys in [s dim, (s + 1) dim).  One
+    sort by timsort, which merges ascending runs: each band of entries is one
+    in either orientation, so the sort is near linear for band entries."""
+    keys = np.concatenate((row, col), dtype=np.int64)
+    keys *= dim
+    keys += np.concatenate((col, row))
+    return memoryview(np.sort(keys, kind="stable"))
+
+
+def _walk(keys: memoryview, dim: int, starts) -> tuple[list[int], list[int]]:
+    """(order, sizes): the states of one breadth-first walk over the adjacency
+    from each start that no earlier walk reached, concatenated in walk order,
+    and the size of each walk.  A walk takes its states in queue order and
+    each state's neighbours ascending, as scipy's breadth_first_order does;
+    it bisects the keys for each state it reaches and marks only those, so
+    only they become Python ints."""
+    order, sizes, seen = [], [], set()
+    for start in starts:
+        if start in seen:
+            continue
+        seen.add(start)
+        walk = [start]
+        for state in walk:  # the list grows under the loop: a queue
+            base = state * dim
+            low = bisect_left(keys, base)
+            for near in keys[low:bisect_left(keys, base + dim, low)].tolist():
+                near -= base
+                if near not in seen:
+                    seen.add(near)
+                    walk.append(near)
+        order += walk
+        sizes.append(len(walk))
+    return order, sizes
 
 
 def _check_phase_precision(scale: float, times, path: str) -> None:
     """Refuse times at which phases up to scale * |t| carry no precision: their
-    rounding, scale * max|t| * eps, exceeds a radian.  path names the times.
+    rounding, scale * eps * max|t|, exceeds a radian.  path names the times.
+    Decided on Python floats, eps taken first, so an overflowing phase is
+    inf, not a numpy warning; the message bounds it by the largest float and
+    names the largest |t| that keeps the rounding within a radian.
     A non-finite scale is refused first, naming no field: it comes from a
     non-finite generator, which no config builds."""
+    scale = float(scale)
     if not math.isfinite(scale):
         raise PropagationError(f"the generator has a non-finite entry on the reached "
                                f"states (largest row sum {scale})")
-    phase = scale * np.max(np.abs(times), initial=0.0)
-    if not phase * np.finfo(float).eps <= 1.0:
-        raise PropagationError(f"phases reach {phase:.3e} rad, whose rounding alone "
-                               f"({phase * np.finfo(float).eps:.1e} rad) exceeds a radian", path)
+    eps = sys.float_info.epsilon
+    rounding = scale * eps * float(np.max(np.abs(times), initial=0.0))
+    if not rounding <= 1.0:
+        phase = rounding / eps  # exact: eps is a power of 2
+        reach = f"{phase:.3e}" if math.isfinite(phase) else f"over {sys.float_info.max:.3e}"
+        raise PropagationError(f"phases reach {reach} rad, whose rounding alone ({rounding:.1e} "
+                               f"rad) exceeds a radian; it stays within one for |t| up to "
+                               f"{1.0 / (scale * eps):.3e}", path)
 
 
 def _chain_eigh(diagonal: np.ndarray, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +286,13 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     times rows, their phases factored (see ``_eigen_states``).  states is the
     one array of (rows x reached) size the call makes: every branch writes its
     sector's columns straight into it.
-    The components are found by one walk per reached component over the
-    pattern of both orientations of the entries, made once per call over the
-    whole space; the entries of the reached rows are then relabelled by walk
-    rank, in the order given, so every later step follows the reached states.
-    A path component is ordered from its start when that is an end, else
-    walked again from the end its walk reached last, as ``_evolve_band``
-    orders a run.
+    The components are found by one ``_walk`` per reached component over
+    the ``_adjacency`` of the entries, built once per call; the entries of
+    the reached rows are then relabelled by walk rank, in the order given,
+    so every later step follows the reached states.  A path component is
+    ordered from its start when that is an end, else walked again from the
+    end its walk reached last, as ``_evolve_band`` orders a run; that walk
+    marks only its own component.
     Consecutive path components, in walk order, are evolved by one
     ``_evolve_path`` call on their concatenated diagonal and hops while rows
     x their states^2 stays within PACK_BUDGET (rows: times plus grid times,
@@ -270,17 +308,13 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     times = np.asarray(times, dtype=float)
     step, count = grid
     every = np.concatenate((times, np.arange(1, count + 1) * step)) if count else times
-    # a float pattern (csgraph would drop an imaginary part) of both
-    # orientations: an entry stored on one side joins both
-    ends = np.concatenate((row, col)), np.concatenate((col, row))
-    pattern = sp.csr_matrix((np.ones(ends[0].size), ends), shape=(dim, dim))
-    sectors = _walk(pattern, np.flatnonzero(amps != 0))
-    if not sectors:  # the zero state
+    keys = _adjacency(dim, row, col)
+    order, size = _walk(keys, dim, np.flatnonzero(amps != 0).tolist())
+    if not order:  # the zero state
         return np.empty(0, dtype=np.intp), np.empty((every.size, 0), dtype=np.complex128)
-    size = np.array([s.size for s in sectors])
+    order, size = np.array(order, dtype=np.intp), np.array(size)
     bounds = np.concatenate(([0], np.cumsum(size)))
     sector = np.repeat(np.arange(size.size), size)  # of every position
-    order = np.concatenate(sectors)
     rank = np.full(dim, -1)
     rank[order] = np.arange(order.size)
     take = np.flatnonzero(rank[row] >= 0)  # a reached entry's column is reached too
@@ -299,8 +333,7 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     if inside.size:
         position = np.arange(order.size)
         for k in inside:
-            walk = breadth_first_order(pattern, order[bounds[k + 1] - 1],
-                                       return_predecessors=False)
+            walk = _walk(keys, dim, [int(order[bounds[k + 1] - 1])])[0]
             position[rank[walk]] = np.arange(bounds[k], bounds[k + 1])
         row, col = position[row], position[col]
         order[position] = order.copy()

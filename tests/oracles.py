@@ -9,7 +9,8 @@ full-space state maps (ladder shifts of the
 amplitude array, operator action and expectation, atom embedding, diagonal
 frame changes, index unflattening) that the library no longer needs; the
 random states they are compared on; the whole-graph labelling of the
-sectors a state reaches; and the Wigner readout's loop over the scan's
+sectors a state reaches and scipy's breadth-first walk of them, which the
+library's walk reproduces; and the Wigner readout's loop over the scan's
 eta_a rows, which batched contractions replaced."""
 
 import cmath
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from cavityconv.hamiltonians import (
     PhysicalParams,
@@ -407,6 +408,23 @@ def reached_components(matrix: sp.spmatrix, support: np.ndarray) -> np.ndarray:
     graph of matrix that meet support, labelled over the whole space."""
     _, label = connected_components(matrix != 0, directed=False)
     return np.flatnonzero(np.isin(label, label[support]))
+
+
+def walk_order(dim: int, row, col, starts) -> tuple[list[int], list[int]]:
+    """(order, sizes) as ``propagate._walk`` returns them for the entries
+    (row, col): scipy's breadth_first_order over a CSR pattern of both
+    orientations, one walk from each start, in the order given, that no
+    earlier walk reached, concatenated, and the size of each walk."""
+    ends = np.concatenate((row, col)), np.concatenate((col, row))
+    pattern = sp.csr_matrix((np.ones(ends[0].size), ends), shape=(dim, dim))
+    order, sizes, reached = [], [], np.zeros(dim, dtype=bool)
+    for start in starts:
+        if not reached[start]:
+            walk = breadth_first_order(pattern, start, return_predecessors=False)
+            reached[walk] = True
+            order += walk.tolist()
+            sizes.append(walk.size)
+    return order, sizes
 
 
 def separable_readout_by_rows(state: StateVector, points, weights) -> np.ndarray:

@@ -437,12 +437,29 @@ def amplitudes_on(space, support, seed):
 
 
 def counted_walks(monkeypatch) -> list:
-    """The pattern of every propagate._walk call, live."""
-    patterns = []
-    walk = propagate._walk
-    monkeypatch.setattr(propagate, "_walk",
-                        lambda pattern, starts: patterns.append(pattern) or walk(pattern, starts))
-    return patterns
+    """(dim, keys) of every adjacency propagate._adjacency builds, live; each
+    propagate._walk call asserts that it walks the latest one."""
+    adjacencies = []
+    adjacency, walk = propagate._adjacency, propagate._walk
+
+    def built(dim, row, col):
+        keys = adjacency(dim, row, col)
+        adjacencies.append((dim, keys))
+        return keys
+
+    def walked(keys, dim, starts):
+        assert adjacencies and adjacencies[-1][0] == dim and adjacencies[-1][1] is keys
+        return walk(keys, dim, starts)
+
+    monkeypatch.setattr(propagate, "_adjacency", built)
+    monkeypatch.setattr(propagate, "_walk", walked)
+    return adjacencies
+
+
+def symmetric(dim, keys) -> bool:
+    """Whether the adjacency keys s dim + j hold (j, s) as often as (s, j)."""
+    state, near = np.divmod(np.asarray(keys), dim)
+    return np.array_equal(np.sort(near * dim + state), keys)
 
 
 def with_one_sided_entry(gen, row, col):
@@ -493,8 +510,8 @@ def test_reached_sectors_match_whole_graph_labelling(monkeypatch, seed, case):
         assert calls == {"tridiagonal": 1, "eigh": 0, "expm": 0}
     if case in ("one-sided", "walks-meet", "one-sided-path"):
         assert set(states["path"]) | set(states["pair"]) == set(keep)
-    # exactly one walk, over the symmetrized pattern
-    assert len(walks) == 1 and (walks[0] != walks[0].T).nnz == 0
+    # exactly one adjacency, of both orientations, which every walk follows
+    assert len(walks) == 1 and symmetric(*walks[0])
 
 
 def test_sector_columns_follow_keep_in_any_order():
@@ -517,7 +534,7 @@ def test_sector_columns_follow_keep_in_any_order():
 
 def test_program_paths_walk_once_per_evolution(monkeypatch):
     # every default scenario, gate on and off, and evolve_td on each oscillating
-    # builder: one walk per evolution, over a symmetric pattern
+    # builder: one adjacency per evolution, symmetric, which every walk follows
     walks, evolutions = counted_walks(monkeypatch), []
     evolve_entries = propagate._evolve_entries
 
@@ -525,7 +542,7 @@ def test_program_paths_walk_once_per_evolution(monkeypatch):
         before = len(walks)
         result = evolve_entries(*args, **kwargs)
         evolutions.append((len(walks) - before,
-                           all((walked != walked.T).nnz == 0 for walked in walks[before:])))
+                           all(symmetric(*walked) for walked in walks[before:])))
         return result
 
     monkeypatch.setattr(propagate, "_evolve_entries", checked)
@@ -549,14 +566,14 @@ def test_program_paths_walk_once_per_evolution(monkeypatch):
 def test_pair_sector_walk_visits_only_the_reached_states(monkeypatch):
     # [300, 300] has 90 601 states; the vacuum reaches the 301 of n_a = n_b
     visited = []
-    walk = propagate.breadth_first_order
+    walk = propagate._walk
 
-    def counted(*args, **kwargs):
-        order = walk(*args, **kwargs)
-        visited.append(order.size)
-        return order
+    def counted(*args):
+        order, sizes = walk(*args)
+        visited.append(len(order))
+        return order, sizes
 
-    monkeypatch.setattr(propagate, "breadth_first_order", counted)
+    monkeypatch.setattr(propagate, "_walk", counted)
     space = field_space(300, 300)
     evolve_sectors(reduced_bilinear_generator(space, pdc()), vacuum_state(space).amplitudes,
                    [2e-4])
@@ -636,7 +653,8 @@ def test_band_scenarios_build_no_full_space_matrix(monkeypatch):
     # the reduced scenarios and bell_prep, gate on
     calls = []
     for owner, name in ((Operator, "__init__"), (Operator, "is_hermitian"),
-                        (propagate, "breadth_first_order"), (propagate, "_evolve_entries"),
+                        (propagate, "_adjacency"), (propagate, "_walk"),
+                        (propagate, "_evolve_entries"),
                         (scenarios, "_evolve_entries")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:

@@ -10,7 +10,9 @@ exact frame exists, and e^{-iDt} expm(-i (t - t0) (H(0) - D)) e^{iDt0} psi0,
 with H(0) and D built densely here, is the exact solution that ``evolve_td``
 must reproduce.  A drawn one-band model is a random band stored at either
 sign of its offset or on the diagonal, a reduced generator's or a
-two-photon one, at most 150 states.
+two-photon one, at most 150 states.  A drawn walked Operator is a model's
+H(0) - D with one-sided round-off entries and duplicated positions, whose
+every walk must be scipy's breadth-first walk.
 """
 
 import numpy as np
@@ -53,7 +55,7 @@ from cavityconv.propagate import (
     evolve_td,
 )
 
-from oracles import evolve_sectors, reached_components
+from oracles import evolve_sectors, reached_components, walk_order
 
 COEFFICIENTS = st.floats(-1.0, 1.0, allow_subnormal=False)
 FREQUENCIES = st.integers(-3, 3).map(float)
@@ -230,6 +232,61 @@ def test_a_shifted_frequency_breaks_the_frame_exactly_when_its_equation_is_spann
     exact = dense_evolution(static - np.diag(frame), psi0, grid)
     exact *= np.exp(-1j * np.outer(grid, frame))
     assert np.max(np.abs(np.array([state.amplitudes for state in traj.states]) - exact)) <= 1e-10
+
+
+@st.composite
+def walked_operators(draw):
+    """(space, Operator, amps): a drawn model's H(0) - D, plus up to three
+    one-sided 1e-20 entries where the model has none on either side (they
+    may join its components, or sit on the diagonal), some entries split in
+    two halves at one position, which the Operator's CSR keeps apart; and a
+    basis, random-support or full-support start."""
+    space, terms, frame = draw(models())
+    dim, dense = space.total_dim, dense_h(space, terms) - np.diag(frame)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row, col = np.nonzero(dense)
+    val = dense[row, col]
+    empty = np.argwhere((dense == 0) & (dense.T == 0))
+    stray = empty[rng.permutation(len(empty))[:draw(st.integers(0, 3))]]
+    row, col = np.concatenate((row, stray[:, 0])), np.concatenate((col, stray[:, 1]))
+    val = np.concatenate((val, np.full(len(stray), 1e-20)))
+    twice = rng.random(row.size) < draw(st.sampled_from([0.0, 0.3]))
+    val = np.where(twice, val / 2, val)
+    row, col = np.concatenate((row, row[twice])), np.concatenate((col, col[twice]))
+    val = np.concatenate((val, val[twice]))
+    by_row = np.argsort(row, kind="stable")  # a CSR given its indices is not summed
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=dim))))
+    operator = Operator(space, sp.csr_matrix((val[by_row], col[by_row], indptr), shape=(dim, dim)))
+    assert operator.matrix.nnz == row.size
+
+    def full(seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return amps / np.linalg.norm(amps)
+
+    return space, operator, draw(st.one_of(starts(space), st.integers(0, 2**32 - 1).map(full)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_sector_walk_is_scipys_breadth_first_walk(data):
+    # the walk over the reached states and the re-walk of each path entered
+    # inside: starts ascending, states in queue order, neighbours ascending
+    space, operator, amps = data.draw(walked_operators())
+    walks, walk = [], propagate._walk
+
+    def spy(keys, dim, starts):
+        walks.append((list(starts), walk(keys, dim, starts)))
+        return walks[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(propagate, "_walk", spy)
+        evolve_sectors(operator, amps, [0.0, 0.3])
+    entries = operator.matrix.tocoo()
+    assert walks[0][0] == np.flatnonzero(amps).tolist()
+    for starts, got in walks:
+        assert got == walk_order(space.total_dim, entries.row, entries.col, starts)
 
 
 LAM, DELTA = 7e5, 1e7

@@ -534,6 +534,10 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
         run_scenario({"scenario": "full_vs_effective", "options": {"grid_points": 300_000}})
 
 
+# a coupling so weak that the run's end time makes its phases overflow a float
+PHASE_OVERFLOW = {"scenario": "full_vs_effective", "params": {"omega_cl": 1e-300}}
+
+
 @pytest.mark.parametrize("config, field_path", [
     ({"scenario": "pdc_epr", "params": XI_OVERFLOW},
      "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big"),
@@ -554,19 +558,35 @@ def test_full_vs_effective_over_the_cap_is_refused_before_any_evolution(monkeypa
     ({"scenario": "gaussian_profile", "options": {"fit_target_r": 0.01}}, "options.fit_target_r"),
     ({"scenario": "gaussian_profile", "times": [1e308]}, "times"),
     ({"scenario": "wigner_scan", "options": {"grid_extent": 1.7e308}}, "options.grid_extent"),
+    (PHASE_OVERFLOW, "params.omega_cl, params.lambda_a, params.lambda_b, params.delta_big"),
 ], ids=["xi-overflow", "one_photon-one_mode", "full_vs_effective-reached_cap",
         "puc_swap-times-no_precision", "puc_swap-times-1e13",
         "full_vs_effective-times-no_precision", "full_vs_effective-t_end-no_precision",
         "convergence-target_config-subnormal", "convergence-one_photon-one_mode",
         "convergence-puc_swap-one_mode", "pdc_epr-truncation-negative",
         "gaussian_profile-fit_target_r-out_of_reach", "gaussian_profile-times-overflow",
-        "wigner_scan-grid_extent-overflow"])
+        "wigner_scan-grid_extent-overflow", "full_vs_effective-phase-overflow"])
 def test_inputs_that_once_raised_or_overran_exit_2_with_the_gate_on(tmp_path, capsys, config,
                                                                     field_path):
     # VALIDATION_CASES runs each with the gate off
     assert cli_main(["run", write_config(tmp_path, config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field_path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-converge-check"]], ids=["gate_on", "gate_off"])
+def test_an_overflowing_phase_is_refused_before_any_warning(tmp_path, flags):
+    # in a fresh interpreter, where no test's warning capture hides a numpy
+    # overflow warning: the first line on stderr is the refusal, and it
+    # states finite numbers
+    done = subprocess.run([sys.executable, "-m", "cavityconv.cli", "run",
+                           write_config(tmp_path, PHASE_OVERFLOW), *flags],
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    first = done.stderr.splitlines()[0]
+    assert first.startswith("error: params.omega_cl, params.lambda_a, params.lambda_b, "
+                            "params.delta_big: phases reach over 1.798e+308 rad")
+    assert "inf" not in first and "nan" not in first
 
 
 def test_far_detuned_full_vs_effective_phases_keep_their_precision(tmp_path):
@@ -1139,18 +1159,24 @@ for name in sorted(scenarios.SCENARIOS):
     cfg.write_text(json.dumps({"scenario": name}))
     for flags in ([], ["--no-converge-check"]):
         assert cli.main(["run", str(cfg), "--out", str(out / f"{name}.out.json"), *flags]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.optimize"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scipy.optimize", "scipy.sparse.csgraph")))))
 """
 
 
-def test_default_runs_never_import_scipy_optimize(tmp_path):
-    # the crossing fit bisects its closed form, and scipy.optimize's import
-    # alone costs a cold gaussian_profile run ~0.16 s and ~15 MB
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(cavityconv.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_default_runs_never_import_scipy_optimize_or_csgraph(tmp_path):
+    # the crossing fit bisects its closed form, and scipy.optimize's import
+    # alone costs a cold gaussian_profile run ~0.16 s and ~15 MB; the sector
+    # walk follows a sorted adjacency in Python, so no run needs csgraph
     done = subprocess.run([sys.executable, "-c", DEFAULT_RUNS_IMPORTS, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
 
