@@ -13,6 +13,10 @@ Conventions (hbar = 1 throughout, all energies in angular s^-1):
   * Ladder configuration (down-conversion, PDC): mode a couples g<->i, mode
     b couples i<->e; in the interaction picture the mode terms oscillate at
     -Delta and +Delta respectively.
+  * Every oscillating Hamiltonian built here is static in a diagonal rotating
+    frame D = omega_level + nu_a n_a + nu_b n_b, solved from its labelled
+    terms: phi = e^{iDt} psi evolves under H(0) - D, no substeps, straight
+    from the entries ``TimeDependentOperator.frame`` sums, with no Operator.
 
 Second-order (adiabatic) builders keep every term: level shifts, dressed
 drive, intensity-dependent Stark shifts, the atom-correlated exchange, and
@@ -37,7 +41,12 @@ from enum import Enum
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, _band, _band_operator
+from .hilbert import HilbertSpace, Operator, _band, _band_entries, _band_operator
+from .propagate import PropagationError
+
+# Largest frame-equation residual, relative to max(max|nu|, 1), for which the
+# solved diagonal frame is accepted as making H(t) static.
+FRAME_RTOL = 1e-9
 
 
 class ProcessKind(str, Enum):
@@ -96,7 +105,8 @@ class TimeDependentOperator:
     is added only where the bands are summed.  A static term on the main
     diagonal (one level, d_a = d_b = 0) is its own adjoint, gets none, and
     must be real.  So H(t) is Hermitian by construction: no matrix is built
-    or checked here."""
+    or checked here.  The layout of ``terms`` is private to this module:
+    others read ``at``, ``static_part``, ``oscillating_parts`` and ``frame``."""
 
     space: HilbertSpace
     terms: tuple
@@ -112,23 +122,19 @@ class TimeDependentOperator:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", terms)
 
-    def _static_bands(self) -> list:
-        """(coefficient, band) of every static term, each off-diagonal one
-        followed by its adjoint; the coefficients carry no phase."""
+    def _bands(self, t: float, parts: int | None = None) -> list:
+        """(coefficient, band) of every term of H(t), or of its first parts
+        parts, the static part being the first: each term at its phase
+        e^{i nu t}, a static one at none, then its adjoint, except a static
+        term on the main diagonal, which is its own."""
         bands = []
-        for c, _, band in self.terms[0][1]:
-            bands.append((c, band))
-            if band[0]:
-                bands.append(_adjoint(c, band))
-        return bands
-
-    def _bands(self, t: float) -> list:
-        """(coefficient, band) of every term of H(t): the static bands, then
-        per oscillating part its terms at their phase and their adjoints."""
-        bands = self._static_bands()
-        for nu, part in self.terms[1:]:
-            halves = [(cmath.exp(1j * nu * t) * c, band) for c, _, band in part]
-            bands += halves + [_adjoint(c, band) for c, band in halves]
+        for j, (nu, part) in enumerate(self.terms[:parts]):
+            for c, _, band in part:
+                if j:
+                    c = cmath.exp(1j * nu * t) * c
+                bands.append((c, band))
+                if j or band[0]:  # the adjoint: conj(c) and band^dag
+                    bands.append((c.conjugate(), (-band[0], band[1].conj())))
         return bands
 
     def at(self, t: float) -> Operator:
@@ -138,7 +144,7 @@ class TimeDependentOperator:
     @property
     def static_part(self) -> Operator:
         """The static terms and their adjoints, summed on request."""
-        return _band_operator(self.space, self._static_bands())
+        return _band_operator(self.space, self._bands(0.0, 1))
 
     @property
     def oscillating_parts(self) -> tuple[tuple[Operator, float], ...]:
@@ -147,14 +153,40 @@ class TimeDependentOperator:
         return tuple((_band_operator(self.space, [(c, band) for c, _, band in part]), nu)
                      for nu, part in self.terms[1:])
 
+    def frame(self) -> tuple[np.ndarray, tuple]:
+        """(d, (row, col, val)): the diagonal d_k = omega_level + nu_a n_a + nu_b n_b
+        with e^{iDt} H(t) e^{-iDt} = H(0) for all t, and the entries of H(0) - D,
+        H(0)'s bands and -D summed per offset by ``_band_entries``.
+
+        Each term c |k><l| a^d_a b^d_b at nu (the static part at 0) whose
+        c * entries holds a nonzero gives d_m - d_n = -nu at its elements (m, n),
+        one equation [e_k - e_l, -d_a, -d_b | -nu] in the unknowns (one energy
+        per level, nu_a, nu_b); its adjoint's equation is the same one negated,
+        so only the stored halves write one.  The distinct ones, rows ascending,
+        are solved by least squares, and a residual above
+        FRAME_RTOL * max(max|nu|, 1) raises PropagationError: no frame."""
+        space = self.space
+        atom = np.eye(space.atom_levels)
+        equations = {(*(0.0 * atom[0] if k is None  # the identity on the atom
+                        else atom[space.level_index(k)] - atom[space.level_index(l)]), -d_a, -d_b, -nu)
+                     for nu, part in self.terms for c, (k, l, d_a, d_b), (_, entries) in part
+                     if (c * entries).any()}
+        system = np.reshape(sorted(equations), (-1, space.atom_levels + 3))  # a fixed row order
+        a_mat, b_vec = system[:, :-1], system[:, -1]
+        d = np.zeros(space.total_dim)
+        if b_vec.any():
+            x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
+            residual = float(np.max(np.abs(a_mat @ x - b_vec)))
+            if residual > FRAME_RTOL * max(self.max_frequency(), 1.0):
+                raise PropagationError(
+                    f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
+                )
+            level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
+            d = np.column_stack([atom[level], n_a, n_b]) @ x
+        return d, _band_entries(space, [*self._bands(0.0), (-1.0, (0, d))])
+
     def max_frequency(self) -> float:
         return max((abs(nu) for nu, _ in self.terms[1:]), default=0.0)
-
-
-def _adjoint(coefficient, band):
-    """(conj(coefficient), band^dag) of one band (offset, entries)."""
-    offset, entries = band
-    return coefficient.conjugate(), (-offset, entries.conj())
 
 
 def _require(params: PhysicalParams, *kinds: ProcessKind) -> None:
@@ -368,12 +400,9 @@ class TraversalSpec:
     tau: float
 
     def __post_init__(self):
-        if self.waist_w <= 0.0:
-            raise ValueError("waist_w must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        for name in ("waist_w", "alpha", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def profile_squeezing_factor(
@@ -389,8 +418,8 @@ def profile_squeezing_factor(
     """
     xi_abs = abs(effective_xi(params))
     if traversal is None:
-        if tau is None or tau <= 0.0:
-            raise ValueError("flat profile needs an explicit positive tau")
+        if tau is None or not 0.0 < tau < math.inf:
+            raise ValueError(f"flat profile needs an explicit positive, finite tau, got {tau}")
         return 2.0 * xi_abs * tau
     return 2.0 * xi_abs * _crossing_integral(traversal.alpha, traversal.tau)
 
@@ -415,15 +444,15 @@ def fit_traversal_alpha(
     2 |xi| tau; it is bisected on floats until the bracket ends are adjacent,
     and the end whose r is nearer target_r is returned.  target_r must lie in
     (0, flat), and within [r(50), r(1e-3)], about (0.0251, 1 - 1.7e-7) x flat,
-    to be reached; waist_w must be positive but does not enter r.
+    to be reached; waist_w must be positive and finite but does not enter r.
     """
     flat = profile_squeezing_factor(params, tau=tau)
     if not 0.0 < target_r < flat:
         raise ValueError(
             f"target_r must lie in (0, {flat}) for these parameters, got {target_r}"
         )
-    if not waist_w > 0.0:
-        raise ValueError("waist_w must be positive")
+    if not 0.0 < waist_w < math.inf:
+        raise ValueError(f"waist_w must be positive and finite, got {waist_w}")
     scale = 2.0 * abs(effective_xi(params))  # rounded as profile_squeezing_factor rounds it
 
     def r(alpha: float) -> float:

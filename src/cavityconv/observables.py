@@ -99,8 +99,8 @@ class TmsvSpec:
     phase: float = -math.pi / 2
 
     def __post_init__(self):
-        if self.squeeze_param < 0.0:
-            raise ValueError("squeeze_param must be non-negative")
+        if not self.squeeze_param >= 0.0:  # inf passes: tanh r = 1 is left to the caller
+            raise ValueError(f"squeeze_param must be non-negative, got {self.squeeze_param}")
 
 
 def tmsv_tail_mass(spec: TmsvSpec, n_max: int) -> float:

@@ -38,16 +38,14 @@ the walk order of the reached states, which is returned with it unsorted.
 Each row's norm, scan rows included, is checked in one real pass, which also
 writes psi0 at every time of 0.
 Times whose phases carry no precision, their rounding |E| t eps exceeding a
-radian (|E| bounded by the largest absolute row sum), are refused.  Every
-oscillating Hamiltonian built here is static in a diagonal rotating frame
-D = omega_level + nu_a n_a + nu_b n_b: phi = e^{iDt} psi evolves under H(0) - D
-(no substeps, no step-size control).  D is solved from the distinct
-equations of the labelled band terms, and H(0) - D is the entries of those
-bands, their adjoints and -D summed per offset (``hilbert._band_entries``),
-which the sector evolution takes as they are: no Operator is built.
+radian (|E| bounded by the largest absolute row sum), are refused, as is
+any time that is not finite, before any arithmetic uses it.  An oscillating
+Hamiltonian is evolved in the rotating frame its model solves
+(``hamiltonians.TimeDependentOperator.frame``), straight from the entries of
+H(0) - D that the frame returns.
 
 Every builder stores each coupling once, as a band half, and its adjoint is
-added only where the bands are summed, so every generator built here is
+added only where the bands are summed, so every generator it builds is
 Hermitian by construction and neither evolution checks it; only
 ``evolve_static``, the one entry that takes an operator from outside, checks
 its whole matrix.
@@ -65,8 +63,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import expm_multiply
 
-from .hamiltonians import TimeDependentOperator
-from .hilbert import Operator, StateVector, _band_entries
+from .hilbert import Operator, StateVector
 
 # LAPACK's real tridiagonal divide and conquer, the solver eigh_tridiagonal
 # runs for select='a' after its Python-side checks: (E, V, info) = _stevd(d, e)
@@ -89,10 +86,6 @@ PACK_BUDGET = 2**13
 # Largest other component diagonalized by one dense eigh; a larger one takes
 # one expm_multiply per time (single-time crossover: ~300 states, see CHANGES.md).
 DENSE_SECTOR_LIMIT = 300
-
-# Largest frame-equation residual, relative to max(max|nu|, 1), for which the
-# solved diagonal frame is accepted as making H(t) static.
-FRAME_RTOL = 1e-9
 
 
 class PropagationError(RuntimeError):
@@ -161,6 +154,13 @@ def _walk(keys: memoryview, dim: int, starts) -> tuple[list[int], list[int]]:
         order += walk
         sizes.append(len(walk))
     return order, sizes
+
+
+def _check_finite(times: np.ndarray, path: str) -> None:
+    """Refuse, naming path, a time that is not finite: no phase of it exists."""
+    bad = times[~np.isfinite(times)]
+    if bad.size:
+        raise PropagationError(f"time {bad[0]} is not finite", path)
 
 
 def _check_phase_precision(scale: float, times, path: str) -> None:
@@ -302,12 +302,14 @@ def _evolve_entries(dim: int, row: np.ndarray, col: np.ndarray, val: np.ndarray,
     action per nonzero time.  An ``Operator`` enters with its CSR read as
     COO, as ``evolve_static`` passes it.
     G is trusted to be Hermitian, as every builder makes it.  Raises
-    PropagationError on norm drift or, naming path, on times whose phases
-    carry no precision, grid rows included.
+    PropagationError on norm drift or, naming path, on a time that is not
+    finite, before the walk, or on times whose phases carry no precision,
+    grid rows included.
     """
     times = np.asarray(times, dtype=float)
     step, count = grid
     every = np.concatenate((times, np.arange(1, count + 1) * step)) if count else times
+    _check_finite(every, path)
     keys = _adjacency(dim, row, col)
     order, size = _walk(keys, dim, np.flatnonzero(amps != 0).tolist())
     if not order:  # the zero state
@@ -391,6 +393,7 @@ def _evolve_band(offset: int, upper: np.ndarray, start: int,
     PropagationError as ``_evolve_entries`` does.
     """
     times = np.asarray(times, dtype=float)
+    _check_finite(times, "times")
     if offset < 0:  # 0.0 + clears the sign conj gives a zero imaginary part
         offset, upper = -offset, 0.0 + upper.conj()
     if offset:
@@ -435,59 +438,28 @@ def evolve_static(H: Operator, psi0: StateVector, t: float) -> StateVector:
     return StateVector(psi0.space, amps, copy=False)
 
 
-def _rotating_frame(H: TimeDependentOperator) -> tuple[np.ndarray, tuple]:
-    """(d, (row, col, val)): the diagonal d_k = omega_level + nu_a n_a + nu_b n_b
-    with e^{iDt} H(t) e^{-iDt} = H(0) for all t, and the entries of H(0) - D,
-    H(0)'s bands and -D summed per offset by ``_band_entries``.
+def evolve_td(H, psi0: StateVector, t_grid) -> Trajectory:
+    """Propagate a ``TimeDependentOperator`` along a strictly increasing grid.
 
-    Each term c |k><l| a^d_a b^d_b at nu (the static part at 0) whose
-    c * entries holds a nonzero gives d_m - d_n = -nu at its elements (m, n),
-    one equation [e_k - e_l, -d_a, -d_b | -nu] in the unknowns (one energy
-    per level, nu_a, nu_b); its adjoint's equation is the same one negated,
-    so only the stored halves write one.  The distinct ones, rows ascending,
-    are solved by least squares, and a residual above
-    FRAME_RTOL * max(max|nu|, 1) means no frame."""
-    space = H.space
-    atom = np.eye(space.atom_levels)
-    equations = {(*(0.0 * atom[0] if k is None  # the identity on the atom
-                    else atom[space.level_index(k)] - atom[space.level_index(l)]), -d_a, -d_b, -nu)
-                 for nu, part in H.terms for c, (k, l, d_a, d_b), (_, entries) in part
-                 if (c * entries).any()}
-    system = np.reshape(sorted(equations), (-1, space.atom_levels + 3))  # a fixed row order
-    a_mat, b_vec = system[:, :-1], system[:, -1]
-    d = np.zeros(space.total_dim)
-    if b_vec.any():
-        x = np.linalg.lstsq(a_mat, b_vec, rcond=None)[0]
-        residual = float(np.max(np.abs(a_mat @ x - b_vec)))
-        if residual > FRAME_RTOL * max(H.max_frequency(), 1.0):
-            raise PropagationError(
-                f"H(t) has no static rotating frame: frame equations miss by {residual:.3e}"
-            )
-        level, n_a, n_b = np.indices(space.shape).reshape(3, -1)
-        d = np.column_stack([atom[level], n_a, n_b]) @ x
-    return d, _band_entries(space, [*H._bands(0.0), (-1.0, (0, d))])
-
-
-def evolve_td(H: TimeDependentOperator, psi0: StateVector, t_grid) -> Trajectory:
-    """Propagate an oscillating Hamiltonian along a strictly increasing grid.
-
-    H(t) is moved into its static rotating frame (see ``_rotating_frame``),
-    where phi = e^{iDt} psi evolves under the static H(0) - D, straight from
-    its band entries (``_evolve_entries``), so no Operator is built: every
-    grid point is exact, however far apart.  The state and its norm are
-    recorded at every grid point.  Raises PropagationError when H(t) has no static
-    frame or, after the solve that finds the reached states, when the frame
-    phases D t on them carry no precision.
+    H(t) is moved into its static rotating frame (``H.frame()``), where
+    phi = e^{iDt} psi evolves under the static H(0) - D, straight from its
+    band entries (``_evolve_entries``), so no Operator is built: every grid
+    point is exact, however far apart.  The state and its norm are recorded
+    at every grid point.  Raises PropagationError on a time that is not
+    finite, before any arithmetic; when H(t) has no static frame; or, after
+    the solve that finds the reached states, when the frame phases D t on
+    them carry no precision.
     """
     if H.space != psi0.space:
         raise ValueError("Hamiltonian and state live on different spaces")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d array of times")
+    _check_finite(t_grid, "times")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
 
-    d, generator = _rotating_frame(H)
+    d, generator = H.frame()
     phi0 = np.exp(1j * d * t_grid[0]) * psi0.amplitudes
     keep, phi = _evolve_entries(d.size, *generator, phi0, t_grid - t_grid[0])
     _check_phase_precision(np.abs(d[keep]).max(initial=0.0), t_grid, "times")

@@ -47,7 +47,6 @@ from .hamiltonians import (
 from .hilbert import (
     DIM_CAP,
     StateVector,
-    _band_entries,
     basis_state,
     field_space,
     fock_state,
@@ -555,9 +554,10 @@ def _scenario_full_vs_effective(cfg: ResolvedConfig, gate_only: bool = False):
 
     # the full model on its reached sector, also at the dense diagnostic sweep
     # that gives the continuous-time leakage envelope: its grid rows, after the
-    # comparison times, at k step for k = 1..count
+    # comparison times, at k step for k = 1..count; with no oscillation its
+    # frame D is 0, and the entries are those of H(0)
     n_rows = times.size
-    entries = _band_entries(atom_space, h_full._bands(0.0))
+    entries = h_full.frame()[1]
     keep, full = _evolve_entries(atom_space.total_dim, *entries,
                                  basis_state(atom_space, "i", 1, 0).amplitudes,
                                  times, "times" if cfg.times else "params.omega_cl, "

@@ -6,7 +6,9 @@ Runs every config in ``CONFIGS`` with the convergence gate on and off and
 stores each result document, as ``result_to_json`` renders it, in
 ``tests/golden/<name>.gate_on.json`` and ``<name>.gate_off.json``.  With
 ``--check`` it writes nothing: it prints the name of each stored document
-whose text differs from the regenerated one and exits 1 if any differ.  The
+whose text differs from the regenerated one, under it one line per value
+that differs (its JSON path, the stored value and the regenerated one), and
+exits 1 if any differ.  The
 documents keep round-off entries at 12 significant digits, so a byte check
 holds on one platform and is no cross-platform gate; ``test_golden_corpus``
 compares with a tolerance.  The
@@ -20,6 +22,7 @@ alter a result, and name the entries that moved when it does.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -103,6 +106,19 @@ def document(config: dict, check_convergence: bool) -> str:
     return result_to_json(run_scenario(config, check_convergence=check_convergence))
 
 
+def drift(stored, made, path: str = "$") -> list[str]:
+    """One line "path: stored -> made" per value of two parsed documents that
+    differs, a key only one of them has shown as missing on the other side."""
+    if isinstance(stored, dict) and isinstance(made, dict):
+        return [line for key in sorted(stored.keys() | made.keys())
+                for line in drift(stored.get(key, "<missing>"), made.get(key, "<missing>"),
+                                  f"{path}.{key}")]
+    if isinstance(stored, list) and isinstance(made, list) and len(stored) == len(made):
+        return [line for k, (a, b) in enumerate(zip(stored, made))
+                for line in drift(a, b, f"{path}[{k}]")]
+    return [] if stored == made else [f"{path}: {stored!r} -> {made!r}"]
+
+
 def main(argv: list[str]) -> int:
     check = argv == ["--check"]
     if argv and not check:
@@ -118,6 +134,9 @@ def main(argv: list[str]) -> int:
                 path.write_text(text)
             elif not path.is_file() or path.read_text() != text:
                 print(path.name)
+                if path.is_file():
+                    for line in drift(json.loads(path.read_text()), json.loads(text)):
+                        print(f"  {line}")
                 differ = True
     return int(differ)
 

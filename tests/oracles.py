@@ -21,6 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from cavityconv.hamiltonians import (
+    FRAME_RTOL,
     PhysicalParams,
     ProcessKind,
     effective_xi,
@@ -35,7 +36,7 @@ from cavityconv.hilbert import (
     _band_operator,
     _mode_axis,
 )
-from cavityconv.propagate import FRAME_RTOL, PropagationError, _evolve_entries
+from cavityconv.propagate import PropagationError, _evolve_entries
 from cavityconv.tomography import _checked_displacements
 
 
@@ -117,7 +118,7 @@ def assert_identical(got: Operator, reference) -> None:
 
 def entries_operator(space: HilbertSpace, entries) -> Operator:
     """The Operator of (row, col, val) entries, such as ``_band_entries`` and
-    ``propagate._rotating_frame`` return."""
+    ``TimeDependentOperator.frame`` return."""
     row, col, val = entries
     return Operator(space, sp.csr_matrix((val, (row, col)), shape=(space.total_dim,) * 2))
 

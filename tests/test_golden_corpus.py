@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from make_golden_corpus import CONFIGS, GATES, GOLDEN_DIR, document
+from make_golden_corpus import CONFIGS, GATES, GOLDEN_DIR, document, drift
 from test_golden import close
 
 CASES = [(name, suffix) for name in CONFIGS for suffix in GATES]
@@ -40,6 +40,17 @@ def test_corpus_config_matches_its_stored_document(name, suffix):
 def test_corpus_holds_exactly_the_listed_documents():
     stored = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert stored == {f"{name}.{suffix}.json" for name, suffix in CASES}
+
+
+def test_check_names_each_drifted_value_by_its_json_path():
+    stored = {"convergence_gate": {"increment": 1e-15, "checked": True},
+              "tables": {"t": {"rows": [[0.0, 1.0], [2.0, 3.0]]}}, "gone": 1}
+    made = {"convergence_gate": {"increment": 8.9e-16, "checked": True},
+            "tables": {"t": {"rows": [[0.0, 1.0], [2.0, 3.5]]}}, "new": [1]}
+    assert drift(stored, made) == ["$.convergence_gate.increment: 1e-15 -> 8.9e-16",
+                                   "$.gone: 1 -> '<missing>'", "$.new: '<missing>' -> [1]",
+                                   "$.tables.t.rows[1][1]: 3.0 -> 3.5"]
+    assert drift(made, made) == []
 
 
 def test_exponential_action_document_does_not_depend_on_the_global_seed(monkeypatch):

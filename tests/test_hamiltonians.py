@@ -11,6 +11,7 @@ from cavityconv.hamiltonians import (
     ProcessKind,
     TimeDependentOperator,
     TraversalSpec,
+    _two_photon_band,
     effective_pdc_hamiltonian,
     effective_puc_hamiltonian,
     effective_xi,
@@ -30,7 +31,6 @@ from cavityconv.hilbert import (
     fock_state,
     make_space,
 )
-from cavityconv.propagate import _rotating_frame
 
 from oracles import (
     annihilation,
@@ -370,6 +370,8 @@ def test_two_photon_matrix_elements():
     row = space.flatten(space.level_index("g"), 1, 1)
     col = space.flatten(space.level_index("e"), 0, 0)
     assert h_tms[row, col] == pytest.approx(kappa.conjugate())
+    # with no photon room in mode a the TMS band is stored below the diagonal
+    assert _two_photon_band(make_space(3, 0, 3), params, "TMS")[0] == -1
 
     with pytest.raises(ValueError):
         two_photon_hamiltonian(space, params, "XY")
@@ -473,7 +475,7 @@ def test_effective_builders_match_their_operator_products(n_max, couplings, delt
         for t in (0.0, 1.7e-4):
             assert_close_to_product(built.at(t), want.at(t))
         d = rotating_frame_elementwise(want)
-        assert_close_to_product(entries_operator(space, _rotating_frame(built)[1]),
+        assert_close_to_product(entries_operator(space, built.frame()[1]),
                                 Operator(space, want.at(0.0).matrix - sp.diags(d)))
 
 
@@ -515,6 +517,30 @@ def test_traversal_spec_validation():
         TraversalSpec(waist_w=0.6, alpha=1.0, tau=-1.0)
     with pytest.raises(ValueError):
         TraversalSpec(waist_w=0.6, alpha=0.0, tau=1.0)
+
+
+@pytest.mark.parametrize("field", ["waist_w", "alpha", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+def test_traversal_spec_refuses_values_that_are_not_finite(field, value):
+    # nan, inf and -inf would give r = nan, 0 or inf
+    fields = {"waist_w": 0.6, "alpha": 1.0, "tau": 2e-4, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        TraversalSpec(**fields)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf], ids=str)
+def test_flat_profile_and_fit_refuse_a_tau_that_is_not_finite(tau):
+    # the fit blames tau, not target_r, whose interval tau sets
+    with pytest.raises(ValueError, match="explicit positive, finite tau"):
+        profile_squeezing_factor(degenerate_params(), tau=tau)
+    with pytest.raises(ValueError, match="explicit positive, finite tau"):
+        fit_traversal_alpha(degenerate_params(), 0.6, tau, 0.5)
+
+
+@pytest.mark.parametrize("waist_w", [math.nan, math.inf], ids=str)
+def test_fit_refuses_a_waist_that_is_not_finite(waist_w):
+    with pytest.raises(ValueError, match="^waist_w must be positive and finite"):
+        fit_traversal_alpha(degenerate_params(), waist_w, 2e-4, 0.5)
 
 
 def degenerate_params():

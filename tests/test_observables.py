@@ -285,6 +285,15 @@ def test_tmsv_is_diagonal_in_pair_basis():
                 assert amp == 0.0
 
 
+def test_tmsv_spec_refuses_a_nan_squeeze_param():
+    # inf is kept: the epr_quality scenario builds it and refuses tanh r = 1 itself
+    with pytest.raises(ValueError, match="^squeeze_param must be non-negative, got nan"):
+        TmsvSpec(squeeze_param=math.nan)
+    with pytest.raises(ValueError, match="^squeeze_param must be non-negative"):
+        TmsvSpec(squeeze_param=-0.1)
+    assert tmsv_tail_mass(TmsvSpec(squeeze_param=math.inf), 4) == 1.0
+
+
 def test_tmsv_large_squeezing_stays_finite():
     # cosh r overflows a float near r = 710; the renormalization sets the scale
     space = field_space(6, 6)

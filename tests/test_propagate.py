@@ -13,7 +13,6 @@ from cavityconv.hamiltonians import (
     ProcessKind,
     TimeDependentOperator,
     _reduced_band,
-    _two_photon_band,
     effective_pdc_hamiltonian,
     effective_puc_hamiltonian,
     effective_xi,
@@ -269,7 +268,7 @@ def test_chain_branch_makes_hops_of_any_phase_real(monkeypatch, params):
 
 def frame_generator(h_td):
     """H(0) - D in the solved static rotating frame of an oscillating H(t)."""
-    return entries_operator(h_td.space, propagate._rotating_frame(h_td)[1])
+    return entries_operator(h_td.space, h_td.frame()[1])
 
 
 def labelled_bilinear(space, params):
@@ -317,7 +316,7 @@ def test_termwise_frame_equals_the_elementwise_frame_to_rounding(n_max, coupling
     for build, params in ((full_puc_hamiltonian, puc), (full_pdc_hamiltonian, pdc),
                           (effective_puc_hamiltonian, puc), (effective_pdc_hamiltonian, pdc)):
         h = build(space, params(**fields))
-        d, want = propagate._rotating_frame(h)[0], rotating_frame_elementwise(h)
+        d, want = h.frame()[0], rotating_frame_elementwise(h)
         assert np.max(np.abs(d - want)) <= 16 * np.finfo(float).eps * max(np.abs(want).max(), 1.0)
 
 
@@ -584,47 +583,6 @@ def resonant(params):
     return replace(params, delta_small=resonance_delta(params))
 
 
-DEGENERATE = resonant(PhysicalParams(LAM, LAM, OMEGA, DELTA, 0.0, ProcessKind.DEGENERATE_PDC))
-
-# (params, truncation, the Fock state (n_a, n_b) at one end of its run)
-BAND_CASES = {
-    "PUC-top": (puc(), (4, 4), (1, 0)),
-    "PUC-bottom": (puc(), (4, 4), (0, 3)),
-    "PUC-complex-lopsided-top": (resonant(puc(lambda_a=3e5 - 4e5j, lambda_b=6e5 + 2e5j)),
-                                 (1, 7), (1, 0)),
-    "PUC-negative-lopsided-top": (puc(omega_cl=-OMEGA), (7, 2), (5, 0)),
-    "PUC-no_room_in_b": (puc(), (6, 0), (1, 0)),  # offset 0: no hops
-    "PDC-vacuum-lopsided": (pdc(lambda_b=5e5 + 2e5j, omega_cl=6e5 + 1e5j), (30, 44), (0, 0)),
-    "PDC-bottom": (pdc(), (9, 12), (0, 3)),
-    "PDC-xi_zero": (pdc(omega_cl=0.0), (6, 6), (0, 0)),
-    "degenerate-vacuum": (DEGENERATE, (90, 0), (0, 0)),
-    "degenerate-odd-lopsided": (DEGENERATE, (9, 2), (1, 2)),
-    # long runs entered at their top end: ordered from there, as the walk orders them
-    "PDC-top_corner": (pdc(), (30, 30), (30, 30)),
-    "PDC-small-top_corner": (pdc(), (4, 4), (4, 4)),
-    "degenerate-top": (DEGENERATE, (85, 0), (85, 0)),
-    "PUC-long-top": (puc(), (9, 9), (9, 0)),
-}
-
-
-@pytest.mark.parametrize("limit", [propagate.CHAIN_SECTOR_LIMIT, 2], ids=["chain", "expm"])
-@pytest.mark.parametrize("case", list(BAND_CASES))
-def test_band_path_reproduces_the_sector_walk_bit_for_bit(monkeypatch, case, limit):
-    # below the limit the chain eigensolve, above it the exponential action
-    monkeypatch.setattr(propagate, "CHAIN_SECTOR_LIMIT", limit)
-    params, truncation, fock = BAND_CASES[case]
-    space = field_space(*truncation)
-    start = space.flatten(0, *fock)
-    for times in ([0.0, 1e-4, 0.0, 3e-4], [3e-4]):  # a product of many rows, and of one
-        np.random.seed(3)
-        keep, states = evolve_sectors(reduced_bilinear_generator(space, params),
-                                      fock_state(space, *fock).amplitudes, times)
-        np.random.seed(3)
-        band_keep, band_states = _evolve_band(*_reduced_band(space, params), start, times)
-        assert keep[0] == start  # both ordered from |start>'s end of the run
-        assert np.array_equal(band_keep, keep) and np.array_equal(band_states, states)
-
-
 def test_band_path_from_inside_its_run_matches_the_sector_walk():
     # both order a run entered in the middle from the end the walk reaches
     # last: the farther one, the top one on a tie
@@ -695,31 +653,6 @@ def test_builders_and_evolutions_do_no_operator_arithmetic(monkeypatch):
             assert len(made) == 0
     assert checks == []
     run_scenario({"scenario": "full_vs_effective"})
-
-
-TWO_PHOTON = {
-    "real": PhysicalParams(LAM, LAM, 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS),
-    "complex": PhysicalParams(4.2e5 - 5.6e5j, 3e5 + 5e5j, 0.0, -1.3e7, 0.0,
-                              ProcessKind.TWO_PHOTON_TMS),
-}
-
-
-@pytest.mark.parametrize("truncation", [(1, 1), (2, 2), (3, 4)])
-@pytest.mark.parametrize("kind", ["BS", "TMS"])
-@pytest.mark.parametrize("coupling", list(TWO_PHOTON))
-def test_two_photon_band_reproduces_the_sector_walk_bit_for_bit(coupling, kind, truncation):
-    # from every basis state: the runs of this band hold at most two states
-    params, space = TWO_PHOTON[coupling], make_space(3, *truncation)
-    times = [0.0, 2e-6, 1e-5]
-    generator = two_photon_hamiltonian(space, params, kind)
-    for start in range(space.total_dim):
-        amps = np.zeros(space.total_dim, dtype=np.complex128)
-        amps[start] = 1.0
-        keep, states = evolve_sectors(generator, amps, times)
-        band_keep, band_states = _evolve_band(*_two_photon_band(space, params, kind),
-                                               start, times)
-        assert np.array_equal(band_keep, keep)
-        assert band_states.shape == states.shape and band_states.tobytes() == states.tobytes()
 
 
 def test_default_pair_and_squeezer_scenarios_diagonalize_only_tridiagonals(monkeypatch):
@@ -1275,13 +1208,36 @@ def test_frame_phases_that_carry_no_precision_are_refused():
         evolve_td(h, psi0, np.array([1e11, 1e11 + 1e-4]))
 
 
+@pytest.mark.parametrize("grid", [[np.inf], [np.nan], [0.0, np.inf], [-np.inf, 0.0]], ids=str)
+def test_a_time_that_is_not_finite_is_refused_before_any_arithmetic(grid):
+    # refused as not finite, not as an overflowing phase, and with no numpy
+    # warning on the way (tier-1 turns one into an error)
+    space = make_space(3, 2, 2)
+    h = effective_pdc_hamiltonian(space, pdc(delta_small=5e4))
+    psi0 = embed_atom(vacuum_state(field_space(2, 2)), space, "i")
+    with pytest.raises(PropagationError, match=r"^times: time -?(inf|nan) is not finite$"):
+        evolve_td(h, psi0, grid)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=str)
+def test_evolve_static_and_the_band_path_refuse_a_time_that_is_not_finite(t):
+    # the zero state too, which reaches no state to evolve
+    space = field_space(3, 3)
+    generator = reduced_bilinear_generator(space, puc())
+    for psi0 in (fock_state(space, 1, 0), StateVector(space, np.zeros(space.total_dim))):
+        with pytest.raises(PropagationError, match=r"^times: time -?(inf|nan) is not finite$"):
+            evolve_static(generator, psi0, t)
+    with pytest.raises(PropagationError, match=r"^times: time -?(inf|nan) is not finite$"):
+        _evolve_band(*_reduced_band(space, puc()), space.flatten(0, 1, 0), [0.0, t])
+
+
 def test_recorded_grid_states_are_the_frame_phases_times_the_evolved_amplitudes():
     space = make_space(3, 3, 3)
     h = effective_pdc_hamiltonian(space, pdc(delta_small=5e4))
     psi0 = embed_atom(vacuum_state(field_space(3, 3)), space, "i")
     grid = np.linspace(0.0, 1e-4, 5)
     traj = evolve_td(h, psi0, grid)
-    d = propagate._rotating_frame(h)[0]
+    d = h.frame()[0]
     generator = Operator(space, h.at(0.0).matrix - sp.diags(d))
     keep, phi = evolve_sectors(generator, psi0.amplitudes, grid)
     for t, phi_t, state, norm in zip(grid, phi, traj.states, traj.norms):

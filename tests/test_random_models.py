@@ -10,9 +10,11 @@ exact frame exists, and e^{-iDt} expm(-i (t - t0) (H(0) - D)) e^{iDt0} psi0,
 with H(0) and D built densely here, is the exact solution that ``evolve_td``
 must reproduce.  A drawn one-band model is a random band stored at either
 sign of its offset or on the diagonal, a reduced generator's or a
-two-photon one, at most 150 states.  A drawn walked Operator is a model's
-H(0) - D with one-sided round-off entries and duplicated positions, whose
-every walk must be scipy's breadth-first walk.
+two-photon one, at most 150 states; the fixed band cases pin runs entered
+at an end, the expm limit and the two-photon bands from every start.  A
+drawn walked Operator is a model's H(0) - D with one-sided round-off
+entries and duplicated positions, whose every walk must be scipy's
+breadth-first walk.
 """
 
 import numpy as np
@@ -327,16 +329,23 @@ def two_photon_band(space, kind):
     return _two_photon_band(space, params, kind)
 
 
-def assert_band_path_is_the_walk(space, offset, upper, times):
-    """From every start, ``_evolve_band`` returns ``_evolve_entries``' keep
-    and states byte for byte."""
+def assert_band_path_is_the_walk(space, offset, upper, times, starts=None,
+                                 limit=propagate.CHAIN_SECTOR_LIMIT):
+    """From each start, every basis state by default, ``_evolve_band`` returns
+    ``_evolve_entries``' keep and states byte for byte, a path of more than
+    limit states taking the exponential action.  Given starts lie at an end
+    of their run, from which both order it."""
     entries = _band_entries(space, [(1.0, (offset, upper)), (1.0, (-offset, upper.conj()))])
-    for start in range(space.total_dim):
-        band_keep, band_states = _evolve_band(offset, upper, start, times)
-        keep, states = _evolve_entries(space.total_dim, *entries,
-                                       np.eye(space.total_dim)[start], times)
-        assert np.array_equal(band_keep, keep), start
-        assert band_states.tobytes() == states.tobytes(), start
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(propagate, "CHAIN_SECTOR_LIMIT", limit)
+        for start in range(space.total_dim) if starts is None else starts:
+            band_keep, band_states = _evolve_band(offset, upper, start, times)
+            keep, states = _evolve_entries(space.total_dim, *entries,
+                                           np.eye(space.total_dim)[start], times)
+            assert np.array_equal(band_keep, keep), start
+            assert band_states.shape == states.shape, start
+            assert band_states.tobytes() == states.tobytes(), start
+            assert starts is None or keep[0] == start, start
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -352,14 +361,74 @@ def test_the_band_path_equals_the_sector_path_bit_for_bit(data):
     assert_band_path_is_the_walk(space, offset, upper, times)
 
 
-@pytest.mark.parametrize("kind", ["BS", "TMS"])
-def test_the_two_photon_bands_with_no_room_in_mode_a_are_the_walk(kind):
-    # at n_max_a = 0 the TMS band is stored at offset -1, and at [1, 0] at 0
-    for n_max_b in range(7):
-        for n_max_a in (0, 1):
-            space = make_space(3, n_max_a, n_max_b)
-            assert_band_path_is_the_walk(space, *two_photon_band(space, kind), [0.0, 2e-6, 1e-5])
-    assert two_photon_band(make_space(3, 0, 3), "TMS")[0] == -1
+OMEGA = 7e5
+
+
+def resonant(process, lambda_a=LAM, lambda_b=LAM, omega_cl=OMEGA):
+    """PhysicalParams at drive resonance, where the reduced generators exist."""
+    params = PhysicalParams(lambda_a, lambda_b, omega_cl, DELTA, 0.0, process)
+    return PhysicalParams(lambda_a, lambda_b, omega_cl, DELTA, resonance_delta(params), process)
+
+
+PUC, PDC, DEGENERATE = ProcessKind.PUC, ProcessKind.PDC, ProcessKind.DEGENERATE_PDC
+# (params, truncation, the Fock state (n_a, n_b) at one end of its run)
+RUN_ENDS = {
+    "PUC-top": (resonant(PUC), (4, 4), (1, 0)),
+    "PUC-bottom": (resonant(PUC), (4, 4), (0, 3)),
+    "PUC-complex-lopsided-top": (resonant(PUC, 3e5 - 4e5j, 6e5 + 2e5j), (1, 7), (1, 0)),
+    "PUC-negative-lopsided-top": (resonant(PUC, omega_cl=-OMEGA), (7, 2), (5, 0)),
+    "PUC-no_room_in_b": (resonant(PUC), (6, 0), (1, 0)),  # offset 0: no hops
+    "PDC-vacuum-lopsided": (resonant(PDC, -1j * LAM, 5e5 + 2e5j, 6e5 + 1e5j), (30, 44), (0, 0)),
+    "PDC-bottom": (resonant(PDC, -1j * LAM), (9, 12), (0, 3)),
+    "PDC-xi_zero": (resonant(PDC, -1j * LAM, omega_cl=0.0), (6, 6), (0, 0)),
+    "degenerate-vacuum": (resonant(DEGENERATE), (90, 0), (0, 0)),
+    "degenerate-odd-lopsided": (resonant(DEGENERATE), (9, 2), (1, 2)),
+    # long runs entered at their top end: ordered from there, as the walk orders them
+    "PDC-top_corner": (resonant(PDC, -1j * LAM), (30, 30), (30, 30)),
+    "PDC-small-top_corner": (resonant(PDC, -1j * LAM), (4, 4), (4, 4)),
+    "degenerate-top": (resonant(DEGENERATE), (85, 0), (85, 0)),
+    "PUC-long-top": (resonant(PUC), (9, 9), (9, 0)),
+}
+
+TWO_PHOTON = {
+    "real": PhysicalParams(LAM, LAM, 0.0, DELTA, 0.0, ProcessKind.TWO_PHOTON_BS),
+    "complex": PhysicalParams(4.2e5 - 5.6e5j, 3e5 + 5e5j, 0.0, -1.3e7, 0.0,
+                              ProcessKind.TWO_PHOTON_TMS),
+}
+
+
+def fixed_bands():
+    """(models, starts, time lists, chain limit) of each fixed case, a model
+    (space, (offset, upper)): a reduced generator's run entered at one end,
+    at the chain and the expm limit, for a product of many rows and of one;
+    and the two-photon bands from every start, whose runs hold at most two
+    states, with no photon room in mode a too, where TMS is stored at offset
+    -1 (n_max_a = 0) or 0 ([1, 0])."""
+    chain = propagate.CHAIN_SECTOR_LIMIT
+    for name, (params, truncation, fock) in RUN_ENDS.items():
+        space = field_space(*truncation)
+        for limit, tag in ((chain, "chain"), (2, "expm")):
+            yield pytest.param([(space, _reduced_band(space, params))], [space.flatten(0, *fock)],
+                               [[0.0, 1e-4, 0.0, 3e-4], [3e-4]], limit, id=f"{name}-{tag}")
+    times = [[0.0, 2e-6, 1e-5]]
+    for coupling, params in TWO_PHOTON.items():
+        for kind in ("BS", "TMS"):
+            for truncation in ((1, 1), (2, 2), (3, 4)):
+                space = make_space(3, *truncation)
+                yield pytest.param([(space, _two_photon_band(space, params, kind))], None, times,
+                                   chain, id=f"two_photon-{coupling}-{kind}-{truncation}")
+    for kind in ("BS", "TMS"):
+        spaces = [make_space(3, n_max_a, n_max_b) for n_max_b in range(7) for n_max_a in (0, 1)]
+        yield pytest.param([(space, two_photon_band(space, kind)) for space in spaces], None,
+                           times, chain, id=f"two_photon-no_room_in_a-{kind}")
+
+
+@pytest.mark.parametrize("models, starts, times, limit", fixed_bands())
+def test_fixed_band_paths_reproduce_the_sector_walk_bit_for_bit(models, starts, times, limit):
+    # below the chain limit the tridiagonal eigensolve, above it the exponential action
+    for space, (offset, upper) in models:
+        for each in times:
+            assert_band_path_is_the_walk(space, offset, upper, each, starts, limit)
 
 
 def frame_cases(truncation):
@@ -371,7 +440,7 @@ def frame_cases(truncation):
                              (effective_pdc_hamiltonian, "PDC")):
         params = PhysicalParams(**COMPLEX, delta_big=DELTA, delta_small=1.2e5, process=process)
         h = build_h(space, params)
-        d, entries = propagate._rotating_frame(h)
+        d, entries = h.frame()
         yield build_h.__name__, space, Operator(space, h.at(0.0).matrix - sp.diags(d)), entries
 
 
