@@ -101,6 +101,8 @@ class TmsvSpec:
     def __post_init__(self):
         if not self.squeeze_param >= 0.0:  # inf passes: tanh r = 1 is left to the caller
             raise ValueError(f"squeeze_param must be non-negative, got {self.squeeze_param}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 def tmsv_tail_mass(spec: TmsvSpec, n_max: int) -> float:

@@ -717,8 +717,9 @@ def _scenario_wigner_scan(cfg: ResolvedConfig, gate_only: bool = False):
     if not math.isfinite(2.0 * abs(extent)):
         raise ConfigError(f"the grid's span 2 |extent| overflows at extent = {extent!r}",
                           "options.grid_extent")
-    # the origin is read alone, so the gate's rerun reads it by the same arithmetic
-    w_origin = float(tomo._scan(state, ((0.0, 0.0),))[0][0])
+    # the origin is read alone, by its parity weight only, so the gate's rerun
+    # reads it by the same arithmetic
+    w_origin = float(tomo._wigner(state, ((0.0, 0.0),))[0])
     if gate_only:
         return {"w_origin": w_origin}, {}, {}
     axis = np.linspace(-extent, extent, n_points)

@@ -60,8 +60,12 @@ def _csv_cell(value) -> str:
 
 
 def table_to_csv(columns: list[str], rows) -> str:
-    """Header row plus one record per line, %.12g float fields."""
+    """Header row plus one record per line, %.12g float fields.  A row of
+    floats alone is written by one format string, as its cells would be."""
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        if all(isinstance(v, (float, np.floating)) for v in row):
+            lines.append(",".join(["%.12g"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(_csv_cell(v) for v in row))
     return "\n".join(lines) + "\n"

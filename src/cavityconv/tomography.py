@@ -18,16 +18,20 @@ pi/2 times the two-mode value at eta_b = 0.  The raw atomic signal
 P_f - P_i = -<Pi> is reported alongside; the two differ by the sign fixed
 by the Ramsey phase choice above.
 
-A scan costs per distinct eta of each mode, not per grid point.  Each mode's
-truncated displacement comes from one real tridiagonal eigensystem of
-l + l^dag; when both modes have the same truncation and the same distinct
-etas, as in every symmetric scan, mode b is displaced by mode a's matrices.
-Every readout above is a separable form sum_jk w(j) w(k) |Phi_jk|^2 of the
-displaced amplitudes Phi = D_a psi D_b^T: parity weights (-1)^n for the
-Wigner value, weights 1 and e^{i phi n} for the probe populations.  It is
-read out by batched contractions with no loop over the grid: per weight one
-product per mode over all its distinct etas, and one batched matrix-vector
-product for the table over all pairs of them.
+A scan costs per distinct eta of each mode and per Fock column the state
+occupies, not per grid point and not per Fock level of the truncation.  Each
+mode's truncated displacement comes from one real tridiagonal eigensystem of
+l + l^dag, and only the columns that meet the state's occupied Fock numbers
+(on any atomic level) are formed: a Fock state's scan displaces one column
+per mode.  When both modes have the same truncation, the same distinct etas
+and the same occupied numbers, as in a symmetric scan of the vacuum or the
+pair state, mode b is displaced by mode a's columns.  Every readout above
+is a separable form sum_jk w(j) w(k) |Phi_jk|^2 of the displaced amplitudes
+Phi = D_a psi D_b^T: parity weights (-1)^n for the Wigner value, weights 1
+and e^{i phi n} for the probe populations.  It is read out by batched
+contractions with no loop over the grid: per weight one product per mode
+over all its distinct etas, and one batched matrix-vector product for the
+table over all pairs of them.
 """
 
 from __future__ import annotations
@@ -73,9 +77,8 @@ class PhaseSpaceGrid:
         if not self.points:
             raise ValueError("grid must contain at least one point")
         pts = tuple((complex(pa), complex(pb)) for pa, pb in self.points)
-        for pa, pb in pts:
-            if not (np.isfinite(pa) and np.isfinite(pb)):
-                raise ValueError("grid points must be finite")
+        if not np.isfinite(np.array(pts)).all():
+            raise ValueError("grid points must be finite")
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -85,20 +88,23 @@ class PhaseSpaceGrid:
         return cls(tuple(pts))
 
 
-def _mode_displacements(n_max: int, etas: np.ndarray, mode: str) -> np.ndarray:
-    """exp(eta^* l - eta l^dag) of one mode's truncated ladder l, one matrix per eta.
+def _mode_displacements(n_max: int, etas: np.ndarray, mode: str,
+                        columns: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """The given columns of exp(eta^* l - eta l^dag) of one mode's truncated
+    ladder l, one (n_max + 1) x len(columns) block per eta; every column by
+    default.
 
     With X = l + l^dag = V diag(x) V^T, one ``propagate._chain_eigh`` per
     mode (its hops sqrt n are real, so V is), and u_n = (i eta/|eta|)^n, the
     generator is |eta| diag(u) (iX) diag(u)^*, so
 
-        D(eta) = diag(u) V diag(e^{i |eta| x}) V^T diag(u)^*:
+        D(eta)[:, columns] = diag(u) V diag(e^{i |eta| x}) V[columns]^T diag(u[columns])^*:
 
     one GEMM per eta, exact for the truncated generator, and the identity
     exactly at eta = 0.
     """
     dim = n_max + 1
-    out = np.tile(np.eye(dim, dtype=complex), (etas.size, 1, 1))
+    out = np.tile(np.eye(dim, dtype=complex)[:, columns], (etas.size, 1, 1))
     moved = np.flatnonzero(etas != 0.0)
     if moved.size == 0:
         return out
@@ -112,16 +118,27 @@ def _mode_displacements(n_max: int, etas: np.ndarray, mode: str) -> np.ndarray:
     u = np.ones((eta.size, dim), dtype=complex)
     u[:, 1:] = 1j * eta[:, None] / np.abs(eta)[:, None]
     u = np.cumprod(u, axis=1)
-    spectral = (vectors * np.exp(1j * np.outer(np.abs(eta), x))[:, None, :]) @ vectors.T
-    out[moved] = u[:, :, None] * spectral * u.conj()[:, None, :]
+    spectral = (vectors * np.exp(1j * np.outer(np.abs(eta), x))[:, None, :]) @ vectors[columns].T
+    out[moved] = u[:, :, None] * spectral * u.conj()[:, None, columns]
     return out
 
 
+def _support(occupied: np.ndarray) -> np.ndarray | slice:
+    """The indices where occupied holds, or every index when it holds everywhere."""
+    return slice(None) if occupied.all() else np.flatnonzero(occupied)
+
+
 def _checked_displacements(state: StateVector, points) -> tuple:
-    """Amplitude array, per-mode displacements of the distinct etas and each
-    point's index into them.  Mode b reuses mode a's matrices when both modes
-    have the same truncation and the same distinct etas, as in every
-    symmetric scan.
+    """The amplitudes on the state's support, the support's columns of each
+    mode's displacements of the distinct etas, and each point's index into
+    them.
+
+    The support is the mode-a Fock rows occupied on any atomic level and the
+    mode-b Fock columns occupied: D_a psi D_b^T needs only those columns of
+    D_a and D_b, since every other column meets a zero of psi.  A state that
+    occupies every row and column keeps its whole arrays.  Mode b reuses mode
+    a's displacements when both modes have the same truncation, distinct
+    etas and support, as in a symmetric scan of a symmetric state.
 
     Raises TruncationError for the first point, in the given order, whose
     displacement leaves more than TAIL_LIMIT in the top Fock level of a
@@ -131,18 +148,22 @@ def _checked_displacements(state: StateVector, points) -> tuple:
     """
     space = state.space
     psi = state.amplitudes.reshape(space.shape)
+    occupied = psi != 0.0
+    rows, cols = _support(occupied.any(axis=(0, 2))), _support(occupied.any(axis=(0, 1)))
+    psi = psi[:, rows][:, :, cols]
     etas = np.array(points, dtype=complex).reshape(-1, 2)
     (distinct_a, row), (distinct_b, col) = (np.unique(etas[:, axis], return_inverse=True)
                                             for axis in (0, 1))
-    d_a = _mode_displacements(space.n_max_a, distinct_a, "a")
-    if space.n_max_b == space.n_max_a and np.array_equal(distinct_b, distinct_a):
+    d_a = _mode_displacements(space.n_max_a, distinct_a, "a", rows)
+    if (space.n_max_b == space.n_max_a and np.array_equal(distinct_b, distinct_a)
+            and np.array_equal(np.arange(space.dim_a)[rows], np.arange(space.dim_b)[cols])):
         d_b = d_a
     else:
-        d_b = _mode_displacements(space.n_max_b, distinct_b, "b")
+        d_b = _mode_displacements(space.n_max_b, distinct_b, "b", cols)
     tail = np.zeros(len(etas))
     for axis, (d, distinct, index) in enumerate(((d_a, distinct_a, row), (d_b, distinct_b, col))):
         edge = d[:, -1, :] @ psi if axis == 0 else psi @ d[:, -1, :].T
-        # (levels, distinct, dim_b) on mode a, (levels, dim_a, distinct) on mode b
+        # (levels, distinct, support_b) on mode a, (levels, support_a, distinct) on mode b
         mode_tail = np.sum(np.abs(edge) ** 2, axis=(0, 2 - axis))
         tail += np.where(distinct != 0.0, mode_tail, 0.0)[index]
     over = np.flatnonzero(tail > TAIL_LIMIT)
@@ -160,14 +181,15 @@ def _separable_readout(state: StateVector, points, weights) -> np.ndarray:
     levels); shape (len(weights), points).
 
     The sum is sum_{nn'} C_{nn'} E_{nn'} with C = sum_l A_l^T diag(w) A_l^*,
-    A = D_a psi, and E = D_b^T diag(w) D_b^*, which does not depend on psi.
-    Every A is one batched product, and per weight every C and every E one
-    more; one batched matrix-vector product then gives the table of sums over
-    all pairs of distinct etas, and each point reads its entry.
+    A = D_a psi, and E = D_b^T diag(w) D_b^*, which does not depend on psi;
+    n and n' run over the state's mode-b support only.  Every A is one
+    batched product, and per weight every C and every E one more; one batched
+    matrix-vector product then gives the table of sums over all pairs of
+    distinct etas, and each point reads its entry.
     """
     psi, (d_a, row), (d_b, col) = _checked_displacements(state, points)
-    levels, dim_a, dim_b = psi.shape
-    amps = np.matmul(d_a[:, None], psi).reshape(len(d_a), levels * dim_a, dim_b)
+    levels, dim_a, dim_b = psi.shape[0], d_a.shape[1], d_b.shape[1]
+    amps = np.matmul(d_a[:, None], psi).reshape(len(d_a), levels * dim_a, -1)
     out = np.empty((len(weights), len(row)), dtype=complex)
     for f, w in enumerate(weights):
         c = (np.swapaxes(amps, 1, 2) * np.tile(w(np.arange(dim_a)), levels)) @ amps.conj()
@@ -228,11 +250,20 @@ def _probe_wigner(norm: np.ndarray, conditional: np.ndarray) -> tuple[np.ndarray
     return -TWO_MODE_NORM * signal, signal
 
 
+def _parity(n: np.ndarray) -> np.ndarray:
+    return (-1.0) ** n
+
+
+def _wigner(state: StateVector, points) -> np.ndarray:
+    """Displaced-parity Wigner values at points: the separable readout with
+    parity weights (-1)^n on both modes.  Each weight is read out on its own,
+    so this is bit for bit the first of :func:`_scan`'s values."""
+    return TWO_MODE_NORM * _separable_readout(state, points, [_parity])[0].real
+
+
 def wigner_direct(state: StateVector, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Displaced-parity Wigner values, one per grid point: the separable
-    readout with parity weights (-1)^n on both modes."""
-    parity = _separable_readout(state, grid.points, [lambda n: (-1.0) ** n])[0]
-    return TWO_MODE_NORM * parity.real
+    """Displaced-parity Wigner values, one per grid point."""
+    return _wigner(state, grid.points)
 
 
 def wigner_via_protocol(
@@ -258,6 +289,6 @@ def _scan(state: StateVector, points) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """(:func:`wigner_direct`, :func:`wigner_via_protocol` at phi = pi) of a
     field state at every point, from one separable readout: one set of
     displacements for the weights (-1)^n, 1 and e^{i pi n}."""
-    weights = [lambda n: (-1.0) ** n, np.ones_like, lambda n: np.exp(1j * math.pi * n)]
+    weights = [_parity, np.ones_like, lambda n: np.exp(1j * math.pi * n)]
     parity, *probe = _separable_readout(state, points, weights).real
     return (TWO_MODE_NORM * parity, *_probe_wigner(*probe))

@@ -11,7 +11,9 @@ frame changes, index unflattening) that the library no longer needs; the
 random states they are compared on; the whole-graph labelling of the
 sectors a state reaches and scipy's breadth-first walk of them, which the
 library's walk reproduces; and the Wigner readout's loop over the scan's
-eta_a rows, which batched contractions replaced."""
+eta_a rows, which batched contractions replaced, and its per-point form on
+whole displacement matrices, which the restriction to a state's support
+replaced."""
 
 import cmath
 from dataclasses import dataclass
@@ -37,7 +39,7 @@ from cavityconv.hilbert import (
     _mode_axis,
 )
 from cavityconv.propagate import PropagationError, _evolve_entries
-from cavityconv.tomography import _checked_displacements
+from cavityconv.tomography import _checked_displacements, _mode_displacements
 
 
 class ProductOperator(Operator):
@@ -433,7 +435,7 @@ def separable_readout_by_rows(state: StateVector, points, weights) -> np.ndarray
     weight one C = A^T diag(w) A^* and one product with the E's of the
     distinct eta_b that row needs."""
     psi, (d_a, row), (d_b, col) = _checked_displacements(state, points)
-    levels, dim_a, dim_b = psi.shape
+    levels, dim_a, dim_b = psi.shape[0], d_a.shape[1], d_b.shape[1]
     w_a = [np.tile(w(np.arange(dim_a)), levels) for w in weights]
     forms = [
         ((np.swapaxes(d_b, 1, 2) * w(np.arange(dim_b))) @ d_b.conj()).reshape(len(d_b), -1)
@@ -442,9 +444,27 @@ def separable_readout_by_rows(state: StateVector, points, weights) -> np.ndarray
     out = np.empty((len(weights), len(row)), dtype=complex)
     rows = np.split(np.argsort(row, kind="stable"), np.cumsum(np.bincount(row))[:-1])
     for d, at in zip(d_a, rows):
-        amps = (d @ psi).reshape(levels * dim_a, dim_b)
+        amps = (d @ psi).reshape(levels * dim_a, psi.shape[2])
         needed, back = np.unique(col[at], return_inverse=True)
         for f, (w, form) in enumerate(zip(w_a, forms)):
             c = (amps.T * w) @ amps.conj()
             out[f, at] = (form[needed] @ c.ravel())[back]
+    return out
+
+
+def separable_readout_full(state: StateVector, points, weights) -> np.ndarray:
+    """``tomography._separable_readout`` point by point on every amplitude:
+    Phi = D_a psi D_b^T with whole displacement matrices, and
+    sum_jk w(j) w(k) |Phi_jk|^2 summed over atomic levels.  No support is
+    taken and no truncation tail is checked."""
+    space = state.space
+    psi = state.amplitudes.reshape(space.shape)
+    etas = np.array(points, dtype=complex).reshape(-1, 2)
+    d_a = _mode_displacements(space.n_max_a, etas[:, 0], "a")
+    d_b = _mode_displacements(space.n_max_b, etas[:, 1], "b")
+    out = np.empty((len(weights), len(etas)), dtype=complex)
+    for k, (da, db) in enumerate(zip(d_a, d_b)):
+        probs = np.sum(np.abs(da @ psi @ db.T) ** 2, axis=0)
+        for f, w in enumerate(weights):
+            out[f, k] = w(np.arange(space.dim_a)) @ probs @ w(np.arange(space.dim_b))
     return out

@@ -285,6 +285,13 @@ def test_tmsv_is_diagonal_in_pair_basis():
                 assert amp == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+def test_tmsv_spec_refuses_a_phase_that_is_not_finite(phase):
+    with pytest.raises(ValueError, match=f"^phase must be finite, got {phase}$"):
+        tmsv_analytic(TmsvSpec(0.5, phase=phase), field_space(3, 3))
+
+
 def test_tmsv_spec_refuses_a_nan_squeeze_param():
     # inf is kept: the epr_quality scenario builds it and refuses tanh r = 1 itself
     with pytest.raises(ValueError, match="^squeeze_param must be non-negative, got nan"):

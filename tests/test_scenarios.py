@@ -43,7 +43,7 @@ from cavityconv.scenarios import (
     resolve_config,
     run_scenario,
 )
-from cavityconv.serialize import result_to_json, round_sig, table_to_csv
+from cavityconv.serialize import _csv_cell, result_to_json, round_sig, table_to_csv
 from cavityconv.tomography import TAIL_LIMIT
 from make_golden_corpus import CONFIGS
 from oracles import evolve_sectors
@@ -304,15 +304,18 @@ def test_gate_only_run_gives_the_full_runs_gate_metric_exactly(config):
 
 
 def test_gated_wigner_scan_reruns_only_the_origin(monkeypatch):
-    scans = []
-    real = tomography._scan
-    monkeypatch.setattr(tomography, "_scan",
-                        lambda state, points: scans.append((state.space.n_max_a, points))
-                        or real(state, points))
+    # the origin is read by the parity weight alone, the scan by all three
+    reads = []
+    real = tomography._separable_readout
+    monkeypatch.setattr(tomography, "_separable_readout",
+                        lambda state, points, weights: reads.append(
+                            (state.space.n_max_a, points, len(weights)))
+                        or real(state, points, weights))
     doc = run_scenario({"scenario": "wigner_scan"})
     assert doc["convergence_gate"]["checked"]
-    assert [len(points) for n, points in scans if n == 30] == [1, 25]
-    assert [points for n, points in scans if n == 30 + scenarios.GATE_STEP] == [((0.0, 0.0),)]
+    assert [(len(points), count) for n, points, count in reads if n == 30] == [(1, 1), (25, 3)]
+    assert [(points, count) for n, points, count in reads
+            if n == 30 + scenarios.GATE_STEP] == [(((0.0, 0.0),), 1)]
 
 
 def test_full_vs_effective_rerun_asks_for_no_grid_rows(monkeypatch):
@@ -773,6 +776,35 @@ def test_table_to_csv_layout():
     assert lines[0] == "a,b"
     assert lines[1] == "1,2.5e-07"
     assert lines[2] == "3,x"
+
+
+def csv_by_cells(columns, rows):
+    return "\n".join([",".join(columns), *(",".join(_csv_cell(v) for v in row)
+                                           for row in rows)]) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e16, 123456789012.0,
+               1.0 / 3.0, 2.5e-7, 1.7976931348623157e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.floats() | st.sampled_from(EDGE_FLOATS), st.booleans())
+                         .map(lambda cell: np.float64(cell[0]) if cell[1] else cell[0]),
+                         max_size=7), max_size=5))
+def test_a_float_row_is_written_as_its_cells_would_be(rows):
+    assert table_to_csv(["a", "b"], rows) == csv_by_cells(["a", "b"], rows)
+
+
+def test_float_rows_keep_the_cell_text_of_edge_values_and_mixed_rows():
+    rows = [EDGE_FLOATS, [np.float64(v) for v in EDGE_FLOATS], [np.float32(0.1), 2.0],
+            [123456789012345, 0.5], [True, 0.5], [np.int64(7), np.float64(1e-300)],
+            [1 + 2j, 0.5], ["x", 0.5], []]
+    assert table_to_csv(["a"], rows) == csv_by_cells(["a"], rows)
+    # the convergence table: an int n_max beside each float value
+    table = run_scenario({"scenario": "convergence"})["tables"]["sweep"]
+    assert all(type(row[0]) is int for row in table["rows"])
+    assert (table_to_csv(table["columns"], table["rows"])
+            == csv_by_cells(table["columns"], table["rows"]))
 
 
 # --- CLI ------------------------------------------------------------------------------------

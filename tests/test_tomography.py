@@ -47,6 +47,7 @@ from oracles import (
     parity_operator,
     quadrature_operator,
     separable_readout_by_rows,
+    separable_readout_full,
 )
 
 TWO_MODE_NORM = 4.0 / math.pi**2
@@ -330,25 +331,105 @@ def test_batched_readout_equals_the_row_loop_on_non_product_points(points):
         assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
 
 
+def support_state(space, cells, seed=7):
+    # random amplitudes on the given (level, n_a, n_b) cells alone
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(space.shape, dtype=complex)
+    for cell in cells:
+        amps[cell] = rng.normal() + 1j * rng.normal()
+    norm = np.linalg.norm(amps)
+    return StateVector(space, amps / norm if norm else amps)
+
+
+SUPPORT_CASES = {
+    "fock_3_2": (field_space(20, 20), [(0, 3, 2)]),
+    "fock_0_5": (field_space(16, 16), [(0, 0, 5)]),
+    "gapped": (field_space(24, 24), [(0, 0, 0), (0, 2, 5), (0, 7, 1), (0, 3, 5), (0, 7, 9)]),
+    "gapped_swapped_support": (field_space(20, 20), [(0, 1, 0), (0, 3, 2), (0, 3, 4)]),
+    "lopsided": (field_space(16, 26), [(0, 1, 0), (0, 4, 3), (0, 0, 6)]),
+    "three_level": (make_space(3, 16, 18), [(0, 0, 1), (1, 2, 0), (2, 5, 4), (1, 0, 3)]),
+    "level_two_only": (make_space(3, 18, 14), [(2, 1, 0), (2, 4, 2)]),
+    "zero": (field_space(12, 12), []),
+}
+SUPPORT_AXIS = np.linspace(-0.5, 0.5, 5)
+SUPPORT_POINTS = {
+    # the same etas on both modes, so mode b may reuse mode a's displacements
+    "grid": PhaseSpaceGrid.two_mode_real(SUPPORT_AXIS, SUPPORT_AXIS).points,
+    "scattered": ((0.3 - 0.2j, -0.1 + 0.4j), (-0.25j, 0.0), (0.0, 0.35 + 0.1j)),
+}
+
+
+@pytest.mark.parametrize("space, cells", list(SUPPORT_CASES.values()), ids=list(SUPPORT_CASES))
+def test_readout_on_the_support_matches_whole_displacement_matrices(space, cells):
+    psi = support_state(space, cells)
+    for points in SUPPORT_POINTS.values():
+        got = _separable_readout(psi, points, SCAN_WEIGHTS)
+        want = separable_readout_full(psi, points, SCAN_WEIGHTS)
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+    for eta_a, eta_b in SUPPORT_POINTS["scattered"]:
+        d_a, d_b = (_mode_displacements(n_max, np.array([eta]), mode)[0] for n_max, eta, mode
+                    in ((space.n_max_a, eta_a, "a"), (space.n_max_b, eta_b, "b")))
+        want = d_a @ psi.amplitudes.reshape(space.shape) @ d_b.T
+        got = displace(psi, eta_a, eta_b).amplitudes.reshape(space.shape)
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+    if not cells:
+        assert not got.any() and not _scan(psi, SUPPORT_POINTS["grid"])[0].any()
+
+
+@pytest.mark.parametrize("truncation", [(30, 26), (26, 30)])
+def test_pair_state_on_a_lopsided_truncation_matches_whole_displacement_matrices(truncation):
+    # the pair state's support is the diagonal: every Fock level of the
+    # smaller mode and as many of the larger one
+    psi = tmsv_analytic(TmsvSpec(squeeze_param=0.68), field_space(*truncation))
+    axis = np.linspace(-1.0, 1.0, 5)
+    points = PhaseSpaceGrid.two_mode_real(axis, axis).points
+    got = _separable_readout(psi, points, SCAN_WEIGHTS)
+    want = separable_readout_full(psi, points, SCAN_WEIGHTS)
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+
+
+def test_mode_displacement_columns_are_the_whole_matrix_columns():
+    etas = np.array([0.0, *QUADRANT_ETAS])
+    whole = _mode_displacements(12, etas, "a")
+    for columns in (np.array([0]), np.array([3]), np.array([1, 4, 12]), np.arange(13),
+                    np.array([], dtype=int)):
+        part = _mode_displacements(12, etas, "a", columns)
+        assert part.shape == (etas.size, 13, columns.size)
+        assert np.array_equal(part[0], np.eye(13)[:, columns])
+        assert np.max(np.abs(part - whole[:, :, columns]), initial=0.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("truncation", [(30, 30), (34, 34), (30, 26)])
+def test_the_origin_read_by_parity_alone_is_the_scans_value_bit_for_bit(truncation):
+    for psi in scan_states(field_space(*truncation)):
+        alone = tomography._wigner(psi, ((0.0, 0.0),))
+        np.testing.assert_array_equal(alone.view(np.uint64),
+                                      _scan(psi, ((0.0, 0.0),))[0].view(np.uint64))
+
+
 def count_displacement_sets(monkeypatch):
     made, real = [], tomography._mode_displacements
     monkeypatch.setattr(tomography, "_mode_displacements",
-                        lambda n_max, etas, mode: made.append(mode) or real(n_max, etas, mode))
+                        lambda n_max, etas, mode, columns: made.append(mode)
+                        or real(n_max, etas, mode, columns))
     return made
 
 
-@pytest.mark.parametrize("truncation, axis_b, modes", [
-    ((30, 30), np.linspace(-1.0, 1.0, 5), ["a"]),
-    ((30, 26), np.linspace(-1.0, 1.0, 5), ["a", "b"]),
-    ((30, 30), np.linspace(-0.8, 0.8, 5), ["a", "b"]),
-    ((30, 30), np.linspace(-1.0, 1.0, 4), ["a", "b"]),
-], ids=["symmetric", "lopsided_truncation", "other_eta_b", "fewer_eta_b"])
-def test_mode_b_reuses_mode_a_displacements_only_when_both_match(monkeypatch, truncation,
-                                                                 axis_b, modes):
+@pytest.mark.parametrize("truncation, axis_b, state, modes", [
+    ((30, 30), np.linspace(-1.0, 1.0, 5), "tmsv", ["a"]),
+    ((30, 26), np.linspace(-1.0, 1.0, 5), "tmsv", ["a", "b"]),
+    ((30, 30), np.linspace(-0.8, 0.8, 5), "tmsv", ["a", "b"]),
+    ((30, 30), np.linspace(-1.0, 1.0, 4), "tmsv", ["a", "b"]),
+    ((30, 30), np.linspace(-1.0, 1.0, 5), "vacuum", ["a"]),
+    ((30, 30), np.linspace(-1.0, 1.0, 5), "one_photon", ["a", "b"]),
+], ids=["symmetric", "lopsided_truncation", "other_eta_b", "fewer_eta_b", "same_support",
+        "other_support"])
+def test_mode_b_reuses_mode_a_displacements_only_when_all_match(monkeypatch, truncation,
+                                                                axis_b, state, modes):
     made = count_displacement_sets(monkeypatch)
-    psi = tmsv_analytic(TmsvSpec(squeeze_param=0.68), field_space(*truncation))
+    psi = dict(zip(("vacuum", "one_photon", "tmsv"), scan_states(field_space(*truncation))))
     grid = PhaseSpaceGrid.two_mode_real(np.linspace(-1.0, 1.0, 5), axis_b)
-    _scan(psi, grid.points)
+    _scan(psi[state], grid.points)
     assert made == modes
 
 
@@ -356,11 +437,12 @@ def test_mode_b_reuses_mode_a_displacements_only_when_both_match(monkeypatch, tr
 def test_wigner_scan_and_its_gate_rerun_make_one_displacement_set_when_symmetric(
         monkeypatch, truncation, per_scan):
     made = count_displacement_sets(monkeypatch)
-    scans, real_scan = [], tomography._scan
-    monkeypatch.setattr(tomography, "_scan", lambda *args: scans.append(1) or real_scan(*args))
+    reads, real_read = [], tomography._separable_readout
+    monkeypatch.setattr(tomography, "_separable_readout",
+                        lambda *args: reads.append(1) or real_read(*args))
     run_scenario({"scenario": "wigner_scan", "truncation": truncation}, check_convergence=True)
-    assert len(scans) >= 2  # the scan and the gate's rerun
-    assert made == per_scan * len(scans)
+    assert len(reads) == 3  # the origin, the scan and the gate's rerun of the origin
+    assert made == per_scan * len(reads)
 
 
 def test_lopsided_single_level_mode_b_is_still_refused():
@@ -510,5 +592,6 @@ def test_squeezed_axis_variance_from_wigner_fit():
 def test_grid_validation():
     with pytest.raises(ValueError):
         PhaseSpaceGrid(())
-    with pytest.raises(ValueError):
-        PhaseSpaceGrid(((float("nan"), 0.0),))
+    for bad in (float("nan"), complex(0.0, math.inf), complex(-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="^grid points must be finite$"):
+            PhaseSpaceGrid(((0.1, 0.2), (0.0, bad)))
