@@ -210,6 +210,14 @@ class StateVector:
         return f"StateVector(dim={self.space.total_dim}, norm={self.norm():.6f})"
 
 
+def _support(state) -> tuple:
+    """A support (space, keep, amps) as given, or a StateVector's nonzero entries."""
+    if not isinstance(state, StateVector):
+        return state
+    keep = np.flatnonzero(state.amplitudes)
+    return state.space, keep, state.amplitudes[keep]
+
+
 # --- elementary operators ---------------------------------------------------
 
 def _mode_axis(mode: str) -> int:

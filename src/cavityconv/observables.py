@@ -6,11 +6,12 @@ so the vacuum variance is 1/4 and the ideal pair-correlated state built by
 the down-conversion generator satisfies <(x_a - x_b)^2> = <(p_a + p_b)^2> =
 e^{-2r}/2 with r the squeeze parameter.
 
-Each observable reads a state as a support (space, keep, amps), the flat
-indices and amplitudes of all its nonzeros, in the order given (which the
-bincount sums of ``photon_number_distribution`` follow): a StateVector's,
-ascending, or a band evolution's reached chain, in evolution order, so no
-observable reads the rest of the space.
+Each observable reads a state as a support (space, keep, amps)
+(``hilbert._support``, as the tomography scans read it), the flat indices
+and amplitudes of all its nonzeros, in the order given (which the bincount
+sums of ``photon_number_distribution`` follow): a StateVector's, ascending,
+or a band evolution's reached chain, in evolution order, so no observable
+reads the rest of the space.
 Each variance is ||X psi||^2 (X Hermitian in the truncated space), its ladder
 terms moving each kept index k to k -/+ stride of one zeroed flat vector.
 """
@@ -23,15 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (HilbertSpace, SpaceMismatchError, StateVector, _ladder, _mode_axis,
-                      _mode_numbers)
-
-
-def _support(state) -> tuple:
-    """A support (space, keep, amps) as given, or a StateVector's nonzero entries."""
-    if not isinstance(state, StateVector):
-        return state
-    keep = np.flatnonzero(state.amplitudes)
-    return state.space, keep, state.amplitudes[keep]
+                      _mode_numbers, _support)
 
 
 def _variances(support, modes: str, signs) -> list[float]:

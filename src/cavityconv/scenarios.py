@@ -44,16 +44,7 @@ from .hamiltonians import (
     resonance_delta,
     two_photon_coupling,
 )
-from .hilbert import (
-    DIM_CAP,
-    StateVector,
-    basis_state,
-    field_space,
-    fock_state,
-    make_space,
-    project_atom,
-    vacuum_state,
-)
+from .hilbert import DIM_CAP, StateVector, basis_state, field_space, make_space
 from .propagate import PropagationError, _evolve_band, _evolve_entries
 
 # Typical microwave-cavity Rydberg numbers used as scenario defaults.
@@ -340,16 +331,14 @@ def prepare_bell(target: str, params: PhysicalParams, n_max: tuple[int, int] = (
     space = make_space(3, *n_max)
     level, n_a, initial_label = ("g", 1, "|g;1,0>") if kind == "BS" else ("e", 0, "|e;0,0>")
     start = space.flatten(space.level_index(level), n_a, 0)
-    evolved = _band_state(space, _two_photon_band(space, params, kind), start, t_quarter)
+    keep, states = _evolve_band(*_two_photon_band(space, params, kind), start, [t_quarter])
 
     sign = +1.0 if target.endswith("+") else -1.0
-    phi_g = project_atom(evolved, "g")
-    phi_e = project_atom(evolved, "e")
-    post = StateVector(
-        phi_g.space,
-        (phi_g.amplitudes + sign * phi_e.amplitudes) / math.sqrt(2.0),
-        copy=False,
-    )
+    # the run holds g and e states alone (levels 0 and 1): one field block each
+    g_e = np.zeros((2, space.field_dim), dtype=np.complex128)
+    g_e[np.divmod(keep, space.field_dim)] = states[0]
+    post = StateVector(space.field_subspace(), (g_e[0] + sign * g_e[1]) / math.sqrt(2.0),
+                       copy=False)
     success = post.norm() ** 2
     post = post.normalized()
 
@@ -395,14 +384,6 @@ def _swap_setup(cfg: ResolvedConfig):
     if min(cfg.truncation) < 1:
         raise ConfigError("the swap |1,0> -> |0,1> needs n_max >= 1 in both modes", "truncation")
     return xi_abs, field_space(*cfg.truncation)
-
-
-def _band_state(space, band, start: int, t: float) -> StateVector:
-    """The basis state at index start evolved for time t under band + band^dag."""
-    keep, states = _evolve_band(*band, start, [t])
-    amps = np.zeros(space.total_dim, dtype=np.complex128)
-    amps[keep] = states[0]
-    return StateVector(space, amps, copy=False)
 
 
 def _evolved_vacuum(cfg: ResolvedConfig) -> tuple:
@@ -690,29 +671,30 @@ def _scenario_bell_prep(cfg: ResolvedConfig, gate_only: bool = False):
 def _scenario_wigner_scan(cfg: ResolvedConfig, gate_only: bool = False):
     dim_a, dim_b = (n + 1 for n in cfg.truncation)
     # the scan holds its points, and per axis value one displaced field and
-    # one dense displacement matrix of each mode; the gate's rerun reads the
-    # origin alone, one point, at its raised truncation
+    # each mode's (n_max + 1)^2 eigenvector matrix of l + l^dag; the gate's
+    # rerun reads the origin alone, one point, at its raised truncation
     n_points = 1 if gate_only else cfg.options["grid_points"]
-    sizes = {"points": n_points, "field amplitudes": dim_a * dim_b,
+    sizes = {"field amplitudes": dim_a * dim_b,
              "mode-a matrix entries": dim_a * dim_a, "mode-b matrix entries": dim_b * dim_b}
-    over = [f"{n_points} x {size} {what}" for what, size in sizes.items()
+    over = [f"{n_points} x {size} {what}" for what, size in {"points": n_points, **sizes}.items()
             if n_points * size > DIM_CAP]
-    if over:
+    if over:  # a size over the cap at a single point is the truncation's fault
+        truncation = "truncation (raised by the convergence gate)" if gate_only else "truncation"
         raise ConfigError(f"{n_points} per axis exceeds cap {DIM_CAP} with {', '.join(over)}",
-                          "truncation (raised by the convergence gate)" if gate_only
-                          else "options.grid_points")
+                          truncation if max(sizes.values()) > DIM_CAP else "options.grid_points")
     try:
         pulse_time = tomo.parity_pulse_time(abs(cfg.params.lambda_a), cfg.params.delta_big)
     except ValueError as exc:
         raise ConfigError(str(exc), "params.lambda_a") from None
-    choice, space = cfg.options["state"], field_space(*cfg.truncation)
+    choice = cfg.options["state"]
     if choice == "one_photon" and cfg.truncation[0] < 1:
         raise ConfigError("the one_photon state |1,0> needs n_max_a >= 1",
                           "truncation, options.state")
     if choice == "tmsv":
-        state = _band_state(space, _reduced_band(space, cfg.params), 0, cfg.times[-1])
-    else:
-        state = vacuum_state(space) if choice == "vacuum" else fock_state(space, 1, 0)
+        state = _evolved_vacuum(cfg)
+    else:  # the one-entry support of |0,0>, or of |1,0> at flat index dim_b
+        state = (field_space(*cfg.truncation), np.array([0 if choice == "vacuum" else dim_b]),
+                 np.ones(1))
     extent = cfg.options["grid_extent"]
     if not math.isfinite(2.0 * abs(extent)):
         raise ConfigError(f"the grid's span 2 |extent| overflows at extent = {extent!r}",

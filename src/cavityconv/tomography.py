@@ -18,20 +18,23 @@ pi/2 times the two-mode value at eta_b = 0.  The raw atomic signal
 P_f - P_i = -<Pi> is reported alongside; the two differ by the sign fixed
 by the Ramsey phase choice above.
 
-A scan costs per distinct eta of each mode and per Fock column the state
+A scan reads a state as the observables do, as a support (space, keep, amps)
+(``hilbert._support``; a StateVector's nonzero entries, or a band run's
+chain as the scenarios hand it over), so no full-space state is made for it.
+It costs per distinct eta of each mode and per Fock column the state
 occupies, not per grid point and not per Fock level of the truncation.  Each
 mode's truncated displacement comes from one real tridiagonal eigensystem of
-l + l^dag, and only the columns that meet the state's occupied Fock numbers
-(on any atomic level) are formed: a Fock state's scan displaces one column
-per mode.  When both modes have the same truncation, the same distinct etas
-and the same occupied numbers, as in a symmetric scan of the vacuum or the
-pair state, mode b is displaced by mode a's columns.  Every readout above
-is a separable form sum_jk w(j) w(k) |Phi_jk|^2 of the displaced amplitudes
-Phi = D_a psi D_b^T: parity weights (-1)^n for the Wigner value, weights 1
-and e^{i phi n} for the probe populations.  It is read out by batched
-contractions with no loop over the grid: per weight one product per mode
-over all its distinct etas, and one batched matrix-vector product for the
-table over all pairs of them.
+l + l^dag, and only the columns that meet the support's occupied Fock
+numbers (on any atomic level) are formed: a Fock state's scan displaces one
+column per mode.  When both modes have the same truncation, the same
+distinct etas and the same occupied numbers, as in a symmetric scan of the
+vacuum or the pair state, mode b is displaced by mode a's columns.  Every
+readout above is a separable form sum_jk w(j) w(k) |Phi_jk|^2 of the
+displaced amplitudes Phi = D_a psi D_b^T: parity weights (-1)^n for the
+Wigner value, weights 1 and e^{i phi n} for the probe populations.  It is
+read out by batched contractions with no loop over the grid: per weight one
+product per mode over all its distinct etas, and one batched matrix-vector
+product for the table over all pairs of them.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector
+from .hilbert import StateVector, _support
 from .propagate import _chain_eigh
 
 # Displaced probability allowed in the top Fock level of either mode before
@@ -123,22 +126,18 @@ def _mode_displacements(n_max: int, etas: np.ndarray, mode: str,
     return out
 
 
-def _support(occupied: np.ndarray) -> np.ndarray | slice:
-    """The indices where occupied holds, or every index when it holds everywhere."""
-    return slice(None) if occupied.all() else np.flatnonzero(occupied)
-
-
-def _checked_displacements(state: StateVector, points) -> tuple:
+def _checked_displacements(state, points) -> tuple:
     """The amplitudes on the state's support, the support's columns of each
     mode's displacements of the distinct etas, and each point's index into
     them.
 
-    The support is the mode-a Fock rows occupied on any atomic level and the
-    mode-b Fock columns occupied: D_a psi D_b^T needs only those columns of
-    D_a and D_b, since every other column meets a zero of psi.  A state that
-    occupies every row and column keeps its whole arrays.  Mode b reuses mode
-    a's displacements when both modes have the same truncation, distinct
-    etas and support, as in a symmetric scan of a symmetric state.
+    The state is a StateVector or a support (space, keep, amps)
+    (``hilbert._support``), keep in any order.  Its support is the mode-a
+    Fock rows its nonzero amplitudes occupy on any atomic level and the
+    mode-b Fock columns they occupy: D_a psi D_b^T needs only those columns
+    of D_a and D_b, since every other column meets a zero of psi.  Mode b
+    reuses mode a's displacements when both modes have the same truncation,
+    distinct etas and support, as in a symmetric scan of a symmetric state.
 
     Raises TruncationError for the first point, in the given order, whose
     displacement leaves more than TAIL_LIMIT in the top Fock level of a
@@ -146,17 +145,18 @@ def _checked_displacements(state: StateVector, points) -> tuple:
     displacements is the one its own displacement leaves: the mode-a tail is
     ||D_a[n_max_a, :] psi||^2 and the mode-b tail ||psi D_b[n_max_b, :]^T||^2.
     """
-    space = state.space
-    psi = state.amplitudes.reshape(space.shape)
-    occupied = psi != 0.0
-    rows, cols = _support(occupied.any(axis=(0, 2))), _support(occupied.any(axis=(0, 1)))
-    psi = psi[:, rows][:, :, cols]
+    space, keep, amps = _support(state)
+    nonzero = amps != 0.0  # an exact zero, as a band run at t = 0 keeps, occupies nothing
+    level, n_a, n_b = np.unravel_index(keep[nonzero], space.shape)
+    (rows, i), (cols, j) = (np.unique(n, return_inverse=True) for n in (n_a, n_b))
+    psi = np.zeros((space.atom_levels, rows.size, cols.size), dtype=np.complex128)
+    psi[level, i, j] = amps[nonzero]
     etas = np.array(points, dtype=complex).reshape(-1, 2)
     (distinct_a, row), (distinct_b, col) = (np.unique(etas[:, axis], return_inverse=True)
                                             for axis in (0, 1))
     d_a = _mode_displacements(space.n_max_a, distinct_a, "a", rows)
     if (space.n_max_b == space.n_max_a and np.array_equal(distinct_b, distinct_a)
-            and np.array_equal(np.arange(space.dim_a)[rows], np.arange(space.dim_b)[cols])):
+            and np.array_equal(rows, cols)):
         d_b = d_a
     else:
         d_b = _mode_displacements(space.n_max_b, distinct_b, "b", cols)
@@ -175,7 +175,7 @@ def _checked_displacements(state: StateVector, points) -> tuple:
     return psi, (d_a, row), (d_b, col)
 
 
-def _separable_readout(state: StateVector, points, weights) -> np.ndarray:
+def _separable_readout(state, points, weights) -> np.ndarray:
     """sum_jk w(j) w(k) |Phi_jk|^2 of the displaced amplitudes Phi = D_a psi D_b^T
     at every point, for every weight w of the Fock number (summed over atomic
     levels); shape (len(weights), points).
@@ -254,7 +254,7 @@ def _parity(n: np.ndarray) -> np.ndarray:
     return (-1.0) ** n
 
 
-def _wigner(state: StateVector, points) -> np.ndarray:
+def _wigner(state, points) -> np.ndarray:
     """Displaced-parity Wigner values at points: the separable readout with
     parity weights (-1)^n on both modes.  Each weight is read out on its own,
     so this is bit for bit the first of :func:`_scan`'s values."""
@@ -285,7 +285,7 @@ def wigner_via_protocol(
     return _probe_wigner(*_separable_readout(state, grid.points, weights).real)
 
 
-def _scan(state: StateVector, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(state, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(:func:`wigner_direct`, :func:`wigner_via_protocol` at phi = pi) of a
     field state at every point, from one separable readout: one set of
     displacements for the weights (-1)^n, 1 and e^{i pi n}."""

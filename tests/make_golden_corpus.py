@@ -73,6 +73,8 @@ CONFIGS: dict[str, dict] = {
                                        "grid_extent": 0.7}},
     "wigner_scan-tmsv-lopsided": {"scenario": "wigner_scan", "truncation": [36, 30],
                                   "options": {"grid_points": 3}},
+    # the pair state's chain at t = 0: the vacuum, then exact zeros along its run
+    "wigner_scan-time_zero": {"scenario": "wigner_scan", "times": [0.0]},
     # sweeps through a target_config
     "convergence-puc_swap": {"scenario": "convergence",
                              "options": {"target": "puc_swap", "n_max_list": [1, 2, 4],

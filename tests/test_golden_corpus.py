@@ -71,3 +71,18 @@ def test_exponential_action_document_does_not_depend_on_the_global_seed(monkeypa
         after = np.random.get_state()
         assert np.array_equal(after[1], caller[1]) and after[2:] == caller[2:]
     assert actions
+
+
+@pytest.mark.parametrize("suffix", GATES)
+def test_a_pair_scan_at_time_zero_is_the_vacuum_scan_bit_for_bit(suffix):
+    # the evolved vacuum's chain at t = 0 is 1 and then exact zeros, which the
+    # scan drops: it reads the one-entry vacuum support, to the last bit of
+    # the stored document and of the vacuum's own document
+    name = "wigner_scan-time_zero"
+    text = document(CONFIGS[name], GATES[suffix])
+    assert text == (GOLDEN_DIR / f"{name}.{suffix}.json").read_text()
+    vacuum = document({**CONFIGS[name], "options": {"state": "vacuum"}}, GATES[suffix])
+    got, want = json.loads(text), json.loads(vacuum)
+    assert got.pop("config")["options"]["state"] == "tmsv"
+    assert want.pop("config")["options"]["state"] == "vacuum"
+    assert got == want

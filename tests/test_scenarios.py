@@ -309,7 +309,7 @@ def test_gated_wigner_scan_reruns_only_the_origin(monkeypatch):
     real = tomography._separable_readout
     monkeypatch.setattr(tomography, "_separable_readout",
                         lambda state, points, weights: reads.append(
-                            (state.space.n_max_a, points, len(weights)))
+                            (state[0].n_max_a, points, len(weights)))
                         or real(state, points, weights))
     doc = run_scenario({"scenario": "wigner_scan"})
     assert doc["convergence_gate"]["checked"]
@@ -482,21 +482,15 @@ def test_wigner_scan_displaces_once_per_run(monkeypatch):
 
 
 def test_pair_scenarios_read_their_chain_without_a_full_space_state(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a full-space state was built")
-
     built = []
     real_init = StateVector.__init__
-    monkeypatch.setattr(scenarios, "_band_state", never)
     monkeypatch.setattr(StateVector, "__init__",
                         lambda self, *args, **kwargs: built.append(args)
                         or real_init(self, *args, **kwargs))
-    for name in ("pdc_epr", "epr_variances", "epr_quality", "degenerate_squeeze"):
+    for name in ("pdc_epr", "epr_variances", "epr_quality", "degenerate_squeeze", "wigner_scan"):
         run_scenario({"scenario": name})
     run_scenario({"scenario": "pdc_epr", "truncation": [800, 800]}, check_convergence=False)
     assert built == []
-    with pytest.raises(AssertionError, match="full-space state"):  # the patch is seen
-        run_scenario({"scenario": "wigner_scan"})
 
 
 def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatch):
@@ -505,12 +499,28 @@ def test_wigner_scan_over_the_cap_is_refused_before_any_grid_or_state(monkeypatc
         raise AssertionError("the scan must be refused before this is built")
 
     monkeypatch.setattr(tomography.PhaseSpaceGrid, "two_mode_real", classmethod(never))
-    monkeypatch.setattr(scenarios, "_band_state", never)  # the default tmsv state
+    monkeypatch.setattr(scenarios, "_evolved_vacuum", never)  # the default tmsv state
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="options.grid_points: 100000 per axis exceeds cap "
                                           "2000000 with 100000 x 100000 points"):
         run_scenario({"scenario": "wigner_scan", "options": {"grid_points": 100000}})
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("truncation, grid_points, field_path", [
+    ([3000, 4], 1, "truncation"),  # 3001^2 mode-a entries at a single point
+    ([3000, 4], 5, "truncation"),
+    ([1000, 4], 3, "options.grid_points"),  # 1001^2 entries fit once, not three times
+])
+def test_wigner_scan_cap_names_the_truncation_when_one_point_is_over(tmp_path, capsys, truncation,
+                                                                     grid_points, field_path):
+    # no grid_points can bring a mode's (n_max + 1)^2 eigenvector matrix within the cap
+    config = {"scenario": "wigner_scan", "truncation": truncation,
+              "options": {"state": "vacuum", "grid_points": grid_points}}
+    assert cli_main(["run", write_config(tmp_path, config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field_path}: {grid_points} per axis exceeds cap {DIM_CAP} with ")
+    assert f"{grid_points} x {(truncation[0] + 1) ** 2} mode-a matrix entries" in err
 
 
 @pytest.mark.parametrize("n_max, reached", [((6, 6), 8), ((1, 1), 4), ((1, 5), 6), ((40, 3), 8)])
@@ -684,7 +694,7 @@ def test_wigner_scan_cost_does_not_grow_per_point(monkeypatch):
                      check_convergence=False)
         per_grid[grid_points] = dict(counts)
     assert per_grid[3] == per_grid[9]
-    assert per_grid[3]["__init__"] > 0
+    assert "__init__" not in per_grid[3]  # every state the scan reads is a support
 
 
 # --- bell preparation ---------------------------------------------------------------------
@@ -940,7 +950,7 @@ VALIDATION_CASES = [
                options={"grid_points": 100000}),
     bad_config("wigner_scan-grid_points-field_cap", "options.grid_points", "wigner_scan",
                truncation=[300, 300], options={"grid_points": 30}),
-    bad_config("wigner_scan-grid_points-mode_cap", "options.grid_points", "wigner_scan",
+    bad_config("wigner_scan-truncation-mode_cap", "truncation", "wigner_scan",
                truncation=[100000, 1]),
     bad_config("full_vs_effective-grid_points", "options.grid_points", "full_vs_effective",
                options={"grid_points": 0}),

@@ -14,6 +14,7 @@ from cavityconv.hamiltonians import (
 )
 from cavityconv.hilbert import (
     StateVector,
+    _support,
     field_space,
     fock_state,
     make_space,
@@ -359,6 +360,17 @@ SUPPORT_POINTS = {
 }
 
 
+def reordered_supports(state):
+    """The state's support with keep descending, as a band run ordered from its
+    top end returns it, and with an exact-zero amplitude at an unoccupied
+    index in the middle of keep, as a band run at t = 0 holds its chain."""
+    space, keep, amps = _support(state)
+    free = np.setdiff1d(np.arange(space.total_dim), keep)
+    middle = keep.size // 2
+    return ((space, keep[::-1], amps[::-1]),
+            (space, np.insert(keep, middle, free[free.size // 2]), np.insert(amps, middle, 0.0)))
+
+
 @pytest.mark.parametrize("space, cells", list(SUPPORT_CASES.values()), ids=list(SUPPORT_CASES))
 def test_readout_on_the_support_matches_whole_displacement_matrices(space, cells):
     psi = support_state(space, cells)
@@ -366,6 +378,10 @@ def test_readout_on_the_support_matches_whole_displacement_matrices(space, cells
         got = _separable_readout(psi, points, SCAN_WEIGHTS)
         want = separable_readout_full(psi, points, SCAN_WEIGHTS)
         assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps
+        # a support in any order, exact zeros and all, reads as its StateVector
+        for support in reordered_supports(psi):
+            again = _separable_readout(support, points, SCAN_WEIGHTS)
+            np.testing.assert_array_equal(again.view(np.uint64), got.view(np.uint64))
     for eta_a, eta_b in SUPPORT_POINTS["scattered"]:
         d_a, d_b = (_mode_displacements(n_max, np.array([eta]), mode)[0] for n_max, eta, mode
                     in ((space.n_max_a, eta_a, "a"), (space.n_max_b, eta_b, "b")))
